@@ -10,7 +10,6 @@ random coding constructions (:mod:`~bccrates.simulate`).  All rates are in
 nats.
 """
 
-from ._sweep_backend import ACTIVE_BACKEND, has_compiled_backend
 from .chain import (
     BccChain,
     ChainInformations,

@@ -1,10 +1,8 @@
-"""NumPy implementation of the binary-input frontier sweep.
+"""NumPy frontier sweep for binary-input channel pairs.
 
-This is the fallback backend; ``bccrates._sweep`` is the compiled twin with
-identical semantics.  A cell of the sweep is one triple
-(P_V(0), P_{X|V}(0|0), P_{X|V}(1|1)); for each cell we evaluate the secrecy
-rate and the two randomness costs, and fold the results into per-budget
-maximum tables.
+A cell of the sweep is one triple (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1)); for
+each cell we evaluate the secrecy rate and the two randomness costs, and fold
+the results into per-budget maximum tables.
 """
 
 from __future__ import annotations
@@ -13,12 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .probability import _xlogx
+
 BIN_FUZZ = 1e-9  # in units of rd_step; absorbs float noise at exact bin edges
-
-
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    safe = np.where(p > 0.0, p, 1.0)
-    return p * np.log(safe)
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -26,7 +21,7 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
 
 
 class SweepTables(NamedTuple):
-    """Per-grid-point tables shared by both sweep backends."""
+    """Per-grid-point tables shared by the sweep and the cell enumeration."""
 
     row0_y: np.ndarray  # (A, my) output law given V=0 at the receiver
     row1_y: np.ndarray  # (B, my) output law given V=1
@@ -52,10 +47,10 @@ def prepare_tables(w_y: np.ndarray, w_z: np.ndarray, a_grid: np.ndarray,
     row1_z = (1.0 - b) * w_z[0] + b * w_z[1]
     two_col = lambda v: np.stack([v, 1.0 - v], axis=1)
     return SweepTables(
-        row0_y=np.ascontiguousarray(row0_y),
-        row1_y=np.ascontiguousarray(row1_y),
-        row0_z=np.ascontiguousarray(row0_z),
-        row1_z=np.ascontiguousarray(row1_z),
+        row0_y=row0_y,
+        row1_y=row1_y,
+        row0_z=row0_z,
+        row1_z=row1_z,
         h0y=_row_entropies(row0_y),
         h1y=_row_entropies(row1_y),
         h0z=_row_entropies(row0_z),
@@ -84,8 +79,8 @@ def fold_max(table: np.ndarray, rd: np.ndarray, rs: np.ndarray, rd_step: float) 
     table[idx] = np.maximum(table[idx], np.maximum.reduceat(vs, starts))
 
 
-def sweep_binary(tables: SweepTables, a_grid: np.ndarray, b_grid: np.ndarray,
-                 p_grid: np.ndarray, rd_step: float, n_rd: int):
+def sweep_binary(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
+                 a_grid: np.ndarray, b_grid: np.ndarray, rd_step: float, n_rd: int):
     """Raw per-budget maxima of the secrecy rate for both randomness costs.
 
     Returns ``(ds, sim)``: ds uses the eavesdropper information cost of the
@@ -93,6 +88,7 @@ def sweep_binary(tables: SweepTables, a_grid: np.ndarray, b_grid: np.ndarray,
     entropy (the cost of simulating the prefix channel).  Entries with no
     feasible cell stay at ``-inf``; callers apply the running maximum.
     """
+    tables = prepare_tables(w_y, w_z, a_grid, b_grid)
     ds = np.full(n_rd, -np.inf)
     sim = np.full(n_rd, -np.inf)
     ha = tables.ha[:, None]

@@ -11,13 +11,13 @@ guard exceeded, 4 infeasible query.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from ._sweep_backend import ACTIVE_BACKEND
 from .chain import BccChain
 from .channels import parse_channel, parse_pmf
 from .exponents import (
@@ -59,12 +59,7 @@ class InfeasibleQuery(RuntimeError):
 
 
 def _grid_from_args(args) -> GridSpec:
-    return GridSpec(
-        prob_step=args.grid_step,
-        mu_max=args.mu_max,
-        rd_step=args.rd_step,
-        rd_max=args.rd_max,
-    )
+    return GridSpec(prob_step=args.grid_step, rd_step=args.rd_step, rd_max=args.rd_max)
 
 
 def _chain_from_args(args) -> BccChain:
@@ -94,8 +89,7 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 
 def _meta(args, extra: dict) -> dict:
-    payload = {"tool": "bccrates", "version": __version__, "backend": ACTIVE_BACKEND,
-               "argv": vars(args).copy()}
+    payload = {"tool": "bccrates", "version": __version__, "argv": vars(args).copy()}
     payload["argv"].pop("func", None)
     payload.update(extra)
     return payload
@@ -107,7 +101,8 @@ def _cmd_region(args) -> int:
     grid = _grid_from_args(args)
     fn = secrecy_frontier_sim if args.sim else secrecy_frontier
     frontier = fn(w_y, w_z, grid, v_equals_x=args.v_eq_x, hull=not args.no_hull)
-    frontier.provenance.update(_meta(args, {}))
+    frontier = dataclasses.replace(frontier,
+                                   provenance={**_meta(args, {}), **frontier.provenance})
     frontier.write_csv(args.out)
     print(f"wrote {len(frontier.points)} frontier points to {args.out} "
           f"(max r_s = {float(frontier.r_s[-1]):.6f} nats)")
@@ -298,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--grid-step", type=float, default=0.005)
     region.add_argument("--rd-step", type=float, default=None)
     region.add_argument("--rd-max", type=float, default=None)
-    region.add_argument("--mu-max", type=float, default=20.0)
     region.add_argument("--v-eq-x", action="store_true",
                         help="restrict the search to chains with no prefix layer")
     region.add_argument("--no-hull", action="store_true",
@@ -388,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     minr.add_argument("--grid-step", type=float, default=0.005)
     minr.add_argument("--rd-step", type=float, default=None)
     minr.add_argument("--rd-max", type=float, default=None)
-    minr.add_argument("--mu-max", type=float, default=20.0)
     minr.add_argument("--out", default=None)
     minr.set_defaults(func=_cmd_check_min_randomness)
 

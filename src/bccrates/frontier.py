@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _sweep_backend, _sweep_py
-from .probability import Dmc, GuardExceeded
+from . import _sweep_py
+from .probability import Dmc, GuardExceeded, _xlogx
 
 FEASIBILITY_TOL = 1e-9
 
@@ -30,8 +30,9 @@ class GridSpec:
 
     ``prob_step`` is the step for every searched probability parameter;
     ``rd_step``/``rd_max`` control the budget axis (defaults: ``prob_step``
-    and a channel-derived cap).  ``mu_*`` parameterize the supporting-line
-    slopes kept for dual cross-checks.
+    and a channel-derived cap).  ``mu_*`` give the slope grid
+    (:meth:`mu_values`) for supporting-line dual checks; they do not shape a
+    frontier.
     """
 
     prob_step: float = 0.005
@@ -162,11 +163,6 @@ def _simplex_grid(dim: int, k: int) -> np.ndarray:
     return np.asarray(combos, dtype=float) / k
 
 
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    safe = np.where(p > 0.0, p, 1.0)
-    return p * np.log(safe)
-
-
 def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: float,
                    n_rd: int, v_equals_x: bool):
     """Full-grid sweep over the cloud prior and conditional rows (|V| = |X|)."""
@@ -230,7 +226,7 @@ def _cost_cap(w_y: Dmc, w_z: Dmc) -> float:
 
 
 def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: bool,
-                    hull: bool, backend: str | None = None) -> Frontier:
+                    hull: bool) -> Frontier:
     if w_y.input_size != w_z.input_size:
         raise ValueError("the two channels must share the input alphabet")
     rd_grid = grid.rd_axis(_cost_cap(w_y, w_z))
@@ -238,15 +234,13 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
     p_grid = grid.prob_grid()
     if w_y.input_size == 2:
         a_grid = np.array([1.0]) if v_equals_x else p_grid
-        ds, sim = _sweep_backend.sweep_binary(
-            w_y.matrix, w_z.matrix, p_grid, a_grid, a_grid, rd_step, rd_grid.size,
-            backend=backend,
-        )
-        used_backend = backend or _sweep_backend.ACTIVE_BACKEND
+        ds, sim = _sweep_py.sweep_binary(w_y.matrix, w_z.matrix, p_grid, a_grid, a_grid,
+                                         rd_step, rd_grid.size)
+        backend = "python"
     else:
         ds, sim = _general_sweep(w_y.matrix, w_z.matrix, grid, rd_step, rd_grid.size,
                                  v_equals_x)
-        used_backend = "python-general"
+        backend = "python-general"
     raw = ds if mode == "ds" else sim
     curve = np.maximum.accumulate(raw)
     if hull:
@@ -261,11 +255,9 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
         "prob_step": float(p_grid[1] - p_grid[0]) if p_grid.size > 1 else 1.0,
         "rd_step": rd_step,
         "rd_max": float(rd_grid[-1]),
-        "mu_max": grid.mu_max,
-        "mu_step": grid.mu_step,
         "bin_fuzz_steps": _sweep_py.BIN_FUZZ,
         "feasibility_tol": FEASIBILITY_TOL,
-        "backend": used_backend,
+        "backend": backend,
         "input_size": w_y.input_size,
         "seed": None,
     }
@@ -274,8 +266,7 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
 
 
 def secrecy_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
-                     v_equals_x: bool = False, hull: bool = True,
-                     backend: str | None = None) -> Frontier:
+                     v_equals_x: bool = False, hull: bool = True) -> Frontier:
     """Max confidential rate per budget, charging the channel-input cost.
 
     The budget constraint per cell is the eavesdropper information of the
@@ -285,12 +276,11 @@ def secrecy_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
     ``hull=False`` skips time sharing and returns the raw (running-maximum)
     sweep curve.
     """
-    return _sweep_frontier(w_y, w_z, grid or GridSpec(), "ds", v_equals_x, hull, backend)
+    return _sweep_frontier(w_y, w_z, grid or GridSpec(), "ds", v_equals_x, hull)
 
 
 def secrecy_frontier_sim(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
-                         v_equals_x: bool = False, hull: bool = True,
-                         backend: str | None = None) -> Frontier:
+                         v_equals_x: bool = False, hull: bool = True) -> Frontier:
     """Inner-bound frontier when the prefix channel is synthesized from randomness.
 
     Same sweep as :func:`secrecy_frontier`, but each cell's budget must cover
@@ -299,7 +289,7 @@ def secrecy_frontier_sim(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
     is again time sharing through the cloud variable U, which the simulated
     region admits as well, so both frontiers are compared convexified.
     """
-    return _sweep_frontier(w_y, w_z, grid or GridSpec(), "sim", v_equals_x, hull, backend)
+    return _sweep_frontier(w_y, w_z, grid or GridSpec(), "sim", v_equals_x, hull)
 
 
 def secrecy_capacity(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None) -> float:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sweep_py
-from .chain import BccChain, informations
+from .chain import BccChain, ChainInformations, informations
 from .frontier import GridSpec, secrecy_frontier, _simplex_grid
-from .probability import Dmc, GuardExceeded
+from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
 
@@ -100,7 +100,10 @@ def check_rate_quad(chain: BccChain, quad: RateQuad) -> RegionVerdict:
     cover the eavesdropper's information about the input given the cloud;
     dummy alone must cover it given the satellite).
     """
-    info = informations(chain)
+    return _rate_quad_verdict(informations(chain), quad)
+
+
+def _rate_quad_verdict(info: ChainInformations, quad: RateQuad) -> RegionVerdict:
     common_cap = min(info.i_uy, info.i_uz)
     return _verdict([
         ("common_rate", common_cap - quad.r_0),
@@ -171,10 +174,10 @@ def split_rates(chain: BccChain, quad: RateQuad) -> RateSplit:
     layer while the confidential rate is topped up to the secrecy gap.
     Rejects quadruples outside the achievable region.
     """
-    verdict = check_rate_quad(chain, quad)
+    info = informations(chain)
+    verdict = _rate_quad_verdict(info, quad)
     if not verdict:
         raise ValueError(f"quad outside the achievable region: {verdict.violated()}")
-    info = informations(chain)
     if quad.r_1 + quad.r_s <= info.i_vy_given_u:
         if quad.r_1 >= info.i_vz_given_u:
             case, r_d, r_0, r_s = "none", 0.0, 0.0, 0.0
@@ -212,12 +215,12 @@ def is_more_capable(w_y: Dmc, w_z: Dmc, grid_step: float = 0.001, *,
     if w_y.input_size != w_z.input_size:
         raise ValueError("channels must share the input alphabet")
     grid = _input_grid(w_y.input_size, grid_step, guard)
-    hy_rows = -_sweep_py._xlogx(w_y.matrix).sum(axis=1)
-    hz_rows = -_sweep_py._xlogx(w_z.matrix).sum(axis=1)
+    hy_rows = -_xlogx(w_y.matrix).sum(axis=1)
+    hz_rows = -_xlogx(w_z.matrix).sum(axis=1)
     py = grid @ w_y.matrix
     pz = grid @ w_z.matrix
-    iy = -_sweep_py._xlogx(py).sum(axis=1) - grid @ hy_rows
-    iz = -_sweep_py._xlogx(pz).sum(axis=1) - grid @ hz_rows
+    iy = -_xlogx(py).sum(axis=1) - grid @ hy_rows
+    iz = -_xlogx(pz).sum(axis=1) - grid @ hz_rows
     return bool(np.all(iy >= iz - SLACK_TOL))
 
 
@@ -288,8 +291,8 @@ def _pair_search_cells(w_y: Dmc, w_z: Dmc, budget: int) -> dict:
         n += 1
     p = np.linspace(0.0, 1.0, n + 1)
     cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
-    cells["hy"] = -_sweep_py._xlogx(cells["p_y"]).sum(axis=1)
-    cells["hz"] = -_sweep_py._xlogx(cells["p_z"]).sum(axis=1)
+    cells["hy"] = -_xlogx(cells["p_y"]).sum(axis=1)
+    cells["hz"] = -_xlogx(cells["p_z"]).sum(axis=1)
     return cells
 
 
@@ -326,8 +329,8 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
         for lam in lam_grid:
             mix_y = lam * py_c[i] + (1.0 - lam) * py_c
             mix_z = lam * pz_c[i] + (1.0 - lam) * pz_c
-            iuy = -_sweep_py._xlogx(mix_y).sum(axis=1) - (lam * hy_c[i] + (1.0 - lam) * hy_c)
-            iuz = -_sweep_py._xlogx(mix_z).sum(axis=1) - (lam * hz_c[i] + (1.0 - lam) * hz_c)
+            iuy = -_xlogx(mix_y).sum(axis=1) - (lam * hy_c[i] + (1.0 - lam) * hy_c)
+            iuz = -_xlogx(mix_z).sum(axis=1) - (lam * hz_c[i] + (1.0 - lam) * hz_c)
             common_cap = np.minimum(iuy, iuz)
             ivy_u = lam * ivy_c[i] + (1.0 - lam) * ivy_c
             rs_u = lam * rs_c[i] + (1.0 - lam) * rs_c

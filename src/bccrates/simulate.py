@@ -145,7 +145,8 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
 
     Samples outputs from the simulated law (random codeword, then channel
     noise) and averages the pointwise log ratio against the i.i.d. target;
-    returns (estimate, standard error).
+    returns (estimate, standard error).  Likelihoods are summed as logs, so
+    long blocks cannot underflow.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -157,14 +158,17 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
     picks = rng.integers(0, words.shape[0], size=samples)
     noise = rng.random((samples, n))
     z = _inverse_cdf_sample(noise, _cdf(w_z.matrix)[words[picks]])
-    # pointwise mixture probability of each sampled output
+    with np.errstate(divide="ignore"):  # zero entries of an erasure channel
+        log_w = np.log(w_z.matrix)
+        log_p_z = np.log(p_z)
+    log_m = math.log(words.shape[0])
     log_ratios = np.empty(samples)
-    w = w_z.matrix
     for i in range(samples):
-        per_word = w[words, z[i][None, :]].prod(axis=1)
-        mix = per_word.mean()
-        ref = p_z[z[i]].prod()
-        log_ratios[i] = math.log(mix) - math.log(ref)
+        # log mixture probability of the sampled output, by log-sum-exp
+        per_word = log_w[words, z[i][None, :]].sum(axis=1)
+        top = per_word.max()
+        log_mix = top + math.log(np.exp(per_word - top).sum()) - log_m
+        log_ratios[i] = log_mix - log_p_z[z[i]].sum()
     return float(log_ratios.mean()), float(log_ratios.std(ddof=1) / math.sqrt(samples))
 
 

@@ -94,6 +94,22 @@ class TestCliRegion:
         assert np.all(sim[:, 1] <= ds[:, 1] + 1e-12)
         np.testing.assert_allclose(sim[:, 1], ds[:, 1], atol=0.04)
 
+    def test_sidecar_keeps_general_sweep_backend(self, tmp_path):
+        paths = []
+        for name, matrix in (("y", [[0.85, 0.1, 0.05], [0.1, 0.7, 0.2], [0.05, 0.15, 0.8]]),
+                             ("z", [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"kind": "explicit", "matrix": matrix}))
+            paths.append(str(path))
+        out = tmp_path / "tern.csv"
+        code = main(["region", "--ds", "--py", paths[0], "--pz", paths[1],
+                     "--grid-step", "0.25", "--out", str(out)])
+        assert code == 0
+        meta = json.loads((tmp_path / "tern.csv.meta.json").read_text())
+        assert meta["backend"] == "python-general"
+        assert meta["input_size"] == 3
+        assert meta["argv"]["grid_step"] == 0.25
+
     def test_invalid_channel_exit_code(self, tmp_path):
         code = main(["region", "--ds", "--py", "bsc:0.1", "--pz", "noway:9",
                      "--out", str(tmp_path / "x.csv")])

@@ -14,7 +14,6 @@ from bccrates import (
     supporting_line_value,
     upper_concave_hull,
 )
-from bccrates._sweep_backend import has_compiled_backend
 from bccrates.channels import bec, bsc
 
 LN2 = math.log(2.0)
@@ -141,16 +140,6 @@ class TestBscPairFrontier:
         secrecy_frontier(bsc(0.1), bsc(0.2), GridSpec(prob_step=0.05)).write_csv(out2)
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv.meta.json").exists()
-
-    @pytest.mark.skipif(not has_compiled_backend(), reason="compiled kernel not built")
-    def test_backends_agree_exactly(self):
-        grid = GridSpec(prob_step=0.02)
-        compiled = secrecy_frontier(bsc(0.1), bsc(0.2), grid, backend="compiled")
-        python = secrecy_frontier(bsc(0.1), bsc(0.2), grid, backend="python")
-        np.testing.assert_array_equal(compiled.r_s, python.r_s)
-        sim_c = secrecy_frontier_sim(bsc(0.11), bec(0.45), grid, backend="compiled")
-        sim_p = secrecy_frontier_sim(bsc(0.11), bec(0.45), grid, backend="python")
-        np.testing.assert_array_equal(sim_c.r_s, sim_p.r_s)
 
 
 class TestBscBecFrontier:

@@ -20,6 +20,7 @@ from bccrates import (
     single_chain,
     split_rates,
 )
+from bccrates import regions
 from bccrates.channels import bec, bsc
 
 from helpers import random_chain
@@ -207,6 +208,18 @@ class TestRateSplitting:
         chain = fig_chain()
         with pytest.raises(ValueError):
             split_rates(chain, RateQuad(0.0, 0.0, 0.0, 1.0))
+
+    def test_informations_computed_once(self, monkeypatch):
+        real = regions.informations
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(regions, "informations", counted)
+        split_rates(fig_chain(), RateQuad(r_d=0.25, r_0=0.0, r_1=0.0, r_s=0.1))
+        assert len(calls) == 1
 
     def test_random_interior_quads_land_inside(self):
         rng = np.random.default_rng(77)

@@ -25,7 +25,7 @@ from bccrates import (
     simulate_bcc,
     trial_seed,
 )
-from bccrates.channels import bsc
+from bccrates.channels import bec, bsc
 from bccrates.simulate import (
     codeword_channel_rows,
     conditional_output_distributions,
@@ -349,3 +349,21 @@ class TestSimulateBcc:
         exact = exact_output_divergence(book, bsc(0.2))
         est, stderr = mc_output_divergence(book, bsc(0.2), samples=4000, seed=2)
         assert est == pytest.approx(exact, abs=5 * stderr)
+
+    @pytest.mark.parametrize("w_z", [bsc(0.2), bec(0.3)], ids=["bsc", "bec"])
+    def test_mc_divergence_long_block_in_bracket(self, w_z):
+        # 1200 letter probabilities multiply to far below the smallest double.
+        # The divergence lies between the mean per-codeword divergence minus
+        # ln M and that mean, each a sum of letter divergences.
+        n, m1, m2 = 1200, 4, 4
+        book = generate_super_codebook(Pmf.uniform(2), bsc(0.1), n, m1, m2, seed=5)
+        p_z = book.p_v.probs @ book.p_x_given_v.matrix @ w_z.matrix
+        rows = w_z.matrix
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(rows > 0.0, rows * np.log(rows / p_z), 0.0)
+        letter = terms.sum(axis=1)
+        hi = float(letter[book.x_words.reshape(-1, n)].sum(axis=1).mean())
+        lo = hi - math.log(m1 * m2)
+        est, stderr = mc_output_divergence(book, w_z, samples=400, seed=3)
+        assert math.isfinite(est) and math.isfinite(stderr)
+        assert lo - 5 * stderr <= est <= hi + 5 * stderr
