@@ -379,9 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     minr.add_argument("--pz", required=True)
     minr.add_argument("--r0", type=float, required=True)
     minr.add_argument("--rs", type=float, required=True)
-    minr.add_argument("--grid-step", type=float, default=0.005)
-    minr.add_argument("--rd-step", type=float, default=None)
-    minr.add_argument("--rd-max", type=float, default=None)
+    r0_note = "; ignored when --r0 > 0 (fixed 1,331-cell cloud, 11 mixing weights)"
+    minr.add_argument("--grid-step", type=float, default=0.005,
+                      help="probability grid step of the r_0 = 0 frontier" + r0_note)
+    minr.add_argument("--rd-step", type=float, default=None,
+                      help="dummy-rate bin width of the r_0 = 0 frontier" + r0_note)
+    minr.add_argument("--rd-max", type=float, default=None,
+                      help="largest dummy rate of the r_0 = 0 frontier" + r0_note)
     minr.add_argument("--out", default=None)
     minr.set_defaults(func=_cmd_check_min_randomness)
 

@@ -296,6 +296,72 @@ def _pair_search_cells(w_y: Dmc, w_z: Dmc, budget: int) -> dict:
     return cells
 
 
+_PAIR_FIELDS = ("rs", "rd_ds", "ivy", "p_y", "p_z", "hy", "hz")
+_PAIR_WEIGHTS = np.linspace(0.0, 1.0, 11)
+_PAIR_BLOCK = 1 << 12        # cell pairs per block: temporaries stay under 1 MB
+_ENTROPY_MARGIN = 1e-9       # far above the rounding in a computed I(U;Y)
+
+
+def _distinct_cells(cells: dict) -> dict:
+    """The pair-search fields of the cells, keeping one of each bit-identical cell
+    (the p = 0 and p = 1 faces of the cloud repeat one cell per a or b)."""
+    fields = [cells[key].reshape(len(cells["rs"]), -1) for key in _PAIR_FIELDS]
+    bits = np.concatenate(fields, axis=1).view(np.uint64)
+    _, first = np.unique(bits, axis=0, return_index=True)
+    first.sort()
+    return {key: cells[key][first] for key in _PAIR_FIELDS}
+
+
+def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
+    """Least input cost over two-point mixtures of a cell cloud; ``inf`` if none fits.
+
+    Mixing cell i with weight lam and cell j with 1 - lam makes a binary cloud
+    variable U.  A mixture must carry r_0 to both receivers, r_0 + r_s in
+    total, and r_s of secrecy.  Every pair value is the same float the plain
+    double loop computes; three exact prunings skip pairs that cannot lower
+    the minimum: weights with h(lam) below r_0 (I(U;Y), I(U;Z) <= H(U)),
+    duplicate cells, and pairs failing the linear secrecy or cost test, which
+    are checked before any entropy is evaluated.
+    """
+    cells = _distinct_cells(cells)
+    n = len(cells["rs"])
+    rows = max(1, _PAIR_BLOCK // n)
+    best = math.inf
+    for lam in _PAIR_WEIGHTS:
+        h_lam = -_xlogx(np.array([lam, 1.0 - lam])).sum()
+        if h_lam < r_0 - SLACK_TOL - _ENTROPY_MARGIN:
+            continue
+        # lam * x_i + (1 - lam) * x_j for every field, from pre-scaled halves
+        wi = {key: lam * value for key, value in cells.items()}
+        wj = {key: (1.0 - lam) * value for key, value in cells.items()}
+        for start in range(0, n, rows):
+            i = slice(start, start + rows)
+            rs_u = wi["rs"][i, None] + wj["rs"]
+            cost = wi["rd_ds"][i, None] + wj["rd_ds"]
+            keep = (rs_u >= r_s - SLACK_TOL) & (cost < best)
+            kept = np.count_nonzero(keep)
+            if not kept:
+                continue
+            if 2 * kept < keep.size:        # gather the kept pairs
+                ii, jj = np.nonzero(keep)
+                cost, at_i, at_j = cost[ii, jj], ii + start, jj
+            else:                           # cheaper to broadcast the whole block
+                cost = np.where(keep, cost, math.inf)
+                at_i, at_j = (i, None), (None, slice(None))
+
+            def mixed(key):
+                return wi[key][at_i] + wj[key][at_j]
+
+            iuy = -_xlogx(mixed("p_y")).sum(axis=-1) - mixed("hy")
+            iuz = -_xlogx(mixed("p_z")).sum(axis=-1) - mixed("hz")
+            common_cap = np.minimum(iuy, iuz)
+            feasible = ((common_cap >= r_0 - SLACK_TOL)
+                        & (mixed("ivy") + common_cap >= r_0 + r_s - SLACK_TOL))
+            if np.any(feasible):
+                best = min(best, float(np.min(cost[feasible])))
+    return best
+
+
 def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
                    grid: GridSpec | None = None) -> float | Infeasible:
     """Smallest dummy-randomness budget supporting (common, confidential) rates.
@@ -304,8 +370,10 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
     probability grid.  With a positive common rate the search runs over
     two-point time-sharing mixtures of a decimated cell cloud (the cloud
     variable must then carry real information), minimizing the input cost
-    subject to the three rate constraints.  Returns :data:`INFEASIBLE` when no
-    searched chain supports the request.
+    subject to the three rate constraints.  That search ignores ``grid``: it
+    always uses the same 1,331-cell cloud (11 points per cell coordinate) and
+    11 mixing weights.  Returns :data:`INFEASIBLE` when no searched chain
+    supports the request.
     """
     if r_0 < 0.0 or r_s < 0.0:
         raise ValueError("rates must be nonnegative")
@@ -318,29 +386,5 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
         idx = int(np.argmax(values >= r_s - SLACK_TOL))
         return float(front.r_d[idx])
 
-    cells = _pair_search_cells(w_y, w_z, budget=1500)
-    lam_grid = np.linspace(0.0, 1.0, 11)
-    rs_c, rd_c = cells["rs"], cells["rd_ds"]
-    ivy_c = cells["ivy"]
-    py_c, pz_c = cells["p_y"], cells["p_z"]
-    hy_c, hz_c = cells["hy"], cells["hz"]
-    best = math.inf
-    for i in range(len(rs_c)):
-        for lam in lam_grid:
-            mix_y = lam * py_c[i] + (1.0 - lam) * py_c
-            mix_z = lam * pz_c[i] + (1.0 - lam) * pz_c
-            iuy = -_xlogx(mix_y).sum(axis=1) - (lam * hy_c[i] + (1.0 - lam) * hy_c)
-            iuz = -_xlogx(mix_z).sum(axis=1) - (lam * hz_c[i] + (1.0 - lam) * hz_c)
-            common_cap = np.minimum(iuy, iuz)
-            ivy_u = lam * ivy_c[i] + (1.0 - lam) * ivy_c
-            rs_u = lam * rs_c[i] + (1.0 - lam) * rs_c
-            feasible = ((common_cap >= r_0 - SLACK_TOL)
-                        & (ivy_u + common_cap >= r_0 + r_s - SLACK_TOL)
-                        & (rs_u >= r_s - SLACK_TOL))
-            if not np.any(feasible):
-                continue
-            cost = lam * rd_c[i] + (1.0 - lam) * rd_c
-            value = float(np.min(cost[feasible]))
-            if value < best:
-                best = value
+    best = _pair_search(_pair_search_cells(w_y, w_z, budget=1500), r_0, r_s)
     return INFEASIBLE if math.isinf(best) else best

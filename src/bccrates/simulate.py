@@ -158,9 +158,7 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
     picks = rng.integers(0, words.shape[0], size=samples)
     noise = rng.random((samples, n))
     z = _inverse_cdf_sample(noise, _cdf(w_z.matrix)[words[picks]])
-    with np.errstate(divide="ignore"):  # zero entries of an erasure channel
-        log_w = np.log(w_z.matrix)
-        log_p_z = np.log(p_z)
+    log_w, log_p_z = _log(w_z.matrix), _log(p_z)  # -inf: erasure-channel zeros
     log_m = math.log(words.shape[0])
     log_ratios = np.empty(samples)
     for i in range(samples):
@@ -325,11 +323,17 @@ def generate_bcc_codebook(chain: BccChain, sizes: tuple[int, int, int, int], n: 
                        chain=chain, seed=seed)
 
 
-def _sequence_products(seq: np.ndarray, matrix: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """prod_t matrix[word_t, seq_t] for each word; shape = words.shape[:-1]."""
+def _log(probs: np.ndarray) -> np.ndarray:
+    """Elementwise log, -inf where a probability is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
+def _sequence_log_likelihoods(seq: np.ndarray, matrix: np.ndarray,
+                              words: np.ndarray) -> np.ndarray:
+    """sum_t log matrix[word_t, seq_t] for each word; shape = words.shape[:-1]."""
     flat = words.reshape(-1, words.shape[-1])
-    vals = matrix[flat, seq[None, :]]
-    return vals.prod(axis=1).reshape(words.shape[:-1])
+    return _log(matrix)[flat, seq[None, :]].sum(axis=1).reshape(words.shape[:-1])
 
 
 def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float]):
@@ -338,15 +342,17 @@ def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float])
     A candidate passes when its cloud word beats the common-layer law by
     e^{alpha1} and the prior law by e^{alpha2} at the observed sequence; the
     decoder outputs the unique passing triple, erasing on none or several.
+    The tests compare log-likelihood sums, so long blocks cannot underflow.
     """
     y = np.asarray(y_seq, dtype=np.int64)
     chain = codebook.chain
     _, alpha1, alpha2 = alphas
-    pv_prod = _sequence_products(y, chain.p_y_given_v.matrix, codebook.v_words)
-    pu_prod = _sequence_products(y, chain.p_y_given_u.matrix, codebook.u_words)
-    prior_prod = float(np.prod(chain.p_y.probs[y]))
-    passing = ((pv_prod >= math.exp(alpha1) * pu_prod[:, None, None])
-               & (pv_prod >= math.exp(alpha2) * prior_prod))
+    log_pv = _sequence_log_likelihoods(y, chain.p_y_given_v.matrix, codebook.v_words)
+    log_pu = _sequence_log_likelihoods(y, chain.p_y_given_u.matrix, codebook.u_words)
+    log_prior = float(_log(chain.p_y.probs)[y].sum())
+    with np.errstate(invalid="ignore"):  # alpha = inf against a zero law: no pass
+        passing = ((log_pv >= alpha1 + log_pu[:, None, None])
+                   & (log_pv >= alpha2 + log_prior))
     hits = np.argwhere(passing)
     if hits.shape[0] != 1:
         return None
@@ -357,9 +363,10 @@ def decode_eve(z_seq, codebook: BccCodebook, alpha0: float):
     """Threshold decoder for the common message only; None on erasure."""
     z = np.asarray(z_seq, dtype=np.int64)
     chain = codebook.chain
-    pu_prod = _sequence_products(z, chain.p_z_given_u.matrix, codebook.u_words)
-    prior_prod = float(np.prod(chain.p_z.probs[z]))
-    passing = pu_prod >= math.exp(alpha0) * prior_prod
+    log_pu = _sequence_log_likelihoods(z, chain.p_z_given_u.matrix, codebook.u_words)
+    log_prior = float(_log(chain.p_z.probs)[z].sum())
+    with np.errstate(invalid="ignore"):
+        passing = log_pu >= alpha0 + log_prior
     hits = np.flatnonzero(passing)
     if hits.size != 1:
         return None

@@ -306,3 +306,110 @@ class TestMinDummyRate:
         assert value >= 0.0
         # far more common rate than the channel supports
         assert min_dummy_rate(bsc(0.1), bsc(0.2), 5.0, 0.0, self.GRID) is INFEASIBLE
+
+
+def _oracle_pair_search(cells, r_0, r_s):
+    """The plain double loop over cells and 11 mixing weights, unpruned; ``inf``
+    when no two-point mixture meets the rates."""
+    lam_grid = np.linspace(0.0, 1.0, 11)
+    rs_c, rd_c = cells["rs"], cells["rd_ds"]
+    ivy_c = cells["ivy"]
+    py_c, pz_c = cells["p_y"], cells["p_z"]
+    hy_c, hz_c = cells["hy"], cells["hz"]
+    best = math.inf
+    for i in range(len(rs_c)):
+        for lam in lam_grid:
+            mix_y = lam * py_c[i] + (1.0 - lam) * py_c
+            mix_z = lam * pz_c[i] + (1.0 - lam) * pz_c
+            iuy = -regions._xlogx(mix_y).sum(axis=1) - (lam * hy_c[i] + (1.0 - lam) * hy_c)
+            iuz = -regions._xlogx(mix_z).sum(axis=1) - (lam * hz_c[i] + (1.0 - lam) * hz_c)
+            common_cap = np.minimum(iuy, iuz)
+            ivy_u = lam * ivy_c[i] + (1.0 - lam) * ivy_c
+            rs_u = lam * rs_c[i] + (1.0 - lam) * rs_c
+            feasible = ((common_cap >= r_0 - regions.SLACK_TOL)
+                        & (ivy_u + common_cap >= r_0 + r_s - regions.SLACK_TOL)
+                        & (rs_u >= r_s - regions.SLACK_TOL))
+            if not np.any(feasible):
+                continue
+            cost = lam * rd_c[i] + (1.0 - lam) * rd_c
+            value = float(np.min(cost[feasible]))
+            if value < best:
+                best = value
+    return best
+
+
+def _pair(kind, rng):
+    e1 = float(rng.uniform(0.02, 0.15))
+    e2 = float(rng.uniform(0.1, 0.5))
+    if kind == "bsc/bsc":
+        return bsc(e1), bsc(min(e1 + e2 / 4, 0.45))
+    if kind == "bsc/bec":
+        return bsc(e1), bec(e2)
+    return bec(e2 / 2), bsc(e1 + 0.05)
+
+
+# (name, r_0, r_s as a share of the cloud's largest secrecy rate, r_s offset)
+PAIR_SCENARIOS = [
+    ("weights 0 and 1 not skipped", 1e-12, 0.3, 0.0),
+    ("just below h(0.1)", h(0.1) - 1e-12, 0.0, 0.0),
+    ("just above h(0.1)", h(0.1) + 3e-9, 0.0, 0.0),
+    ("typical", 0.02, 0.2, 0.0),
+    ("no secrecy", 0.08, 0.0, 0.0),
+    ("infeasible by r_0", 0.5, 0.0, 0.0),
+    ("infeasible by r_s", 0.01, 1.0, 1e-6),
+]
+
+
+class TestPairSearch:
+    """The pruned, blocked two-point search against the plain double loop."""
+
+    @pytest.mark.parametrize("kind", ["bsc/bsc", "bsc/bec", "bec/bsc"])
+    @pytest.mark.parametrize("case", range(len(PAIR_SCENARIOS)))
+    def test_matches_double_loop(self, kind, case):
+        name, r_0, rs_share, rs_offset = PAIR_SCENARIOS[case]
+        rng = np.random.default_rng([case, len(kind), ord(kind[-1])])
+        w_y, w_z = _pair(kind, rng)
+        cells = regions._pair_search_cells(w_y, w_z, budget=(125, 216, 343)[case % 3])
+        r_s = rs_share * max(float(cells["rs"].max()), 0.0) + rs_offset
+        expected = _oracle_pair_search(cells, r_0, r_s)
+        assert regions._pair_search(cells, r_0, r_s) == expected, name
+        if name.startswith("infeasible"):
+            assert math.isinf(expected)
+
+    @pytest.mark.parametrize("r_0, feasible", [(LN2 - 1e-12, True), (LN2 + 5e-10, True),
+                                               (LN2 + 3e-9, False)])
+    def test_noiseless_pair_meets_entropy_bound(self, r_0, feasible):
+        # identical noiseless receivers: weight 1/2 on two opposite point masses
+        # gives I(U;Y) = I(U;Z) = h(1/2) = ln 2 exactly, so r_0 up to ln 2 + 1e-9
+        # passes the slack test and the weight must not be skipped
+        cells = regions._pair_search_cells(bsc(0.0), bsc(0.0), budget=125)
+        expected = _oracle_pair_search(cells, r_0, 0.0)
+        assert regions._pair_search(cells, r_0, 0.0) == expected
+        assert math.isfinite(expected) == feasible
+
+    def test_duplicate_cells_dropped(self):
+        cells = regions._pair_search_cells(bsc(0.1), bsc(0.2), budget=1500)
+        assert len(cells["rs"]) == 1331
+        assert len(regions._distinct_cells(cells)["rs"]) <= 1111
+
+
+# min_dummy_rate at r_0 > 0 on the full cloud, recorded from the unpruned loop
+MIN_DUMMY_COMMON = [
+    (bsc(0.1), bsc(0.2), 0.05, 0.02, "0x1.651c828ab1f8bp-6"),
+    (bsc(0.1), bsc(0.2), 0.01, 0.03, "0x1.0c24b18d772dfp-5"),
+    (bsc(0.05), bsc(0.15), 0.02, 0.05, "0x1.aacc70280470cp-5"),
+    (bsc(0.11), bec(0.45), 0.01, 0.002, "0x1.c972b562b9db8p-4"),
+    (bsc(0.05), bec(0.5), 0.02, 0.01, "0x1.ddce3e8b0e831p-6"),
+    (bec(0.2), bsc(0.1), 0.02, 0.001, "0x1.c3aedf879fccbp-10"),
+    (bec(0.1), bsc(0.2), 0.1, 0.02, "0x1.0ce5b9ece7380p-7"),
+    (bsc(0.11), bec(0.45), 0.03, 0.01, None),
+]
+
+
+@pytest.mark.parametrize("w_y, w_z, r_0, r_s, expected", MIN_DUMMY_COMMON)
+def test_min_dummy_rate_common_golden(w_y, w_z, r_0, r_s, expected):
+    value = min_dummy_rate(w_y, w_z, r_0, r_s)
+    if expected is None:
+        assert value is INFEASIBLE
+    else:
+        assert value == float.fromhex(expected)

@@ -211,6 +211,32 @@ class TestDecoders:
         assert decode_bob(y, book, (math.inf, math.inf, math.inf)) is None
         assert decode_eve(np.array([0, 0, 0]), book, math.inf) is None
 
+    @pytest.mark.parametrize("n", [1000, 1500, 6000])
+    def test_long_block_decoding(self, n):
+        # likelihood products underflow from n = 1500 and e^{alpha} overflows
+        # by n = 6000; log-likelihood sums do neither
+        chain = BccChain(Pmf.uniform(2), bsc(0.25), bsc(0.1), bsc(0.1), bsc(0.2))
+        book = generate_bcc_codebook(chain, (2, 2, 2, 2), n, seed=3)
+        alphas = decoding_thresholds(chain, n, delta=0.05)
+        y = book.x_words[1, 0, 1, 0]
+        assert decode_bob(y, book, alphas) == (1, 0, 1)
+        assert decode_eve(y, book, alphas[0]) == 1
+
+    def test_zero_probability_ties(self):
+        # output letter 2 has probability 0 under every input, so at y = (2, 2)
+        # the word, common-layer and prior likelihoods are all 0:
+        # 0 >= e^{alpha} * 0 passes for finite alpha and fails for alpha = inf
+        w = Dmc(np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]]))
+        chain = BccChain(Pmf.uniform(2), Dmc.identity(2), Dmc.identity(2), w, w)
+        words = np.array([[0, 1]])
+        book = BccCodebook(u_words=words, v_words=words[:, None, None, :],
+                           x_words=words[:, None, None, None, :], chain=chain, seed=None)
+        y = np.array([2, 2])
+        assert decode_bob(y, book, (0.0, 0.0, 0.0)) == (0, 0, 0)
+        assert decode_bob(y, book, (0.0, math.inf, 0.0)) is None
+        assert decode_eve(y, book, 0.0) == 0
+        assert decode_eve(y, book, math.inf) is None
+
     def test_bob_error_matches_brute_force(self):
         chain = fixture_chain()
         n = 4
