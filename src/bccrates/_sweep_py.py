@@ -1,119 +1,106 @@
 """NumPy frontier sweep for binary-input channel pairs.
 
-A cell of the sweep is one triple (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1)); for
-each cell we evaluate the secrecy rate and the two randomness costs, and fold
-the results into per-budget maximum tables.
+A cell of the sweep is one triple (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1)).
+:func:`_planes` is the one place the per-cell formulas live: for a few
+cloud priors P_V(0) it evaluates every cell at once, giving the secrecy
+rate, both randomness costs, the layer informations and the output laws.
+:func:`sweep_binary` folds one cost of each batch of planes into a
+per-budget maximum table; :func:`binary_cells` flattens the planes of a
+small grid.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .probability import _xlogx
 
 BIN_FUZZ = 1e-9  # in units of rd_step; absorbs float noise at exact bin edges
+# cells per batch of planes: few calls on small grids, temporaries of a few
+# MB on large ones (one plane of the 0.002 grid already holds 251k cells)
+BATCH_CELLS = 1 << 16
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
     return -_xlogx(rows).sum(axis=-1)
 
 
-class SweepTables(NamedTuple):
-    """Per-grid-point tables shared by the sweep and the cell enumeration."""
-
-    row0_y: np.ndarray  # (A, my) output law given V=0 at the receiver
-    row1_y: np.ndarray  # (B, my) output law given V=1
-    row0_z: np.ndarray  # (A, mz) same at the eavesdropper
-    row1_z: np.ndarray  # (B, mz)
-    h0y: np.ndarray
-    h1y: np.ndarray
-    h0z: np.ndarray
-    h1z: np.ndarray
-    ha: np.ndarray      # entropy of the X|V=0 row, ha[i] = H((a_i, 1-a_i))
-    hb: np.ndarray
-    hz_row0: float      # entropies of the eavesdropper channel rows
-    hz_row1: float
+def _mixture(p: np.ndarray, q: np.ndarray, rows0: np.ndarray,
+             rows1: np.ndarray) -> np.ndarray:
+    """p * rows0[a] + q * rows1[b] for every (a, b), as a (P, A, B, m) array,
+    filled one output letter at a time so the broadcast runs along B."""
+    out = np.empty((len(p), len(rows0), len(rows1), rows0.shape[1]))
+    for k in range(rows0.shape[1]):
+        np.add(p * rows0[:, k, None], q * rows1[None, :, k], out=out[..., k])
+    return out
 
 
-def prepare_tables(w_y: np.ndarray, w_z: np.ndarray, a_grid: np.ndarray,
-                   b_grid: np.ndarray) -> SweepTables:
-    a = a_grid[:, None]
-    b = b_grid[:, None]
-    row0_y = a * w_y[0] + (1.0 - a) * w_y[1]
-    row1_y = (1.0 - b) * w_y[0] + b * w_y[1]
-    row0_z = a * w_z[0] + (1.0 - a) * w_z[1]
-    row1_z = (1.0 - b) * w_z[0] + b * w_z[1]
-    two_col = lambda v: np.stack([v, 1.0 - v], axis=1)
-    return SweepTables(
-        row0_y=row0_y,
-        row1_y=row1_y,
-        row0_z=row0_z,
-        row1_z=row1_z,
-        h0y=_row_entropies(row0_y),
-        h1y=_row_entropies(row1_y),
-        h0z=_row_entropies(row0_z),
-        h1z=_row_entropies(row1_z),
-        ha=_row_entropies(two_col(a_grid)),
-        hb=_row_entropies(two_col(b_grid)),
-        hz_row0=float(_row_entropies(w_z[0])),
-        hz_row1=float(_row_entropies(w_z[1])),
-    )
+def _receiver(w: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Output law, output entropy and I(V; output) of every cell at one receiver."""
+    row0 = a * w[0] + (1.0 - a) * w[1]  # output law given V = 0, per a
+    row1 = (1.0 - b) * w[0] + b * w[1]  # given V = 1, per b
+    law = _mixture(p, q, row0, row1)
+    h = _row_entropies(law)
+    return law, h, h - (p * _row_entropies(row0)[:, None] + q * _row_entropies(row1)[None, :])
+
+
+def _planes(w_y: np.ndarray, w_z: np.ndarray, p: np.ndarray, a_grid: np.ndarray,
+            b_grid: np.ndarray) -> dict:
+    """Every (a, b) cell at each cloud prior of the (P, 1, 1) array ``p``, as
+    (P, A, B) arrays ((P, A, B, m) for the output laws).
+
+    ``rd_ds`` is I(X;Z), the cost of a real prefix channel; ``rd_sim`` is
+    I(V;Z) + H(X|V), the cost of simulating it from randomness.
+    """
+    q = 1.0 - p
+    a, b = a_grid[:, None], b_grid[:, None]
+    p_y, hy, ivy = _receiver(w_y, p, q, a, b)
+    p_z, hz, ivz = _receiver(w_z, p, q, a, b)
+    px0 = p * a + q * (1.0 - b_grid[None, :])
+    hz_row0, hz_row1 = float(_row_entropies(w_z[0])), float(_row_entropies(w_z[1]))
+    ha = _row_entropies(np.stack([a_grid, 1.0 - a_grid], axis=1))  # H(X|V=0), per a
+    hb = _row_entropies(np.stack([b_grid, 1.0 - b_grid], axis=1))
+    return {
+        "rs": ivy - ivz,
+        "rd_ds": hz - (px0 * hz_row0 + (1.0 - px0) * hz_row1),
+        "rd_sim": ivz + p * ha[:, None] + q * hb[None, :],
+        "ivy": ivy,
+        "ivz": ivz,
+        "p_y": p_y,
+        "p_z": p_z,
+        "hy": hy,
+        "hz": hz,
+    }
 
 
 def fold_max(table: np.ndarray, rd: np.ndarray, rs: np.ndarray, rd_step: float) -> None:
-    """table[g] = max(table[g], rs) over cells binned at g = ceil(rd/rd_step)."""
+    """table[g] = max(table[g], rs) over cells binned at g = ceil(rd/rd_step).
+
+    Bins below 0 count as bin 0; bins past the end of the table are dropped.
+    """
     g = np.ceil(rd.ravel() / rd_step - BIN_FUZZ).astype(np.int64)
     np.clip(g, 0, None, out=g)
     keep = g < table.size
-    g = g[keep]
-    vals = rs.ravel()[keep]
-    if g.size == 0:
-        return
-    order = np.argsort(g, kind="stable")
-    gs = g[order]
-    vs = vals[order]
-    starts = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
-    idx = gs[starts]
-    table[idx] = np.maximum(table[idx], np.maximum.reduceat(vs, starts))
+    np.maximum.at(table, g[keep], rs.ravel()[keep])
 
 
 def sweep_binary(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
-                 a_grid: np.ndarray, b_grid: np.ndarray, rd_step: float, n_rd: int):
-    """Raw per-budget maxima of the secrecy rate for both randomness costs.
+                 a_grid: np.ndarray, b_grid: np.ndarray, rd_step: float, n_rd: int,
+                 mode: str) -> np.ndarray:
+    """Raw per-budget maxima of the secrecy rate under one randomness cost.
 
-    Returns ``(ds, sim)``: ds uses the eavesdropper information cost of the
-    channel input, sim the cloud-layer information plus the conditional input
-    entropy (the cost of simulating the prefix channel).  Entries with no
-    feasible cell stay at ``-inf``; callers apply the running maximum.
+    ``mode`` picks the cost: ``"ds"`` charges the eavesdropper information of
+    the channel input, ``"sim"`` the cloud-layer information plus the
+    conditional input entropy (the cost of simulating the prefix channel).
+    Entries with no feasible cell stay at ``-inf``; callers apply the running
+    maximum.
     """
-    tables = prepare_tables(w_y, w_z, a_grid, b_grid)
-    ds = np.full(n_rd, -np.inf)
-    sim = np.full(n_rd, -np.inf)
-    ha = tables.ha[:, None]
-    hb = tables.hb[None, :]
-    h0y = tables.h0y[:, None]
-    h1y = tables.h1y[None, :]
-    h0z = tables.h0z[:, None]
-    h1z = tables.h1z[None, :]
-    a_col = a_grid[:, None]
-    b_row = b_grid[None, :]
-    for p in p_grid:
-        q = 1.0 - p
-        py = p * tables.row0_y[:, None, :] + q * tables.row1_y[None, :, :]
-        hy = -_xlogx(py).sum(axis=-1)
-        pz = p * tables.row0_z[:, None, :] + q * tables.row1_z[None, :, :]
-        hz = -_xlogx(pz).sum(axis=-1)
-        ivy = hy - (p * h0y + q * h1y)
-        ivz = hz - (p * h0z + q * h1z)
-        px0 = p * a_col + q * (1.0 - b_row)
-        ixz = hz - (px0 * tables.hz_row0 + (1.0 - px0) * tables.hz_row1)
-        rs = ivy - ivz
-        rd_sim = ivz + p * ha + q * hb
-        fold_max(ds, ixz, rs, rd_step)
-        fold_max(sim, rd_sim, rs, rd_step)
-    return ds, sim
+    table = np.full(n_rd, -np.inf)
+    batch = max(1, BATCH_CELLS // (len(a_grid) * len(b_grid)))
+    for start in range(0, len(p_grid), batch):
+        cells = _planes(w_y, w_z, p_grid[start:start + batch, None, None], a_grid, b_grid)
+        fold_max(table, cells[f"rd_{mode}"], cells["rs"], rd_step)
+    return table
 
 
 def binary_cells(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
@@ -123,25 +110,5 @@ def binary_cells(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
     Materializes every cell, so only suitable for small grids (diagnostics,
     supporting-line evaluations, pair searches).
     """
-    t = prepare_tables(w_y, w_z, a_grid, b_grid)
-    p = p_grid[:, None, None]
-    q = 1.0 - p
-    py = p[..., None] * t.row0_y[None, :, None, :] + q[..., None] * t.row1_y[None, None, :, :]
-    pz = p[..., None] * t.row0_z[None, :, None, :] + q[..., None] * t.row1_z[None, None, :, :]
-    hy = -_xlogx(py).sum(axis=-1)
-    hz = -_xlogx(pz).sum(axis=-1)
-    ivy = hy - (p * t.h0y[None, :, None] + q * t.h1y[None, None, :])
-    ivz = hz - (p * t.h0z[None, :, None] + q * t.h1z[None, None, :])
-    px0 = p * a_grid[None, :, None] + q * (1.0 - b_grid[None, None, :])
-    ixz = hz - (px0 * t.hz_row0 + (1.0 - px0) * t.hz_row1)
-    hxv = p * t.ha[None, :, None] + q * t.hb[None, None, :]
-    shape = (-1,)
-    return {
-        "rs": (ivy - ivz).reshape(shape),
-        "rd_ds": ixz.reshape(shape),
-        "rd_sim": (ivz + hxv).reshape(shape),
-        "ivy": ivy.reshape(shape),
-        "ivz": ivz.reshape(shape),
-        "p_y": py.reshape(-1, py.shape[-1]),
-        "p_z": pz.reshape(-1, pz.shape[-1]),
-    }
+    cells = _planes(w_y, w_z, p_grid[:, None, None], a_grid, b_grid)
+    return {key: value.reshape(-1, *value.shape[3:]) for key, value in cells.items()}

@@ -72,6 +72,13 @@ def _chain_from_args(args) -> BccChain:
     )
 
 
+def _quad_from_args(args) -> RateQuad:
+    quad = tuple(float(v) for v in args.quad.split(","))
+    if len(quad) != 4:
+        raise ValueError("--quad expects r_d,r_0,r_1,r_s")
+    return RateQuad(*quad)
+
+
 def _add_chain_args(parser) -> None:
     parser.add_argument("--pu", default="uniform:1", help="common-layer prior (pmf)")
     parser.add_argument("--pvu", default="row:0.5,0.5", help="V|U layer (channel spec)")
@@ -115,15 +122,18 @@ def _cmd_exponent(args) -> int:
     thetas = thetas[thetas <= 1.0 + 1e-12]
     w_z = parse_channel(args.pz)
     rows = []
+
+    def decays(exponent, rate) -> bool:
+        """Whether E(theta)/theta <= rate at some swept theta: the decay certificate."""
+        return bool(any(exponent(float(t)) / float(t) <= rate + 1e-12 for t in thetas))
+
     if args.kind == "single":
         p_x = parse_pmf(args.px)
         for t in thetas:
             rep = resolvability_bound(args.n, args.size, float(t), w_z, p_x)
             rows.append((float(t), rep.term1, rep.term2, rep.total))
-        rate = np.log(args.size) / args.n
-        certs = {"term1": bool(any(
-            resolvability_exponent(float(t), w_z, p_x) / float(t) <= rate + 1e-12
-            for t in thetas))}
+        certs = {"term1": decays(lambda t: resolvability_exponent(t, w_z, p_x),
+                                 np.log(args.size) / args.n)}
     elif args.kind == "super":
         p_v = parse_pmf(args.pv)
         p_x_given_v = parse_channel(args.pxv)
@@ -132,30 +142,23 @@ def _cmd_exponent(args) -> int:
                 args.n, args.m1, args.m2, float(t), float(t), w_z, p_x_given_v, p_v)
             rows.append((float(t), rep.term1, rep.term2, rep.total))
         cascade = p_x_given_v.compose(w_z)
-        r1, r2 = np.log(args.m1) / args.n, np.log(args.m2) / args.n
         certs = {
-            "term1": bool(any(
-                superposition_exponent(float(t), w_z, p_x_given_v, p_v) / float(t)
-                <= r1 + 1e-12 for t in thetas)),
-            "term2": bool(any(
-                resolvability_exponent(float(t), cascade, p_v) / float(t)
-                <= r2 + 1e-12 for t in thetas)),
+            "term1": decays(lambda t: superposition_exponent(t, w_z, p_x_given_v, p_v),
+                            np.log(args.m1) / args.n),
+            "term2": decays(lambda t: resolvability_exponent(t, cascade, p_v),
+                            np.log(args.m2) / args.n),
         }
     else:  # bcc
         chain = _chain_from_args(args)
         for t in thetas:
             rep = leakage_bound(args.n, args.size_a, args.size_l, float(t), float(t), chain)
             rows.append((float(t), rep.term1, rep.term2, rep.total))
-        ra = np.log(args.size_a) / args.n
-        rl = np.log(args.size_l) / args.n
         certs = {
-            "term1": bool(any(
-                superposition_exponent(float(t), chain.w_z, chain.p_x_given_v, chain.p_v)
-                / float(t) <= ra + 1e-12 for t in thetas)),
-            "term2": bool(any(
-                superposition_exponent(float(t), chain.p_z_given_v, chain.p_v_given_u,
-                                       chain.p_u) / float(t) <= rl + 1e-12
-                for t in thetas)),
+            "term1": decays(lambda t: superposition_exponent(
+                t, chain.w_z, chain.p_x_given_v, chain.p_v), np.log(args.size_a) / args.n),
+            "term2": decays(lambda t: superposition_exponent(
+                t, chain.p_z_given_v, chain.p_v_given_u, chain.p_u),
+                np.log(args.size_l) / args.n),
         }
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("theta,term1,term2,total\n")
@@ -216,11 +219,7 @@ def _cmd_simulate_bcc(args) -> int:
 
 
 def _cmd_check_membership(args) -> int:
-    chain = _chain_from_args(args)
-    quad = tuple(float(v) for v in args.quad.split(","))
-    if len(quad) != 4:
-        raise ValueError("--quad expects r_d,r_0,r_1,r_s")
-    verdict = check_rate_quad(chain, RateQuad(*quad))
+    verdict = check_rate_quad(_chain_from_args(args), _quad_from_args(args))
     _write_json({
         "member": verdict.is_member,
         "slacks": {c.name: c.slack for c in verdict.constraints},
@@ -248,9 +247,7 @@ def _cmd_check_ordering(args) -> int:
 
 
 def _cmd_check_split(args) -> int:
-    chain = _chain_from_args(args)
-    quad = tuple(float(v) for v in args.quad.split(","))
-    split = split_rates(chain, RateQuad(*quad))
+    split = split_rates(_chain_from_args(args), _quad_from_args(args))
     _write_json({
         "case": split.case,
         "shift": {"r_d": split.r_d, "r_0": split.r_0, "r_s": split.r_s},

@@ -164,8 +164,9 @@ def _simplex_grid(dim: int, k: int) -> np.ndarray:
 
 
 def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: float,
-                   n_rd: int, v_equals_x: bool):
-    """Full-grid sweep over the cloud prior and conditional rows (|V| = |X|)."""
+                   n_rd: int, v_equals_x: bool, mode: str) -> np.ndarray:
+    """Full-grid sweep over the cloud prior and conditional rows (|V| = |X|);
+    raw per-budget maxima under the ``mode`` cost, as in ``sweep_binary``."""
     mx = w_y.shape[0]
     k = max(1, round(1.0 / grid.prob_step))
     pv_grid = _simplex_grid(mx, k)
@@ -181,8 +182,7 @@ def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: fl
         )
 
     hz_rows = -_xlogx(w_z).sum(axis=1)
-    ds = np.full(n_rd, -np.inf)
-    sim = np.full(n_rd, -np.inf)
+    table = np.full(n_rd, -np.inf)
 
     def eval_chunk(pv: np.ndarray, pxv: np.ndarray) -> None:
         # pv: (C, mv); pxv: (C, mv, mx)
@@ -194,17 +194,16 @@ def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: fl
         hz = -_xlogx(pz).sum(axis=1)
         ivy = hy + np.einsum("cv,cvy->c", pv, _xlogx(pyv))
         ivz = hz + np.einsum("cv,cvz->c", pv, _xlogx(pzv))
-        px = np.einsum("cv,cvx->cx", pv, pxv)
-        ixz = hz - px @ hz_rows
-        hxv = -np.einsum("cv,cvx->c", pv, _xlogx(pxv))
-        rs = ivy - ivz
-        _sweep_py.fold_max(ds, ixz, rs, rd_step)
-        _sweep_py.fold_max(sim, ivz + hxv, rs, rd_step)
+        if mode == "ds":  # I(X;Z)
+            cost = hz - np.einsum("cv,cvx->cx", pv, pxv) @ hz_rows
+        else:  # I(V;Z) + H(X|V)
+            cost = ivz - np.einsum("cv,cvx->c", pv, _xlogx(pxv))
+        _sweep_py.fold_max(table, cost, ivy - ivz, rd_step)
 
     if v_equals_x:
         eye = np.broadcast_to(np.eye(mx), (len(pv_grid), mx, mx))
         eval_chunk(pv_grid, np.ascontiguousarray(eye))
-        return ds, sim
+        return table
 
     chunk = max(1, 2**16 // (mx * mx))
     buf_pv, buf_rows = [], []
@@ -217,7 +216,7 @@ def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: fl
                 buf_pv, buf_rows = [], []
     if buf_pv:
         eval_chunk(np.asarray(buf_pv), np.asarray(buf_rows))
-    return ds, sim
+    return table
 
 
 def _cost_cap(w_y: Dmc, w_z: Dmc) -> float:
@@ -234,14 +233,13 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
     p_grid = grid.prob_grid()
     if w_y.input_size == 2:
         a_grid = np.array([1.0]) if v_equals_x else p_grid
-        ds, sim = _sweep_py.sweep_binary(w_y.matrix, w_z.matrix, p_grid, a_grid, a_grid,
-                                         rd_step, rd_grid.size)
+        raw = _sweep_py.sweep_binary(w_y.matrix, w_z.matrix, p_grid, a_grid, a_grid,
+                                     rd_step, rd_grid.size, mode)
         backend = "python"
     else:
-        ds, sim = _general_sweep(w_y.matrix, w_z.matrix, grid, rd_step, rd_grid.size,
-                                 v_equals_x)
+        raw = _general_sweep(w_y.matrix, w_z.matrix, grid, rd_step, rd_grid.size,
+                             v_equals_x, mode)
         backend = "python-general"
-    raw = ds if mode == "ds" else sim
     curve = np.maximum.accumulate(raw)
     if hull:
         vertices = _hull_vertices(rd_grid, curve)

@@ -290,10 +290,7 @@ def _pair_search_cells(w_y: Dmc, w_z: Dmc, budget: int) -> dict:
     while (n + 2) ** 3 <= budget:
         n += 1
     p = np.linspace(0.0, 1.0, n + 1)
-    cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
-    cells["hy"] = -_xlogx(cells["p_y"]).sum(axis=1)
-    cells["hz"] = -_xlogx(cells["p_z"]).sum(axis=1)
-    return cells
+    return _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
 
 
 _PAIR_FIELDS = ("rs", "rd_ds", "ivy", "p_y", "p_z", "hy", "hz")

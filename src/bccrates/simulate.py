@@ -329,6 +329,13 @@ def _log(probs: np.ndarray) -> np.ndarray:
         return np.log(probs)
 
 
+def _passes(log_p: np.ndarray, alpha: float, log_q) -> np.ndarray:
+    """Every decoder's threshold test p >= e^alpha q, taken in logs so long blocks
+    and large alpha stay finite; alpha = inf against q = 0 does not pass."""
+    with np.errstate(invalid="ignore"):
+        return log_p >= alpha + log_q
+
+
 def _sequence_log_likelihoods(seq: np.ndarray, matrix: np.ndarray,
                               words: np.ndarray) -> np.ndarray:
     """sum_t log matrix[word_t, seq_t] for each word; shape = words.shape[:-1]."""
@@ -350,9 +357,8 @@ def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float])
     log_pv = _sequence_log_likelihoods(y, chain.p_y_given_v.matrix, codebook.v_words)
     log_pu = _sequence_log_likelihoods(y, chain.p_y_given_u.matrix, codebook.u_words)
     log_prior = float(_log(chain.p_y.probs)[y].sum())
-    with np.errstate(invalid="ignore"):  # alpha = inf against a zero law: no pass
-        passing = ((log_pv >= alpha1 + log_pu[:, None, None])
-                   & (log_pv >= alpha2 + log_prior))
+    passing = (_passes(log_pv, alpha1, log_pu[:, None, None])
+               & _passes(log_pv, alpha2, log_prior))
     hits = np.argwhere(passing)
     if hits.shape[0] != 1:
         return None
@@ -365,8 +371,7 @@ def decode_eve(z_seq, codebook: BccCodebook, alpha0: float):
     chain = codebook.chain
     log_pu = _sequence_log_likelihoods(z, chain.p_z_given_u.matrix, codebook.u_words)
     log_prior = float(_log(chain.p_z.probs)[z].sum())
-    with np.errstate(invalid="ignore"):
-        passing = log_pu >= alpha0 + log_prior
+    passing = _passes(log_pu, alpha0, log_prior)
     hits = np.flatnonzero(passing)
     if hits.size != 1:
         return None
@@ -377,15 +382,14 @@ def _bob_decode_table(codebook: BccCodebook, alphas) -> np.ndarray:
     """Decoded flat triple index for every receiver sequence; erasures map to 0."""
     chain = codebook.chain
     n = codebook.n
-    my = chain.w_y.output_size
     size_k, size_l, size_s, _ = codebook.sizes
     _, alpha1, alpha2 = alphas
-    rows_v = codeword_channel_rows(codebook.v_words.reshape(-1, n),
-                                   chain.p_y_given_v.matrix)      # (KLS, my^n)
-    rows_u = codeword_channel_rows(codebook.u_words, chain.p_y_given_u.matrix)  # (K, my^n)
-    rows_u = np.repeat(rows_u, size_l * size_s, axis=0)
-    prior = _product_law(chain.p_y.probs, n)[None, :]
-    passing = (rows_v >= math.exp(alpha1) * rows_u) & (rows_v >= math.exp(alpha2) * prior)
+    log_v = _log(codeword_channel_rows(codebook.v_words.reshape(-1, n),
+                                       chain.p_y_given_v.matrix))      # (KLS, my^n)
+    log_u = _log(codeword_channel_rows(codebook.u_words, chain.p_y_given_u.matrix))
+    log_u = np.repeat(log_u, size_l * size_s, axis=0)                  # (KLS, my^n)
+    log_prior = _log(_product_law(chain.p_y.probs, n))[None, :]
+    passing = _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
     counts = passing.sum(axis=0)
     table = np.where(counts == 1, passing.argmax(axis=0), 0)
     return table
@@ -418,9 +422,9 @@ def exact_eve_error(codebook: BccCodebook, alpha0: float) -> float:
     size_k, size_l, size_s, size_a = codebook.sizes
     if mz**n * size_k > DECODE_GUARD or mz**n > OUTPUT_ENUM_GUARD:
         raise GuardExceeded("eavesdropper error enumeration exceeds guard")
-    rows_u = codeword_channel_rows(codebook.u_words, chain.p_z_given_u.matrix)
-    prior = _product_law(chain.p_z.probs, n)[None, :]
-    passing = rows_u >= math.exp(alpha0) * prior
+    log_u = _log(codeword_channel_rows(codebook.u_words, chain.p_z_given_u.matrix))
+    log_prior = _log(_product_law(chain.p_z.probs, n))[None, :]
+    passing = _passes(log_u, alpha0, log_prior)
     counts = passing.sum(axis=0)
     table = np.where(counts == 1, passing.argmax(axis=0), 0)
     rows_x = codeword_channel_rows(codebook.x_words.reshape(-1, n), chain.w_z.matrix)

@@ -151,6 +151,18 @@ class TestCliExponent:
         meta = json.loads((out.parent / "sweep.csv.meta.json").read_text())
         assert meta["decay_certificate"]["term1"] is False
 
+    def test_certificate_checks_every_theta(self, tmp_path):
+        # E(theta)/theta <= log(m1)/n holds at theta = 0.01 (margin -0.0098),
+        # but not at theta = 0.29, where term 1 of the bound is smallest
+        # (margin +0.0113); the certificate asks for some swept theta
+        out = tmp_path / "sweep.csv"
+        code = main(["exponent", "--kind", "super", "--pz", "bsc:0.2",
+                     "--pv", "uniform:2", "--pxv", "bsc:0.1", "--n", "100",
+                     "--m1", "4096", "--out", str(out)])
+        assert code == 0
+        meta = json.loads((out.parent / "sweep.csv.meta.json").read_text())
+        assert meta["decay_certificate"] == {"term1": True, "term2": False}
+
     def test_bcc_kind(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["exponent", "--kind", "bcc", "--pz", "bsc:0.2",
@@ -188,6 +200,18 @@ class TestCliSimulate:
         assert main(args) == 0
         meta = json.loads((tmp_path / "mc.csv.meta.json").read_text())
         assert meta["method"] == "monte_carlo_output_sampling"
+
+    def test_bcc_run_with_huge_threshold(self, tmp_path):
+        # e^{800} overflows a float; the exact decoders compare logs, erase
+        # every sequence and err on the 7 of 8 triples that are not the first
+        out = tmp_path / "bcc.csv"
+        code = main(["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--pu", "uniform:2", "--pvu", "bsc:0.25", "--pxv", "bsc:0.1",
+                     "--sizes", "2,2,2,2", "--n", "4", "--trials", "2", "--seed", "7",
+                     "--alphas", "0,800,0", "--out", str(out)])
+        assert code == 0
+        mean = out.read_text().splitlines()[-1].split(",")
+        assert float(mean[1]) == pytest.approx(0.875, abs=1e-12)
 
     def test_bcc_run(self, tmp_path):
         out = tmp_path / "bcc.csv"
@@ -227,6 +251,13 @@ class TestCliCheck:
         assert payload["case"] == "dummy_to_private"
         assert payload["shift"]["r_d"] == pytest.approx(
             math.log(2) - (-0.2 * math.log(0.2) - 0.8 * math.log(0.8)), abs=1e-9)
+
+    @pytest.mark.parametrize("what", ["membership", "split"])
+    @pytest.mark.parametrize("quad", ["0.2,0,0", "0.2,0,0,0.1,0", "0.2,x,0,0.1"])
+    def test_malformed_quad_is_invalid_configuration(self, what, quad, capsys):
+        code = main(["check", what, "--py", "bsc:0.1", "--pz", "bsc:0.2", "--quad", quad])
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_min_randomness_infeasible_exit(self, capsys):
         code = main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from bccrates import (
     supporting_line_value,
     upper_concave_hull,
 )
+from bccrates import _sweep_py
+from bccrates._sweep_py import BIN_FUZZ, fold_max, sweep_binary
 from bccrates.channels import bec, bsc
 
 LN2 = math.log(2.0)
@@ -213,3 +216,102 @@ class TestGeneralAlphabets:
     def test_input_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             secrecy_frontier(bsc(0.1), Dmc(np.full((3, 3), 1.0 / 3.0)))
+
+
+def _oracle_fold_max(table, rd, rs, rd_step):
+    """The sort-based fold the sweep used before ``np.maximum.at``: stable
+    argsort by bin, then one ``maximum.reduceat`` per bin."""
+    g = np.ceil(rd.ravel() / rd_step - BIN_FUZZ).astype(np.int64)
+    np.clip(g, 0, None, out=g)
+    keep = g < table.size
+    g = g[keep]
+    vals = rs.ravel()[keep]
+    if g.size == 0:
+        return
+    order = np.argsort(g, kind="stable")
+    gs = g[order]
+    vs = vals[order]
+    starts = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
+    idx = gs[starts]
+    table[idx] = np.maximum(table[idx], np.maximum.reduceat(vs, starts))
+
+
+class TestFoldMax:
+    def test_matches_sort_based_fold(self):
+        # bins below 0 and past the table, many ties, +-0.0 and +-inf values;
+        # np.array_equal, because a bin holding only +-0.0 ties may keep
+        # either sign depending on the order of folding
+        rng = np.random.default_rng(17)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 0.25, -0.25])
+        rd_step = 0.01
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            count = int(rng.integers(0, 200))
+            bins = rng.integers(-5, size + 5, count)
+            rd = bins * rd_step + rng.choice([0.0, -0.3, 0.3], count) * rd_step
+            rs = np.where(rng.random(count) < 0.5, rng.choice(specials, count),
+                          rng.normal(size=count).round(1))
+            start = np.where(rng.random(size) < 0.5, -np.inf, rng.normal(size=size))
+            expected = start.copy()
+            _oracle_fold_max(expected, rd, rs, rd_step)
+            table = start.copy()
+            fold_max(table, rd.reshape(-1, 1), rs.reshape(-1, 1), rd_step)
+            assert np.array_equal(table, expected)
+
+    def test_out_of_range_bins(self):
+        table = np.full(3, -np.inf)
+        fold_max(table, np.array([-0.5, 0.0, 0.021, 0.035, 9.0]),
+                 np.array([1.0, 0.5, 2.0, 3.0, 7.0]), 0.01)
+        assert table.tolist() == [1.0, -np.inf, -np.inf]
+        fold_max(table, np.array([0.019, 0.02]), np.array([4.0, 5.0]), 0.01)
+        assert table.tolist() == [1.0, -np.inf, 5.0]
+
+
+@pytest.mark.parametrize("batch_cells", [1, 4 * 21 * 21, 1 << 30])
+def test_sweep_batches_fold_the_same_cells(monkeypatch, batch_cells):
+    # one plane per batch, 4 planes per batch with a short last batch, and
+    # all 21 planes in one batch give the same table bytes
+    p = GridSpec(prob_step=0.05).prob_grid()
+    for mode in ("ds", "sim"):
+        args = (bsc(0.11).matrix, bec(0.45).matrix, p, p, p, 0.05, 30, mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(_sweep_py, "BATCH_CELLS", batch_cells)
+            batched = sweep_binary(*args)
+        assert batched.tobytes() == sweep_binary(*args).tobytes()
+
+
+def _frontier_digest(w_y, w_z, prob_step):
+    """SHA-256 over the little-endian float64 points of the eight frontiers of
+    a pair: ds/sim x hull on/off x v_equals_x on/off."""
+    digest = hashlib.sha256()
+    grid = GridSpec(prob_step=prob_step)
+    for fn in (secrecy_frontier, secrecy_frontier_sim):
+        for hull in (True, False):
+            for v_equals_x in (True, False):
+                front = fn(w_y, w_z, grid, v_equals_x=v_equals_x, hull=hull)
+                digest.update(np.asarray(front.points, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# recorded from the sort-based fold and the two-cost sweep it replaced
+FRONTIER_DIGESTS = {
+    "bsc0.1/bsc0.2":
+        "4b3bed61c143e900f4a419a0f082ee5fed5d7ecbb6f06aef6f7597947090d191",
+    "bsc0.11/bec0.45":
+        "dbe4564c2922b68c707664b1f581a59282f53aac83ca364d41ffa950ba770f90",
+    "identity/bsc0.2":
+        "06d42e5b7a65a0c2facb8b81509d3839498b9b6cbf8fc1edaaf26fdc935a0e18",
+    "ternary":
+        "f43ad814db3e4b68c23e15b60415cb12ca987d82fa992ee92a68ac0468e18ebf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER_DIGESTS))
+def test_frontier_bytes_golden(name):
+    pairs = {
+        "bsc0.1/bsc0.2": (bsc(0.1), bsc(0.2), 0.05),
+        "bsc0.11/bec0.45": (bsc(0.11), bec(0.45), 0.05),
+        "identity/bsc0.2": (Dmc.identity(2), bsc(0.2), 0.05),
+        "ternary": (*TestGeneralAlphabets.ternary_pair(), 0.5),
+    }
+    assert _frontier_digest(*pairs[name]) == FRONTIER_DIGESTS[name]

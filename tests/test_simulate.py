@@ -237,6 +237,17 @@ class TestDecoders:
         assert decode_eve(y, book, 0.0) == 0
         assert decode_eve(y, book, math.inf) is None
 
+    @pytest.mark.parametrize("alpha", [800.0, math.inf])
+    def test_exact_errors_under_unpassable_threshold(self, alpha):
+        # e^{800} overflows a float, so the exact paths must compare logs as
+        # decode_bob/decode_eve do; no candidate passes, every sequence is
+        # erased and decodes to the first message, so the error is exactly
+        # the share of the other messages
+        book = generate_bcc_codebook(fixture_chain(), (2, 2, 2, 2), 4, seed=7)
+        assert exact_bob_error(book, (0.0, alpha, 0.0)) == pytest.approx(7 / 8, abs=1e-12)
+        assert exact_bob_error(book, (0.0, 0.0, alpha)) == pytest.approx(7 / 8, abs=1e-12)
+        assert exact_eve_error(book, alpha) == pytest.approx(1 / 2, abs=1e-12)
+
     def test_bob_error_matches_brute_force(self):
         chain = fixture_chain()
         n = 4
