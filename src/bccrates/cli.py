@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._csv import write_csv
 from .chain import BccChain
 from .channels import parse_channel, parse_pmf
 from .exponents import (
@@ -38,15 +39,7 @@ from .regions import (
     min_dummy_rate,
     split_rates,
 )
-from .simulate import (
-    OUTPUT_ENUM_GUARD,
-    SimResult,
-    generate_super_codebook,
-    mc_output_divergence,
-    mc_resolvability,
-    simulate_bcc,
-    trial_seed,
-)
+from .simulate import mc_resolvability, simulate_bcc
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -117,6 +110,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_exponent(args) -> int:
+    if not 0.0 < args.theta_step <= 1.0:
+        raise ValueError(f"--theta-step must lie in (0, 1], got {args.theta_step!r}")
     thetas = np.round(np.arange(1, int(round(1.0 / args.theta_step)) + 1)
                       * args.theta_step, 12)
     thetas = thetas[thetas <= 1.0 + 1e-12]
@@ -160,14 +155,8 @@ def _cmd_exponent(args) -> int:
                 t, chain.p_z_given_v, chain.p_v_given_u, chain.p_u),
                 np.log(args.size_l) / args.n),
         }
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("theta,term1,term2,total\n")
-        for row in rows:
-            fh.write(",".join(repr(v) for v in row) + "\n")
-    with open(f"{args.out}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(_meta(args, {"decay_certificate": certs}), fh, indent=2,
-                  sort_keys=True, default=str)
-        fh.write("\n")
+    write_csv(args.out, "theta,term1,term2,total", rows,
+              _meta(args, {"decay_certificate": certs}))
     status = "certified" if all(certs.values()) else "no decay certificate"
     print(f"wrote {len(rows)} theta rows to {args.out} ({status})")
     return EXIT_OK
@@ -177,20 +166,9 @@ def _cmd_simulate_resolvability(args) -> int:
     p_v = parse_pmf(args.pv)
     p_x_given_v = parse_channel(args.pxv)
     w_z = parse_channel(args.pz)
-    if args.mc and w_z.output_size**args.n > OUTPUT_ENUM_GUARD:
-        values = np.empty(args.trials)
-        for t in range(args.trials):
-            book = generate_super_codebook(p_v, p_x_given_v, args.n, args.m1, args.m2,
-                                           seed=trial_seed(args.seed, t))
-            values[t], _ = mc_output_divergence(
-                book, w_z, samples=args.mc_samples,
-                seed=np.random.SeedSequence((args.seed, t, 1)))
-        result = SimResult(values=values, exact=np.zeros(args.trials, dtype=bool),
-                           metadata={"method": "monte_carlo_output_sampling",
-                                     "mc_samples": args.mc_samples})
-    else:
-        result = mc_resolvability(p_v, p_x_given_v, w_z,
-                                  args.n, args.m1, args.m2, args.trials, args.seed)
+    result = mc_resolvability(p_v, p_x_given_v, w_z, args.n, args.m1, args.m2,
+                              args.trials, args.seed, allow_mc=args.mc,
+                              mc_samples=args.mc_samples)
     result.metadata.update(_meta(args, {}))
     result.write_csv(args.out)
     print(f"mean divergence {result.mean:.6f} nats over {result.trials} trials "

@@ -12,13 +12,13 @@ the conditional rows.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _sweep_py
+from ._csv import write_csv
 from .probability import Dmc, GuardExceeded, _xlogx
 
 FEASIBILITY_TOL = 1e-9
@@ -100,13 +100,7 @@ class Frontier:
 
     def write_csv(self, path) -> None:
         """CSV with header ``r_d_nats,r_s_nats`` plus a ``.meta.json`` sidecar."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r_d_nats,r_s_nats\n")
-            for x, y in self.points:
-                fh.write(f"{x!r},{y!r}\n")
-        with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump(self.provenance, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        write_csv(path, "r_d_nats,r_s_nats", self.points, self.provenance)
 
 
 def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:

@@ -5,19 +5,21 @@ three-layer broadcast code a common layer on top), with one RNG stream per
 trial derived from the master seed and trial index.  At desk-scale
 blocklengths every figure of merit is computed by exact enumeration: output
 distributions, divergences, leakage, and threshold-decoder error rates.
+The exact error tables, the Monte Carlo error estimates and the sequence
+decoders apply one threshold rule to log-likelihood sums added in letter order.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import write_csv
 from .chain import BccChain
 from .exponents import decoding_thresholds
-from .probability import Dmc, GuardExceeded, Pmf
+from .probability import Dmc, GuardExceeded, Pmf, kl_divergence
 
 CODEBOOK_GUARD = 2**22
 OUTPUT_ENUM_GUARD = 2**20
@@ -42,23 +44,53 @@ def _cdf(matrix: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def codeword_channel_rows(words: np.ndarray, channel_matrix: np.ndarray) -> np.ndarray:
-    """Product-law rows P^n(. | word) for each word, outputs indexed
+def _letter_fold(words: np.ndarray, letter_rows: np.ndarray, combine, start: float):
+    """Fold letter rows over every output sequence in t order, outputs indexed
     lexicographically (first symbol most significant)."""
     words = np.atleast_2d(words)
     count = words.shape[0]
-    rows = np.ones((count, 1))
+    rows = np.full((count, 1), start)
     for t in range(words.shape[1]):
-        step = channel_matrix[words[:, t]]
-        rows = (rows[:, :, None] * step[:, None, :]).reshape(count, -1)
+        step = letter_rows[words[:, t]]
+        rows = combine(rows[:, :, None], step[:, None, :]).reshape(count, -1)
     return rows
 
 
-def _product_law(p: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones(1)
-    for _ in range(n):
-        out = np.kron(out, p)
-    return out
+def codeword_channel_rows(words: np.ndarray, channel_matrix: np.ndarray) -> np.ndarray:
+    """Product-law rows P^n(. | word) for each word, outputs indexed
+    lexicographically (first symbol most significant)."""
+    return _letter_fold(words, channel_matrix, np.multiply, 1.0)
+
+
+def _log(probs: np.ndarray) -> np.ndarray:
+    """Elementwise log, -inf where a probability is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
+def _log_likelihoods(words: np.ndarray, matrix: np.ndarray, seq=None) -> np.ndarray:
+    """sum_t log matrix[word_t, seq_t] for each word, added left to right in t
+    order; with ``seq`` None, a row over every output sequence, indexed as in
+    ``codeword_channel_rows``.  Both forms add the same terms in the same order,
+    so a table entry equals the value for its sequence bit for bit."""
+    log_m = _log(matrix)
+    if seq is None:
+        return _letter_fold(words, log_m, np.add, 0.0)
+    return np.cumsum(log_m[words, seq[None, :]], axis=1)[:, -1]
+
+
+def _prior_log_likelihoods(p: Pmf, n: int, seq=None) -> np.ndarray:
+    """The i.i.d. law p^n as the one word of a one-input channel, shape (1, ...)."""
+    return _log_likelihoods(np.zeros((1, n), dtype=np.int64), p.probs[None, :], seq)
+
+
+def _outputs_enumerable(outputs: int, n: int) -> bool:
+    return outputs**n <= OUTPUT_ENUM_GUARD
+
+
+def _decode_enumerable(outputs: int, n: int, candidates: int) -> bool:
+    """Whether an exact error table of ``candidates`` by ``outputs``^n fits the guards."""
+    return outputs**n * candidates <= DECODE_GUARD and _outputs_enumerable(outputs, n)
 
 
 @dataclass(frozen=True)
@@ -121,7 +153,7 @@ def generate_super_codebook(p_v: Pmf, p_x_given_v: Dmc, n: int, m1: int, m2: int
 def output_distribution(codebook: SuperCodebook, w_z: Dmc) -> np.ndarray:
     """Exact block output law: uniform mixture of the codeword product rows."""
     n, mz = codebook.n, w_z.output_size
-    if mz**n > OUTPUT_ENUM_GUARD:
+    if not _outputs_enumerable(mz, n):
         raise GuardExceeded(f"output enumeration {mz}^{n} exceeds guard")
     rows = codeword_channel_rows(codebook.x_words.reshape(-1, n), w_z.matrix)
     return rows.mean(axis=0)
@@ -131,12 +163,9 @@ def exact_output_divergence(codebook: SuperCodebook, w_z: Dmc) -> float:
     """D(simulated block output || i.i.d. target response), in nats."""
     mix = output_distribution(codebook, w_z)
     p_x = Pmf(codebook.p_v.probs @ codebook.p_x_given_v.matrix)
-    ref = _product_law(w_z.output(p_x).probs, codebook.n)
-    support = mix > 0.0
-    if np.any(ref[support] == 0.0):
-        return math.inf
-    ms, rs = mix[support], ref[support]
-    return float(np.sum(ms * (np.log(ms) - np.log(rs))))
+    ref = codeword_channel_rows(np.zeros((1, codebook.n), dtype=np.int64),
+                                w_z.output(p_x).probs[None, :])[0]
+    return kl_divergence(mix, ref)
 
 
 def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
@@ -170,44 +199,39 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
     return float(log_ratios.mean()), float(log_ratios.std(ddof=1) / math.sqrt(samples))
 
 
-def mc_bob_error(codebook: BccCodebook, alphas, samples: int, seed) -> float:
-    """Monte Carlo receiver error estimate over messages and channel noise."""
+def _mc_error(codebook: BccCodebook, matrix: np.ndarray, passing, samples: int,
+              seed) -> float:
+    """Share of sampled (message, noise) pairs decoded wrongly.
+
+    Each sample draws k, l, s, a uniformly, in that order, then the channel
+    output of their codeword; ``passing(output)`` gives the threshold tests of
+    the candidates, decoded as in ``_exact_error``.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = _rng_for(seed)
-    chain = codebook.chain
-    size_k, size_l, size_s, size_a = codebook.sizes
+    cdf = _cdf(matrix)
+    codewords = math.prod(codebook.sizes)
     errors = 0
     for _ in range(samples):
-        k = int(rng.integers(size_k))
-        l = int(rng.integers(size_l))
-        s = int(rng.integers(size_s))
-        a = int(rng.integers(size_a))
-        x = codebook.x_words[k, l, s, a]
-        y = _inverse_cdf_sample(rng.random(codebook.n), _cdf(chain.w_y.matrix)[x])
-        decoded = decode_bob(y, codebook, alphas)
-        if decoded is None:
-            decoded = (0, 0, 0)
-        errors += decoded != (k, l, s)
+        msg = tuple(int(rng.integers(size)) for size in codebook.sizes)
+        out = _inverse_cdf_sample(rng.random(codebook.n), cdf[codebook.x_words[msg]])
+        tests = passing(out)
+        sent = int(np.ravel_multi_index(msg, codebook.sizes)) // (codewords // tests.size)
+        errors += int(_decode_table(tests)) != sent
     return errors / samples
+
+
+def mc_bob_error(codebook: BccCodebook, alphas, samples: int, seed) -> float:
+    """Monte Carlo receiver error estimate over messages and channel noise."""
+    return _mc_error(codebook, codebook.chain.w_y.matrix,
+                     lambda y: _bob_passing(codebook, alphas, y), samples, seed)
 
 
 def mc_eve_error(codebook: BccCodebook, alpha0: float, samples: int, seed) -> float:
     """Monte Carlo eavesdropper error estimate for the common message."""
-    rng = _rng_for(seed)
-    chain = codebook.chain
-    size_k, size_l, size_s, size_a = codebook.sizes
-    errors = 0
-    for _ in range(samples):
-        k = int(rng.integers(size_k))
-        l = int(rng.integers(size_l))
-        s = int(rng.integers(size_s))
-        a = int(rng.integers(size_a))
-        x = codebook.x_words[k, l, s, a]
-        z = _inverse_cdf_sample(rng.random(codebook.n), _cdf(chain.w_z.matrix)[x])
-        decoded = decode_eve(z, codebook, alpha0)
-        if decoded is None:
-            decoded = 0
-        errors += decoded != k
-    return errors / samples
+    return _mc_error(codebook, codebook.chain.w_z.matrix,
+                     lambda z: _eve_passing(codebook, alpha0, z), samples, seed)
 
 
 @dataclass(frozen=True)
@@ -235,16 +259,9 @@ class SimResult:
         return 1.959963984540054 * self.sample_std / math.sqrt(self.trials)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("trial,divergence_nats\n")
-            for t, v in enumerate(self.values):
-                fh.write(f"{t},{float(v)!r}\n")
-            fh.write(f"mean,{self.mean!r}\n")
-            fh.write(f"sample_std,{self.sample_std!r}\n")
-            fh.write(f"ci95,{self.ci95!r}\n")
-        with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        rows = [(t, float(v)) for t, v in enumerate(self.values)]
+        rows += [("mean", self.mean), ("sample_std", self.sample_std), ("ci95", self.ci95)]
+        write_csv(path, "trial,divergence_nats", rows, self.metadata)
 
 
 def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
@@ -253,19 +270,33 @@ def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
 
 
 def mc_resolvability(p_v: Pmf, p_x_given_v: Dmc, w_z: Dmc, n: int, m1: int, m2: int,
-                     trials: int, master_seed: int) -> SimResult:
-    """Mean exact divergence over independently drawn codebooks."""
+                     trials: int, master_seed: int, *, allow_mc: bool = False,
+                     mc_samples: int = 20000) -> SimResult:
+    """Divergence over independently drawn codebooks, one value per trial.
+
+    Each value is exact when the output enumeration fits its guard.  Past the
+    guard it is a ``mc_output_divergence`` estimate from ``mc_samples`` outputs
+    if ``allow_mc`` is set; otherwise the guard is raised.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
+    exact = _outputs_enumerable(w_z.output_size, n) or not allow_mc
     values = np.empty(trials)
     for t in range(trials):
         book = generate_super_codebook(p_v, p_x_given_v, n, m1, m2,
                                        seed=trial_seed(master_seed, t))
-        values[t] = exact_output_divergence(book, w_z)
+        if exact:
+            values[t] = exact_output_divergence(book, w_z)
+        else:
+            values[t], _ = mc_output_divergence(book, w_z, mc_samples,
+                                                np.random.SeedSequence((master_seed, t, 1)))
     values.setflags(write=False)
-    meta = {"n": n, "m1": m1, "m2": m2, "trials": trials, "master_seed": master_seed,
-            "method": "exact_enumeration_per_trial"}
-    return SimResult(values=values, exact=np.ones(trials, dtype=bool), metadata=meta)
+    meta = {"n": n, "m1": m1, "m2": m2, "trials": trials, "master_seed": master_seed}
+    if exact:
+        meta["method"] = "exact_enumeration_per_trial"
+    else:
+        meta.update(method="monte_carlo_output_sampling", mc_samples=mc_samples)
+    return SimResult(values=values, exact=np.full(trials, exact), metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -323,12 +354,6 @@ def generate_bcc_codebook(chain: BccChain, sizes: tuple[int, int, int, int], n: 
                        chain=chain, seed=seed)
 
 
-def _log(probs: np.ndarray) -> np.ndarray:
-    """Elementwise log, -inf where a probability is 0."""
-    with np.errstate(divide="ignore"):
-        return np.log(probs)
-
-
 def _passes(log_p: np.ndarray, alpha: float, log_q) -> np.ndarray:
     """Every decoder's threshold test p >= e^alpha q, taken in logs so long blocks
     and large alpha stay finite; alpha = inf against q = 0 does not pass."""
@@ -336,11 +361,31 @@ def _passes(log_p: np.ndarray, alpha: float, log_q) -> np.ndarray:
         return log_p >= alpha + log_q
 
 
-def _sequence_log_likelihoods(seq: np.ndarray, matrix: np.ndarray,
-                              words: np.ndarray) -> np.ndarray:
-    """sum_t log matrix[word_t, seq_t] for each word; shape = words.shape[:-1]."""
-    flat = words.reshape(-1, words.shape[-1])
-    return _log(matrix)[flat, seq[None, :]].sum(axis=1).reshape(words.shape[:-1])
+def _bob_passing(codebook: BccCodebook, alphas, y=None) -> np.ndarray:
+    """The tests of ``decode_bob`` for every flat (k, l, s) candidate at ``y``,
+    or, with ``y`` None, at every output sequence (candidates by sequences)."""
+    chain = codebook.chain
+    n = codebook.n
+    size_k, size_l, size_s, _ = codebook.sizes
+    _, alpha1, alpha2 = alphas
+    log_v = _log_likelihoods(codebook.v_words.reshape(-1, n), chain.p_y_given_v.matrix, y)
+    log_u = np.repeat(_log_likelihoods(codebook.u_words, chain.p_y_given_u.matrix, y),
+                      size_l * size_s, axis=0)
+    log_prior = _prior_log_likelihoods(chain.p_y, n, y)
+    return _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
+
+
+def _eve_passing(codebook: BccCodebook, alpha0: float, z=None) -> np.ndarray:
+    """The test of ``decode_eve`` for every common word, as in ``_bob_passing``."""
+    chain = codebook.chain
+    log_u = _log_likelihoods(codebook.u_words, chain.p_z_given_u.matrix, z)
+    return _passes(log_u, alpha0, _prior_log_likelihoods(chain.p_z, codebook.n, z))
+
+
+def _unique_pass(passing: np.ndarray):
+    """The one passing candidate, or None on erasure (none or several pass)."""
+    hits = np.flatnonzero(passing)
+    return int(hits[0]) if hits.size == 1 else None
 
 
 def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float]):
@@ -351,48 +396,33 @@ def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float])
     decoder outputs the unique passing triple, erasing on none or several.
     The tests compare log-likelihood sums, so long blocks cannot underflow.
     """
-    y = np.asarray(y_seq, dtype=np.int64)
-    chain = codebook.chain
-    _, alpha1, alpha2 = alphas
-    log_pv = _sequence_log_likelihoods(y, chain.p_y_given_v.matrix, codebook.v_words)
-    log_pu = _sequence_log_likelihoods(y, chain.p_y_given_u.matrix, codebook.u_words)
-    log_prior = float(_log(chain.p_y.probs)[y].sum())
-    passing = (_passes(log_pv, alpha1, log_pu[:, None, None])
-               & _passes(log_pv, alpha2, log_prior))
-    hits = np.argwhere(passing)
-    if hits.shape[0] != 1:
+    hit = _unique_pass(_bob_passing(codebook, alphas, np.asarray(y_seq, dtype=np.int64)))
+    if hit is None:
         return None
-    return tuple(int(i) for i in hits[0])
+    return tuple(int(i) for i in np.unravel_index(hit, codebook.sizes[:3]))
 
 
 def decode_eve(z_seq, codebook: BccCodebook, alpha0: float):
     """Threshold decoder for the common message only; None on erasure."""
-    z = np.asarray(z_seq, dtype=np.int64)
-    chain = codebook.chain
-    log_pu = _sequence_log_likelihoods(z, chain.p_z_given_u.matrix, codebook.u_words)
-    log_prior = float(_log(chain.p_z.probs)[z].sum())
-    passing = _passes(log_pu, alpha0, log_prior)
-    hits = np.flatnonzero(passing)
-    if hits.size != 1:
-        return None
-    return int(hits[0])
+    return _unique_pass(_eve_passing(codebook, alpha0, np.asarray(z_seq, dtype=np.int64)))
 
 
-def _bob_decode_table(codebook: BccCodebook, alphas) -> np.ndarray:
-    """Decoded flat triple index for every receiver sequence; erasures map to 0."""
-    chain = codebook.chain
-    n = codebook.n
-    size_k, size_l, size_s, _ = codebook.sizes
-    _, alpha1, alpha2 = alphas
-    log_v = _log(codeword_channel_rows(codebook.v_words.reshape(-1, n),
-                                       chain.p_y_given_v.matrix))      # (KLS, my^n)
-    log_u = _log(codeword_channel_rows(codebook.u_words, chain.p_y_given_u.matrix))
-    log_u = np.repeat(log_u, size_l * size_s, axis=0)                  # (KLS, my^n)
-    log_prior = _log(_product_law(chain.p_y.probs, n))[None, :]
-    passing = _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
-    counts = passing.sum(axis=0)
-    table = np.where(counts == 1, passing.argmax(axis=0), 0)
-    return table
+def _decode_table(passing: np.ndarray) -> np.ndarray:
+    """Decoded candidate for every output sequence (a column of ``passing``);
+    an erasure decodes to candidate 0, so it is an error unless 0 was sent."""
+    return np.where(passing.sum(axis=0) == 1, passing.argmax(axis=0), 0)
+
+
+def _exact_error(codebook: BccCodebook, matrix: np.ndarray, passing: np.ndarray) -> float:
+    """1 - sum_y P(y|x) [decoded(y) = sent(x)], averaged over the codewords x.
+
+    The candidates of ``passing`` are the leading message indices ((k, l, s)
+    or k), so each one is sent by an equal run of consecutive flat codewords.
+    """
+    rows_x = codeword_channel_rows(codebook.x_words.reshape(-1, codebook.n), matrix)
+    sent = np.repeat(np.arange(passing.shape[0]), rows_x.shape[0] // passing.shape[0])
+    correct = (_decode_table(passing)[None, :] == sent[:, None])
+    return float(1.0 - (rows_x * correct).sum(axis=1).mean())
 
 
 def exact_bob_error(codebook: BccCodebook, alphas) -> float:
@@ -401,36 +431,19 @@ def exact_bob_error(codebook: BccCodebook, alphas) -> float:
     Erasures decode to the first message triple, so they count as errors
     except when that triple was sent.
     """
-    chain = codebook.chain
-    n = codebook.n
-    my = chain.w_y.output_size
-    size_k, size_l, size_s, size_a = codebook.sizes
-    if my**n * size_k * size_l * size_s > DECODE_GUARD or my**n > OUTPUT_ENUM_GUARD:
+    size_k, size_l, size_s, _ = codebook.sizes
+    w_y = codebook.chain.w_y
+    if not _decode_enumerable(w_y.output_size, codebook.n, size_k * size_l * size_s):
         raise GuardExceeded("receiver error enumeration exceeds guard")
-    table = _bob_decode_table(codebook, alphas)
-    rows_x = codeword_channel_rows(codebook.x_words.reshape(-1, n), chain.w_y.matrix)
-    sent = np.repeat(np.arange(size_k * size_l * size_s), size_a)
-    correct = (table[None, :] == sent[:, None])
-    return float(1.0 - (rows_x * correct).sum(axis=1).mean())
+    return _exact_error(codebook, w_y.matrix, _bob_passing(codebook, alphas))
 
 
 def exact_eve_error(codebook: BccCodebook, alpha0: float) -> float:
     """Average common-message decoding error at the eavesdropper, exact."""
-    chain = codebook.chain
-    n = codebook.n
-    mz = chain.w_z.output_size
-    size_k, size_l, size_s, size_a = codebook.sizes
-    if mz**n * size_k > DECODE_GUARD or mz**n > OUTPUT_ENUM_GUARD:
+    w_z = codebook.chain.w_z
+    if not _decode_enumerable(w_z.output_size, codebook.n, codebook.sizes[0]):
         raise GuardExceeded("eavesdropper error enumeration exceeds guard")
-    log_u = _log(codeword_channel_rows(codebook.u_words, chain.p_z_given_u.matrix))
-    log_prior = _log(_product_law(chain.p_z.probs, n))[None, :]
-    passing = _passes(log_u, alpha0, log_prior)
-    counts = passing.sum(axis=0)
-    table = np.where(counts == 1, passing.argmax(axis=0), 0)
-    rows_x = codeword_channel_rows(codebook.x_words.reshape(-1, n), chain.w_z.matrix)
-    sent = np.repeat(np.arange(size_k), size_l * size_s * size_a)
-    correct = (table[None, :] == sent[:, None])
-    return float(1.0 - (rows_x * correct).sum(axis=1).mean())
+    return _exact_error(codebook, w_z.matrix, _eve_passing(codebook, alpha0))
 
 
 def conditional_output_distributions(codebook: BccCodebook) -> np.ndarray:
@@ -453,11 +466,7 @@ def exact_leakage(codebook: BccCodebook) -> float:
     """Mutual information between the confidential message and the block output."""
     cond = conditional_output_distributions(codebook)
     mix = cond.mean(axis=0)
-    total = 0.0
-    for row in cond:
-        support = row > 0.0
-        total += float(np.sum(row[support] * (np.log(row[support]) - np.log(mix[support]))))
-    return total / cond.shape[0]
+    return sum(kl_divergence(row, mix) for row in cond) / cond.shape[0]
 
 
 @dataclass(frozen=True)
@@ -487,16 +496,10 @@ class BccSimReport:
         return float(self.leakages.mean())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("trial,bob_error,eve_error,leakage_nats\n")
-            for t in range(self.trials):
-                fh.write(f"{t},{float(self.bob_errors[t])!r},"
-                         f"{float(self.eve_errors[t])!r},{float(self.leakages[t])!r}\n")
-            fh.write(f"mean,{self.mean_bob_error!r},{self.mean_eve_error!r},"
-                     f"{self.mean_leakage!r}\n")
-        with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        rows = [(t, float(self.bob_errors[t]), float(self.eve_errors[t]),
+                 float(self.leakages[t])) for t in range(self.trials)]
+        rows.append(("mean", self.mean_bob_error, self.mean_eve_error, self.mean_leakage))
+        write_csv(path, "trial,bob_error,eve_error,leakage_nats", rows, self.metadata)
 
 
 def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
@@ -514,11 +517,9 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
         raise ValueError("need at least one trial")
     if alphas is None:
         alphas = decoding_thresholds(chain, n, delta)
-    size_k, size_l, size_s, size_a = sizes
-    my, mz = chain.w_y.output_size, chain.w_z.output_size
-    exact_bob = (my**n * size_k * size_l * size_s <= DECODE_GUARD
-                 and my**n <= OUTPUT_ENUM_GUARD)
-    exact_eve = mz**n * size_k <= DECODE_GUARD and mz**n <= OUTPUT_ENUM_GUARD
+    size_k, size_l, size_s, _ = sizes
+    exact_bob = _decode_enumerable(chain.w_y.output_size, n, size_k * size_l * size_s)
+    exact_eve = _decode_enumerable(chain.w_z.output_size, n, size_k)
     if not (exact_bob and exact_eve) and not allow_mc:
         raise GuardExceeded(
             "error-rate enumeration exceeds guards; enable the Monte Carlo fallback")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -163,6 +164,15 @@ class TestCliExponent:
         meta = json.loads((out.parent / "sweep.csv.meta.json").read_text())
         assert meta["decay_certificate"] == {"term1": True, "term2": False}
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "2"])
+    def test_theta_step_outside_unit_interval_is_invalid(self, step, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["exponent", "--pz", "bsc:0.2", "--n", "4", f"--theta-step={step}",
+                     "--out", str(out)])
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bcc_kind(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["exponent", "--kind", "bcc", "--pz", "bsc:0.2",
@@ -200,6 +210,31 @@ class TestCliSimulate:
         assert main(args) == 0
         meta = json.loads((tmp_path / "mc.csv.meta.json").read_text())
         assert meta["method"] == "monte_carlo_output_sampling"
+
+    @pytest.mark.parametrize("extra", [[], ["--n", "40", "--mc", "--mc-samples", "10"]],
+                             ids=["exact", "mc"])
+    def test_resolvability_without_trials_is_invalid(self, extra, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "resolvability", "--pz", "bsc:0.2", "--n", "4",
+                     "--m1", "2", "--m2", "2", "--trials", "0", *extra, "--out", str(out)])
+        assert code == 2
+        assert "need at least one trial" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resolvability_sidecars_share_their_keys(self, tmp_path):
+        base = ["simulate", "resolvability", "--pz", "bsc:0.2", "--m1", "2", "--m2", "2",
+                "--trials", "2", "--seed", "5"]
+        assert main(base + ["--n", "4", "--out", str(tmp_path / "e.csv")]) == 0
+        assert main(base + ["--n", "24", "--mc", "--mc-samples", "50",
+                            "--out", str(tmp_path / "m.csv")]) == 0
+        exact = json.loads((tmp_path / "e.csv.meta.json").read_text())
+        mc = json.loads((tmp_path / "m.csv.meta.json").read_text())
+        shared = {"m1": 2, "m2": 2, "trials": 2, "master_seed": 5}
+        assert {key: exact[key] for key in ("n", *shared)} == {"n": 4, **shared}
+        assert {key: mc[key] for key in ("n", *shared)} == {"n": 24, **shared}
+        assert exact["method"] == "exact_enumeration_per_trial"
+        assert mc["method"] == "monte_carlo_output_sampling"
+        assert mc["mc_samples"] == 50 and "mc_samples" not in exact
 
     def test_bcc_run_with_huge_threshold(self, tmp_path):
         # e^{800} overflows a float; the exact decoders compare logs, erase
@@ -273,3 +308,28 @@ class TestCliCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["feasible"] is True
         assert payload["min_r_d_nats"] >= 0.0
+
+
+@pytest.mark.parametrize("name,argv,digest", [
+    ("front", ["region", "--ds", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+               "--grid-step", "0.05"],
+     "8c5e522622f23cf5ef88026cc40362c33b9c821aec3ba5ef0a879d95d0c91eb7"),
+    ("exp", ["exponent", "--kind", "super", "--pz", "bsc:0.2", "--n", "6",
+             "--theta-step", "0.05"],
+     "d93a2294b8378f2b1ccd9b1e0830028e45d4b103cf300cff6f2518e36f67fd42"),
+    ("res", ["simulate", "resolvability", "--pz", "bsc:0.2", "--n", "4",
+             "--m1", "4", "--m2", "4", "--trials", "6", "--seed", "3"],
+     "35331db3b04a963e6c0c113b8a0fd8aed2416459c8b3cad590c66c44be772733"),
+    ("bcc", ["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2", "--pu", "uniform:2",
+             "--pvu", "bsc:0.25", "--pxv", "bsc:0.1", "--sizes", "2,4,2,4", "--n", "6",
+             "--trials", "4", "--seed", "1"],
+     "69bc8ca0d2af69f14c1ebb0f4376adf24dff7d197de336e85a22ec8dcf7e3a48"),
+])
+def test_csv_and_sidecar_bytes_golden(name, argv, digest, tmp_path, monkeypatch):
+    # SHA-256 of the CSV bytes followed by the sidecar bytes; the sidecar
+    # echoes argv, so --out is relative to a fixed working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", f"{name}.csv"]) == 0
+    data = (tmp_path / f"{name}.csv").read_bytes() \
+        + (tmp_path / f"{name}.csv.meta.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

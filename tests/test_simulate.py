@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from helpers import random_chain
 
 from bccrates import (
     BccChain,
@@ -26,10 +28,12 @@ from bccrates import (
     trial_seed,
 )
 from bccrates.channels import bec, bsc
+from bccrates import simulate
 from bccrates.simulate import (
     codeword_channel_rows,
     conditional_output_distributions,
     mc_bob_error,
+    mc_eve_error,
     mc_output_divergence,
 )
 
@@ -299,6 +303,125 @@ class TestDecoders:
         assert fast == pytest.approx(total_err / count, abs=1e-12)
 
 
+def _brute_force_error(book, w, decode, width):
+    """Error of ``decode`` summed over every message and output sequence, with
+    erasures decoded to the first message, as the exact paths define it."""
+    total = 0.0
+    for msg in itertools.product(*map(range, book.sizes)):
+        word = book.x_words[msg]
+        for seq in itertools.product(range(w.shape[1]), repeat=book.n):
+            decoded = decode(np.array(seq))
+            if decoded is None:
+                decoded = (0,) * width
+            if decoded != msg[:width]:
+                total += float(np.prod(w[word, np.array(seq)]))
+    return total / int(np.prod(book.sizes))
+
+
+def _tied_alpha(log_p, log_q, rng):
+    """A threshold at one of a table's own log-ratios, so some test is a near tie."""
+    i, j = int(rng.integers(log_p.shape[0])), int(rng.integers(log_p.shape[1]))
+    with np.errstate(invalid="ignore"):
+        alpha = float(log_p[i, j] - log_q[i % log_q.shape[0], j])
+    return alpha if math.isfinite(alpha) else 0.0
+
+
+class TestOneDecisionRule:
+    """The exact error tables and the sequence decoders add the same log
+    letter probabilities in the same order, so they decide alike even at a
+    threshold tie."""
+
+    def test_exact_bob_error_scores_decode_bob_at_a_tie(self):
+        # alpha1 is a near tie for some sequences, so the last bit of each
+        # log-likelihood sum decides them: taking the log of a likelihood
+        # product instead gives 0.9041905 here, not the decoder's 0.7464313605
+        chain = BccChain(Pmf.uniform(2), bsc(0.207), bsc(0.406), bsc(0.141), bsc(0.299))
+        book = generate_bcc_codebook(chain, (2, 2, 1, 1), 3, seed=8)
+        alphas = (0.0, float.fromhex("0x1.3a65766fb46c0p-5"), -1e300)
+        brute = _brute_force_error(book, chain.w_y.matrix,
+                                   lambda y: decode_bob(y, book, alphas), 3)
+        assert exact_bob_error(book, alphas) == pytest.approx(brute, abs=1e-12)
+
+    def test_exact_eve_error_scores_decode_eve_at_a_tie(self):
+        chain = BccChain(Pmf.uniform(2), bsc(0.075), bsc(0.307), bsc(0.391), bsc(0.287))
+        book = generate_bcc_codebook(chain, (2, 1, 1, 1), 5, seed=7)
+        alpha0 = float.fromhex("0x1.763f014958900p-4")
+
+        def decode(z):
+            k = decode_eve(z, book, alpha0)
+            return None if k is None else (k,)
+        brute = _brute_force_error(book, chain.w_z.matrix, decode, 1)
+        assert exact_eve_error(book, alpha0) == pytest.approx(brute, abs=1e-12)
+
+    def test_underflowing_product_decides_as_the_sequence(self):
+        # at y = (1, 1) the word (0, 0) has likelihood 1e-400, which a product
+        # flushes to 0 (log -inf, failing every test) while the log sum keeps
+        # -921; both words then pass, every sequence is erased, and the error
+        # is the share of the second message
+        w = Dmc([[1.0, 1e-200], [1e-200, 1.0]])
+        words = np.array([[0, 0], [1, 1]])
+        alphas = (0.0, -2000.0, -2000.0)
+        bob_chain = BccChain(Pmf.uniform(1), Dmc([[0.5, 0.5]]), Dmc.identity(2), w, w)
+        book = BccCodebook(u_words=np.zeros((1, 2), dtype=np.int64),
+                           v_words=words[None, None], x_words=words[None, None, :, None],
+                           chain=bob_chain)
+        eve_chain = BccChain(Pmf.uniform(2), Dmc.identity(2), Dmc.identity(2), w, w)
+        eve_book = BccCodebook(u_words=words, v_words=words[:, None, None],
+                               x_words=words[:, None, None, None], chain=eve_chain)
+        for seq in itertools.product(range(2), repeat=2):
+            assert decode_bob(np.array(seq), book, alphas) is None
+            assert decode_eve(np.array(seq), eve_book, -2000.0) is None
+        assert exact_bob_error(book, alphas) == 0.5
+        assert exact_eve_error(eve_book, -2000.0) == 0.5
+
+    def test_tables_match_sequence_decoders(self):
+        # every table entry, at thresholds set to the tables' own log-ratios,
+        # over BSC/BEC and random chains
+        rng = np.random.default_rng(2026)
+        for c in range(400):
+            if c % 3 == 2:
+                chain = random_chain(rng, 3)
+            else:
+                def pick():
+                    if rng.random() < 0.5:
+                        return bsc(float(rng.uniform(0.01, 0.49)))
+                    return bec(float(rng.uniform(0.05, 0.6)))
+                chain = BccChain(Pmf.uniform(2), bsc(float(rng.uniform(0.01, 0.49))),
+                                 bsc(float(rng.uniform(0.01, 0.49))), pick(), pick())
+            sizes = tuple(int(v) for v in rng.integers(1, 4, size=4))
+            n = int(rng.integers(1, 5))
+            book = generate_bcc_codebook(chain, sizes, n, seed=c)
+            log_v = simulate._log_likelihoods(book.v_words.reshape(-1, n),
+                                              chain.p_y_given_v.matrix)
+            log_u = np.repeat(
+                simulate._log_likelihoods(book.u_words, chain.p_y_given_u.matrix),
+                sizes[1] * sizes[2], axis=0)
+            log_pu = simulate._log_likelihoods(book.u_words, chain.p_z_given_u.matrix)
+            alphas = (0.0, _tied_alpha(log_v, log_u, rng),
+                      _tied_alpha(log_v, simulate._prior_log_likelihoods(chain.p_y, n), rng))
+            alpha0 = _tied_alpha(log_pu, simulate._prior_log_likelihoods(chain.p_z, n), rng)
+            bob = simulate._decode_table(simulate._bob_passing(book, alphas))
+            for j, y in enumerate(itertools.product(range(chain.w_y.output_size), repeat=n)):
+                decoded = decode_bob(np.array(y), book, alphas)
+                flat = 0 if decoded is None else np.ravel_multi_index(decoded, sizes[:3])
+                assert bob[j] == flat, (c, y)
+            eve = simulate._decode_table(simulate._eve_passing(book, alpha0))
+            for j, z in enumerate(itertools.product(range(chain.w_z.output_size), repeat=n)):
+                decoded = decode_eve(np.array(z), book, alpha0)
+                assert eve[j] == (0 if decoded is None else decoded), (c, z)
+
+    def test_mc_estimates_keep_their_draw_order(self):
+        # golden values pin the order in which the estimates draw messages
+        # and noise
+        chain = BccChain(Pmf.uniform(2), bsc(0.25), bsc(0.1), bsc(0.1), bec(0.2))
+        book = generate_bcc_codebook(chain, (2, 2, 2, 2), 6, seed=14)
+        alphas = decoding_thresholds(chain, 6, delta=0.05)
+        assert mc_bob_error(book, alphas, samples=500, seed=1) \
+            == float.fromhex("0x1.2c083126e978dp-1")
+        assert mc_eve_error(book, alphas[0], samples=500, seed=2) \
+            == float.fromhex("0x1.c49ba5e353f7dp-2")
+
+
 class TestLeakage:
     def test_single_confidential_message_leaks_nothing(self):
         book = generate_bcc_codebook(fixture_chain(), (2, 4, 1, 4), 6, seed=9)
@@ -380,6 +503,17 @@ class TestSimulateBcc:
         exact = exact_bob_error(book, alphas)
         est = mc_bob_error(book, alphas, samples=4000, seed=1)
         assert est == pytest.approx(exact, abs=5 * math.sqrt(0.25 / 4000))
+
+    def test_mc_error_needs_a_sample(self):
+        # an estimate over zero samples would divide by zero
+        book = generate_bcc_codebook(fixture_chain(), (2, 2, 2, 2), 4, seed=14)
+        with pytest.raises(ValueError):
+            mc_bob_error(book, (0.0, 0.0, 0.0), samples=0, seed=1)
+        with pytest.raises(ValueError):
+            mc_eve_error(book, 0.0, samples=0, seed=1)
+        with pytest.raises(ValueError):
+            simulate_bcc(fixture_chain(), (8, 8, 2, 2), 16, trials=1, master_seed=0,
+                         allow_mc=True, mc_samples=0)
 
     def test_mc_divergence_tracks_exact(self):
         book = generate_super_codebook(Pmf.uniform(2), bsc(0.1), 6, 4, 4, seed=6)
