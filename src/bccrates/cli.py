@@ -15,17 +15,14 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from ._csv import write_csv
 from .chain import BccChain
 from .channels import parse_channel, parse_pmf
 from .exponents import (
+    _theta_grid,
     leakage_bound,
     resolvability_bound,
-    resolvability_exponent,
-    superposition_exponent,
     superposition_resolvability_bound,
 )
 from .frontier import GridSpec, secrecy_frontier, secrecy_frontier_sim
@@ -110,51 +107,23 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_exponent(args) -> int:
-    if not 0.0 < args.theta_step <= 1.0:
-        raise ValueError(f"--theta-step must lie in (0, 1], got {args.theta_step!r}")
-    thetas = np.round(np.arange(1, int(round(1.0 / args.theta_step)) + 1)
-                      * args.theta_step, 12)
-    thetas = thetas[thetas <= 1.0 + 1e-12]
+    thetas = _theta_grid(args.theta_step)
     w_z = parse_channel(args.pz)
-    rows = []
-
-    def decays(exponent, rate) -> bool:
-        """Whether E(theta)/theta <= rate at some swept theta: the decay certificate."""
-        return bool(any(exponent(float(t)) / float(t) <= rate + 1e-12 for t in thetas))
-
     if args.kind == "single":
         p_x = parse_pmf(args.px)
-        for t in thetas:
-            rep = resolvability_bound(args.n, args.size, float(t), w_z, p_x)
-            rows.append((float(t), rep.term1, rep.term2, rep.total))
-        certs = {"term1": decays(lambda t: resolvability_exponent(t, w_z, p_x),
-                                 np.log(args.size) / args.n)}
+        bound = lambda t: resolvability_bound(args.n, args.size, t, w_z, p_x)
     elif args.kind == "super":
-        p_v = parse_pmf(args.pv)
-        p_x_given_v = parse_channel(args.pxv)
-        for t in thetas:
-            rep = superposition_resolvability_bound(
-                args.n, args.m1, args.m2, float(t), float(t), w_z, p_x_given_v, p_v)
-            rows.append((float(t), rep.term1, rep.term2, rep.total))
-        cascade = p_x_given_v.compose(w_z)
-        certs = {
-            "term1": decays(lambda t: superposition_exponent(t, w_z, p_x_given_v, p_v),
-                            np.log(args.m1) / args.n),
-            "term2": decays(lambda t: resolvability_exponent(t, cascade, p_v),
-                            np.log(args.m2) / args.n),
-        }
+        p_v, p_x_given_v = parse_pmf(args.pv), parse_channel(args.pxv)
+        bound = lambda t: superposition_resolvability_bound(
+            args.n, args.m1, args.m2, t, t, w_z, p_x_given_v, p_v)
     else:  # bcc
         chain = _chain_from_args(args)
-        for t in thetas:
-            rep = leakage_bound(args.n, args.size_a, args.size_l, float(t), float(t), chain)
-            rows.append((float(t), rep.term1, rep.term2, rep.total))
-        certs = {
-            "term1": decays(lambda t: superposition_exponent(
-                t, chain.w_z, chain.p_x_given_v, chain.p_v), np.log(args.size_a) / args.n),
-            "term2": decays(lambda t: superposition_exponent(
-                t, chain.p_z_given_v, chain.p_v_given_u, chain.p_u),
-                np.log(args.size_l) / args.n),
-        }
+        bound = lambda t: leakage_bound(args.n, args.size_a, args.size_l, t, t, chain)
+    reports = [bound(float(t)) for t in thetas]
+    rows = [(rep.theta, rep.term1, rep.term2, rep.total) for rep in reports]
+    # a term is certified when it decays at some swept theta
+    certs = {f"term{i + 1}": any(rep.decays[i] for rep in reports)
+             for i in range(len(reports[0].sizes))}
     write_csv(args.out, "theta,term1,term2,total", rows,
               _meta(args, {"decay_certificate": certs}))
     status = "certified" if all(certs.values()) else "no decay certificate"

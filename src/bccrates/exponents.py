@@ -20,6 +20,7 @@ from .probability import Dmc, GuardExceeded, Pmf
 
 TAIL_ENUMERATION_GUARD = 2**22
 SLOPE_STEP = 1e-4
+DECAY_TOL = 1e-12  # slack of every decay certificate
 
 
 def _check_theta(theta: float, name: str = "theta") -> None:
@@ -76,26 +77,32 @@ def superposition_exponent(theta: float, channel: Dmc, conditional_input: Dmc,
     return _exponent_raw(theta, channel.matrix, conditional_input.matrix, prior.probs)
 
 
+def _slope_at_zero(channel: np.ndarray, cond_input: np.ndarray, prior: np.ndarray,
+                   step: float) -> float:
+    """Central finite difference of the layered exponent at zero."""
+    return (_exponent_raw(step, channel, cond_input, prior)
+            - _exponent_raw(-step, channel, cond_input, prior)) / (2.0 * step)
+
+
 def resolvability_exponent_slope(channel: Dmc, input_dist: Pmf,
                                  step: float = SLOPE_STEP) -> float:
     """Central finite difference of the exponent at zero; equals I(X;Z) to O(step^2)."""
-    layer = input_dist.probs[np.newaxis, :]
-    one = np.ones(1)
-    return (_exponent_raw(step, channel.matrix, layer, one)
-            - _exponent_raw(-step, channel.matrix, layer, one)) / (2.0 * step)
+    return _slope_at_zero(channel.matrix, input_dist.probs[np.newaxis, :], np.ones(1), step)
 
 
 def superposition_exponent_slope(channel: Dmc, conditional_input: Dmc, prior: Pmf,
                                  step: float = SLOPE_STEP) -> float:
     """Central finite difference at zero for the layered exponent; equals I(X;Z|V)."""
-    return (_exponent_raw(step, channel.matrix, conditional_input.matrix, prior.probs)
-            - _exponent_raw(-step, channel.matrix, conditional_input.matrix, prior.probs)
-            ) / (2.0 * step)
+    return _slope_at_zero(channel.matrix, conditional_input.matrix, prior.probs, step)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Two-term exponential bound evaluated at a fixed parameter point."""
+    """Exponential bound of one or two terms evaluated at a fixed parameter point.
+
+    Term i is e^{n E_i(theta_i)} / (theta_i * sizes[i]^theta_i); ``exponents``
+    holds the E_i(theta_i).
+    """
 
     term1: float
     term2: float
@@ -103,6 +110,7 @@ class BoundReport:
     sizes: tuple[int, ...]
     theta: float
     theta_prime: float | None = None
+    exponents: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.term1 < 0.0 or self.term2 < 0.0:
@@ -111,6 +119,17 @@ class BoundReport:
     @property
     def total(self) -> float:
         return self.term1 + self.term2
+
+    @property
+    def decays(self) -> tuple[bool, ...]:
+        """Per term, the decay certificate E(theta)/theta <= R, R = log(size)/n.
+
+        The term is e^{n (E(theta) - theta R)} / theta, so where it holds the
+        term does not grow with n at the fixed rate R.
+        """
+        thetas = (self.theta, self.theta_prime)
+        return tuple(bool(e / t <= np.log(size) / self.n + DECAY_TOL)
+                     for e, size, t in zip(self.exponents, self.sizes, thetas))
 
     def as_lines(self) -> list[str]:
         rows = [
@@ -125,26 +144,74 @@ class BoundReport:
         return [f"{k}={v!r}" for k, v in rows]
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf where it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _bound_term(n: int, size: int, theta: float, exponent: float) -> float:
     # e^{n*exponent} / (theta * size^theta), assembled in log space
-    return math.exp(n * exponent - theta * math.log(size) - math.log(theta))
+    return _exp(n * exponent - theta * math.log(size) - math.log(theta))
+
+
+# A bound's terms: one (size, theta -> E(theta)) pair per term.  Each builder
+# derives the laws its exponents need once, not once per theta.
+_Terms = list[tuple[int, Callable[[float], float]]]
+
+
+def _resolvability_terms(size: int, channel: Dmc, input_dist: Pmf) -> _Terms:
+    return [(size, lambda t: resolvability_exponent(t, channel, input_dist))]
+
+
+def _superposition_terms(m1: int, m2: int, channel: Dmc, conditional_input: Dmc,
+                         prior: Pmf) -> _Terms:
+    cascade = conditional_input.compose(channel)
+    return [(m1, lambda t: superposition_exponent(t, channel, conditional_input, prior)),
+            (m2, lambda t: resolvability_exponent(t, cascade, prior))]
+
+
+def _leakage_terms(dummy_size: int, private_size: int, chain: BccChain) -> _Terms:
+    p_v, p_z_given_v = chain.p_v, chain.p_z_given_v
+    return [(dummy_size, lambda t: superposition_exponent(t, chain.w_z, chain.p_x_given_v, p_v)),
+            (private_size,
+             lambda t: superposition_exponent(t, p_z_given_v, chain.p_v_given_u, chain.p_u))]
+
+
+def _evaluate(n: int, terms: _Terms, thetas) -> BoundReport:
+    """The bound with term i at ``thetas[i]``."""
+    sizes = tuple(size for size, _ in terms)
+    if n < 1 or min(sizes) < 1:
+        raise ValueError("blocklength and sizes must be at least 1")
+    for name, theta in zip(("theta", "theta_prime"), thetas):
+        if not 0.0 < theta <= 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {theta!r}")
+    exps = tuple(exponent(t) for (_, exponent), t in zip(terms, thetas))
+    values = [_bound_term(n, size, t, e) for size, t, e in zip(sizes, thetas, exps)]
+    return BoundReport(
+        term1=values[0],
+        term2=values[1] if len(values) > 1 else 0.0,
+        n=n,
+        sizes=sizes,
+        theta=thetas[0],
+        theta_prime=thetas[1] if len(thetas) > 1 else None,
+        exponents=exps,
+    )
+
+
+def _minimize(n: int, terms: _Terms, theta_grid) -> BoundReport:
+    """The bound with each term at its own grid argmin (the terms are separable)."""
+    thetas = [optimize_theta(lambda t: _bound_term(n, size, t, exponent(t)), theta_grid).theta
+              for size, exponent in terms]
+    return _evaluate(n, terms, thetas)
 
 
 def resolvability_bound(n: int, codebook_size: int, theta: float, channel: Dmc,
                         input_dist: Pmf) -> BoundReport:
     """Mean divergence bound for a single-layer random codebook of the given size."""
-    if n < 1 or codebook_size < 1:
-        raise ValueError("blocklength and codebook size must be at least 1")
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta!r}")
-    value = resolvability_exponent(theta, channel, input_dist)
-    return BoundReport(
-        term1=_bound_term(n, codebook_size, theta, value),
-        term2=0.0,
-        n=n,
-        sizes=(codebook_size,),
-        theta=theta,
-    )
+    return _evaluate(n, _resolvability_terms(codebook_size, channel, input_dist), (theta,))
 
 
 def superposition_resolvability_bound(n: int, m1: int, m2: int, theta: float,
@@ -155,22 +222,8 @@ def superposition_resolvability_bound(n: int, m1: int, m2: int, theta: float,
     The first term charges the satellite layer (m1 words per cloud), the
     second the cloud layer (m2 centers) through the cascaded channel.
     """
-    if n < 1 or m1 < 1 or m2 < 1:
-        raise ValueError("blocklength and layer sizes must be at least 1")
-    for name, value in (("theta", theta), ("theta_prime", theta_prime)):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
-    e1 = superposition_exponent(theta, channel, conditional_input, prior)
-    cascade = conditional_input.compose(channel)
-    e2 = resolvability_exponent(theta_prime, cascade, prior)
-    return BoundReport(
-        term1=_bound_term(n, m1, theta, e1),
-        term2=_bound_term(n, m2, theta_prime, e2),
-        n=n,
-        sizes=(m1, m2),
-        theta=theta,
-        theta_prime=theta_prime,
-    )
+    return _evaluate(n, _superposition_terms(m1, m2, channel, conditional_input, prior),
+                     (theta, theta_prime))
 
 
 def leakage_bound(n: int, dummy_size: int, private_size: int, theta: float,
@@ -180,26 +233,21 @@ def leakage_bound(n: int, dummy_size: int, private_size: int, theta: float,
     ``dummy_size`` and ``private_size`` are total (block) alphabet sizes of
     the dummy randomness and the private message.
     """
-    if n < 1 or dummy_size < 1 or private_size < 1:
-        raise ValueError("blocklength and sizes must be at least 1")
-    for name, value in (("theta", theta), ("theta_prime", theta_prime)):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
-    e1 = superposition_exponent(theta, chain.w_z, chain.p_x_given_v, chain.p_v)
-    e2 = superposition_exponent(theta_prime, chain.p_z_given_v, chain.p_v_given_u, chain.p_u)
-    return BoundReport(
-        term1=_bound_term(n, dummy_size, theta, e1),
-        term2=_bound_term(n, private_size, theta_prime, e2),
-        n=n,
-        sizes=(dummy_size, private_size),
-        theta=theta,
-        theta_prime=theta_prime,
-    )
+    return _evaluate(n, _leakage_terms(dummy_size, private_size, chain),
+                     (theta, theta_prime))
+
+
+def _theta_grid(step: float) -> np.ndarray:
+    """{step, 2*step, ...} up to 1, each rounded to 12 digits."""
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"theta step must lie in (0, 1], got {step!r}")
+    grid = np.round(np.arange(1, int(round(1.0 / step)) + 1) * step, 12)
+    return grid[grid <= 1.0 + 1e-12]
 
 
 def theta_grid_default() -> np.ndarray:
     """Default search grid {0.01, 0.02, ..., 1.0}."""
-    return np.round(np.arange(1, 101) * 0.01, 10)
+    return _theta_grid(0.01)
 
 
 @dataclass(frozen=True)
@@ -216,19 +264,19 @@ def optimize_theta(bound_fn: Callable[[float], float], theta_grid=None,
                    margin_fn: Callable[[float], float] | None = None) -> ThetaSearch:
     """Minimize ``bound_fn`` over a theta grid (first index wins ties).
 
-    ``margin_fn(theta)`` should return ``exponent(theta)/theta - rate``; the
-    winner is certified when that margin is nonpositive, meaning the bound
-    decays exponentially in the blocklength at the winning theta.
+    ``margin_fn(theta)`` should return ``exponent(theta)/theta - rate``.  The
+    reported margin is its least value on the grid, and the search is
+    certified when that is nonpositive: at some grid theta the bound decays
+    exponentially in the blocklength, as :attr:`BoundReport.decays` tests.
     """
     grid = theta_grid_default() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("theta grid must be non-empty")
     values = [bound_fn(float(t)) for t in grid]
     best = int(np.argmin(values))
-    theta = float(grid[best])
-    margin = None if margin_fn is None else float(margin_fn(theta))
-    certified = None if margin is None else bool(margin <= 1e-12)
-    return ThetaSearch(theta=theta, bound=float(values[best]), margin=margin,
+    margin = None if margin_fn is None else min(float(margin_fn(float(t))) for t in grid)
+    certified = None if margin is None else bool(margin <= DECAY_TOL)
+    return ThetaSearch(theta=float(grid[best]), bound=float(values[best]), margin=margin,
                        certified=certified)
 
 
@@ -236,38 +284,14 @@ def minimize_superposition_bound(n: int, m1: int, m2: int, channel: Dmc,
                                  conditional_input: Dmc, prior: Pmf,
                                  theta_grid=None) -> BoundReport:
     """Bound with each term minimized over its own theta (terms are separable)."""
-    grid = theta_grid_default() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    cascade = conditional_input.compose(channel)
-    t1 = optimize_theta(
-        lambda t: _bound_term(n, m1, t, superposition_exponent(t, channel, conditional_input, prior)),
-        grid,
-    )
-    t2 = optimize_theta(
-        lambda t: _bound_term(n, m2, t, resolvability_exponent(t, cascade, prior)),
-        grid,
-    )
-    return BoundReport(term1=t1.bound, term2=t2.bound, n=n, sizes=(m1, m2),
-                       theta=t1.theta, theta_prime=t2.theta)
+    return _minimize(n, _superposition_terms(m1, m2, channel, conditional_input, prior),
+                     theta_grid)
 
 
 def minimize_leakage_bound(n: int, dummy_size: int, private_size: int, chain: BccChain,
                            theta_grid=None) -> BoundReport:
-    grid = theta_grid_default() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    t1 = optimize_theta(
-        lambda t: _bound_term(
-            n, dummy_size, t,
-            superposition_exponent(t, chain.w_z, chain.p_x_given_v, chain.p_v)),
-        grid,
-    )
-    t2 = optimize_theta(
-        lambda t: _bound_term(
-            n, private_size, t,
-            superposition_exponent(t, chain.p_z_given_v, chain.p_v_given_u, chain.p_u)),
-        grid,
-    )
-    return BoundReport(term1=t1.bound, term2=t2.bound, n=n,
-                       sizes=(dummy_size, private_size),
-                       theta=t1.theta, theta_prime=t2.theta)
+    """Leakage bound with each term minimized over its own theta."""
+    return _minimize(n, _leakage_terms(dummy_size, private_size, chain), theta_grid)
 
 
 def decoding_thresholds(chain: BccChain, n: int, delta: float = 0.05) -> tuple[float, float, float]:
@@ -445,9 +469,9 @@ def decoder_error_bounds(n: int, chain: BccChain, sizes: tuple[int, int, int],
         tail_common=tails["tail_common"],
         tail_layer=tails["tail_layer"],
         tail_base=tails["tail_base"],
-        miss_layer=size_l * size_s * math.exp(-alpha1),
-        miss_base=size_k * size_l * size_s * math.exp(-alpha2),
-        miss_common=size_k * math.exp(-alpha0),
+        miss_layer=size_l * size_s * _exp(-alpha1),
+        miss_base=size_k * size_l * size_s * _exp(-alpha2),
+        miss_common=size_k * _exp(-alpha0),
         thresholds=(alpha0, alpha1, alpha2),
         sizes=(size_k, size_l, size_s),
         n=n,

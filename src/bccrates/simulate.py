@@ -421,8 +421,8 @@ def _exact_error(codebook: BccCodebook, matrix: np.ndarray, passing: np.ndarray)
     """
     rows_x = codeword_channel_rows(codebook.x_words.reshape(-1, codebook.n), matrix)
     sent = np.repeat(np.arange(passing.shape[0]), rows_x.shape[0] // passing.shape[0])
-    correct = (_decode_table(passing)[None, :] == sent[:, None])
-    return float(1.0 - (rows_x * correct).sum(axis=1).mean())
+    rows_x *= _decode_table(passing)[None, :] == sent[:, None]
+    return float(1.0 - rows_x.sum(axis=1).mean())
 
 
 def exact_bob_error(codebook: BccCodebook, alphas) -> float:

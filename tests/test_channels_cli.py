@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from bccrates import Pmf
+from bccrates import (
+    BccChain,
+    Pmf,
+    leakage_bound,
+    resolvability_bound,
+    superposition_resolvability_bound,
+)
 from bccrates.channels import (
     ChannelSpec,
     bec,
@@ -173,6 +179,34 @@ class TestCliExponent:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,sizes,bound", [
+        ("single", ["--size", "1000000000"],
+         lambda t: resolvability_bound(100, 10**9, t, bsc(0.2), Pmf.uniform(2))),
+        ("super", ["--m1", "4096", "--m2", "4"],
+         lambda t: superposition_resolvability_bound(100, 4096, 4, t, t, bsc(0.2),
+                                                     bsc(0.1), Pmf.uniform(2))),
+        ("bcc", ["--size-a", "4096", "--size-l", "64"],
+         lambda t: leakage_bound(100, 4096, 64, t, t, BccChain(
+             Pmf.uniform(2), bsc(0.25), bsc(0.1), bsc(0.1), bsc(0.2)))),
+    ])
+    def test_certificate_agrees_with_bound_reports(self, kind, sizes, bound, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--kind", kind, "--pz", "bsc:0.2", "--n", "100",
+                     "--theta-step", "0.05", *sizes, "--out", str(out)]) == 0
+        meta = json.loads((out.parent / "sweep.csv.meta.json").read_text())
+        thetas = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        reports = [bound(float(t)) for t in thetas]
+        want = [any(rep.decays[i] for rep in reports) for i in range(len(reports[0].sizes))]
+        assert list(meta["decay_certificate"].values()) == want
+
+    def test_overflowing_bound_exits_ok(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["exponent", "--kind", "single", "--pz", "bsc:0.01", "--n", "5000",
+                     "--size", "1", "--out", str(out)])
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[-1, 1] == math.inf
+
     def test_bcc_kind(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["exponent", "--kind", "bcc", "--pz", "bsc:0.2",
@@ -324,6 +358,13 @@ class TestCliCheck:
              "--pvu", "bsc:0.25", "--pxv", "bsc:0.1", "--sizes", "2,4,2,4", "--n", "6",
              "--trials", "4", "--seed", "1"],
      "69bc8ca0d2af69f14c1ebb0f4376adf24dff7d197de336e85a22ec8dcf7e3a48"),
+    ("exp_single", ["exponent", "--kind", "single", "--pz", "bsc:0.2", "--px", "0.3,0.7",
+                    "--n", "6", "--size", "8", "--theta-step", "0.05"],
+     "1f3038caf97005d97f4018340eb907bf00e216ed4e5928020fe2445f9c7df62f"),
+    ("exp_bcc", ["exponent", "--kind", "bcc", "--pz", "bsc:0.2", "--py", "bsc:0.1",
+                 "--pu", "0.4,0.6", "--pvu", "bsc:0.25", "--pxv", "bsc:0.1", "--n", "6",
+                 "--size-a", "8", "--size-l", "4", "--theta-step", "0.05"],
+     "296c3441d3b0f4dbb4c217e2c9c5d37027c35d5ec110b93771181a70cbca4eab"),
 ])
 def test_csv_and_sidecar_bytes_golden(name, argv, digest, tmp_path, monkeypatch):
     # SHA-256 of the CSV bytes followed by the sidecar bytes; the sidecar

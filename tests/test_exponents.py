@@ -221,6 +221,46 @@ class TestBounds:
         lines = rep.as_lines()
         assert any(line.startswith("total=") for line in lines)
 
+    @pytest.mark.parametrize("name,term1,term2,theta,theta_prime", [
+        ("single", "0x1.54af60ec30fc1p+1", "0x0.0p+0", 0.37, None),
+        ("super", "0x1.d6df1e35542b3p+0", "0x1.72eaa7b2d2d7ep-1", 0.4, 0.7),
+        ("leakage", "0x1.0f6d8d7cf3901p+1", "0x1.325a14d236188p+0", 0.3, 0.6),
+        ("min_super", "0x1.259f43db5457fp+0", "0x1.b92f954c3be5ap+2", 0.69, 0.3),
+        ("min_leakage", "0x1.eb6ec94ac901ep-4", "0x1.b20ee73a92c8fp+1", 0.92, 0.44),
+    ])
+    def test_bound_values_golden(self, name, term1, term2, theta, theta_prime):
+        # values recorded before the bounds shared one term table and evaluator
+        chain = BccChain(Pmf([0.4, 0.6]), bsc(0.25), bsc(0.1), bsc(0.1), bsc(0.2))
+        rep = {
+            "single": lambda: resolvability_bound(5, 3, 0.37, bsc(0.2), Pmf([0.3, 0.7])),
+            "super": lambda: superposition_resolvability_bound(
+                6, 4, 8, 0.4, 0.7, bsc(0.2), bsc(0.1), Pmf.uniform(2)),
+            "leakage": lambda: leakage_bound(6, 8, 4, 0.3, 0.6, chain),
+            "min_super": lambda: minimize_superposition_bound(
+                30, 64, 8, bsc(0.2), bsc(0.1), Pmf.uniform(2)),
+            "min_leakage": lambda: minimize_leakage_bound(40, 4096, 64, chain),
+        }[name]()
+        assert (rep.term1, rep.term2) == (float.fromhex(term1), float.fromhex(term2))
+        assert (rep.theta, rep.theta_prime) == (theta, theta_prime)
+
+    def test_report_exponents_and_decays(self):
+        w, p = bsc(0.2), Pmf.uniform(2)
+        rep = resolvability_bound(30, 5, 0.5, w, p)
+        assert rep.exponents == (resolvability_exponent(0.5, w, p),)
+        assert rep.decays == (rep.exponents[0] / 0.5 <= np.log(5) / 30 + 1e-12,)
+        big = resolvability_bound(30, 10**6, 0.5, w, p)
+        assert big.decays == (True,)
+        assert resolvability_bound(30, 1, 0.5, w, p).decays == (False,)
+
+    def test_overflowing_term_is_infinite(self):
+        # n * E(theta) far past the largest float exponent
+        rep = resolvability_bound(5000, 1, 1.0, bsc(0.01), Pmf.uniform(2))
+        assert rep.term1 == math.inf
+        # the search skips the thetas whose terms overflow
+        rep = minimize_superposition_bound(5000, 1, 1, bsc(0.01), bsc(0.1), Pmf.uniform(2))
+        assert (rep.theta, rep.theta_prime) == (0.01, 0.01)
+        assert math.isfinite(rep.total)
+
 
 class TestOptimizeTheta:
     def test_rate_below_information_never_certifies(self):
@@ -270,6 +310,23 @@ class TestOptimizeTheta:
         res = optimize_theta(lambda t: resolvability_bound(4, 2, t, w, p).total,
                              margin_fn=margin)
         assert res.certified is True
+
+    def test_certifies_at_some_grid_theta(self):
+        # E(theta)/theta <= log(m1)/n holds at theta = 0.01 (margin -0.0098),
+        # though term 1 is smallest at theta = 0.29 (margin +0.0113)
+        n, m1 = 100, 4096
+        w, layer, prior = bsc(0.2), bsc(0.1), Pmf.uniform(2)
+        rate = math.log(m1) / n
+        res = optimize_theta(
+            lambda t: superposition_resolvability_bound(n, m1, 4, t, t, w, layer, prior).term1,
+            margin_fn=lambda t: superposition_exponent(t, w, layer, prior) / t - rate)
+        assert res.theta == 0.29
+        assert res.margin == pytest.approx(-0.0098, abs=1e-4)
+        assert res.certified is True
+
+    def test_default_grid(self):
+        np.testing.assert_array_equal(theta_grid_default(),
+                                      np.round(np.arange(1, 101) * 0.01, 10))
 
     def test_first_argmin_wins_ties(self):
         res = optimize_theta(lambda t: 1.0, np.array([0.25, 0.5, 1.0]))
@@ -353,6 +410,11 @@ class TestDecoderBounds:
         assert rep.tail_common == rep.tail_layer == rep.tail_base == 0.0
         assert math.isinf(rep.bob_bound)
         assert rep.bob_bound_clamped == 1.0
+        assert rep.eve_bound_clamped == 1.0
+
+    def test_overflowing_miss_term_clamps(self):
+        rep = decoder_error_bounds(2, self.fixture_chain(), (2, 4, 2), (-1000.0, 0.0, 0.0))
+        assert rep.miss_common == math.inf
         assert rep.eve_bound_clamped == 1.0
 
     def test_blockwise_thresholds_shrink_tails(self):
