@@ -20,10 +20,11 @@ from ._csv import write_csv
 from .chain import BccChain
 from .channels import parse_channel, parse_pmf
 from .exponents import (
+    _evaluate,
+    _leakage_terms,
+    _resolvability_terms,
+    _superposition_terms,
     _theta_grid,
-    leakage_bound,
-    resolvability_bound,
-    superposition_resolvability_bound,
 )
 from .frontier import GridSpec, secrecy_frontier, secrecy_frontier_sim
 from .probability import GuardExceeded
@@ -110,16 +111,14 @@ def _cmd_exponent(args) -> int:
     thetas = _theta_grid(args.theta_step)
     w_z = parse_channel(args.pz)
     if args.kind == "single":
-        p_x = parse_pmf(args.px)
-        bound = lambda t: resolvability_bound(args.n, args.size, t, w_z, p_x)
+        terms = _resolvability_terms(args.size, w_z, parse_pmf(args.px))
     elif args.kind == "super":
         p_v, p_x_given_v = parse_pmf(args.pv), parse_channel(args.pxv)
-        bound = lambda t: superposition_resolvability_bound(
-            args.n, args.m1, args.m2, t, t, w_z, p_x_given_v, p_v)
+        terms = _superposition_terms(args.m1, args.m2, w_z, p_x_given_v, p_v)
     else:  # bcc
-        chain = _chain_from_args(args)
-        bound = lambda t: leakage_bound(args.n, args.size_a, args.size_l, t, t, chain)
-    reports = [bound(float(t)) for t in thetas]
+        terms = _leakage_terms(args.size_a, args.size_l, _chain_from_args(args))
+    # one term table per sweep; every term is evaluated at the swept theta
+    reports = [_evaluate(args.n, terms, (float(t),) * len(terms)) for t in thetas]
     rows = [(rep.theta, rep.term1, rep.term2, rep.total) for rep in reports]
     # a term is certified when it decays at some swept theta
     certs = {f"term{i + 1}": any(rep.decays[i] for rep in reports)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -323,20 +322,88 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return center - half, center + half
 
 
+def _type_classes(k: int, n: int) -> np.ndarray:
+    """Every nondecreasing n-tuple over range(k), one per column, in the order
+    of ``itertools.combinations_with_replacement``: C(n+k-1, n) columns."""
+    dtype = np.min_scalar_type(max(k - 1, 0))
+    idx = np.arange(k, dtype=dtype)[None, :]
+    for _ in range(1, n):
+        last = idx[-1].astype(np.intp)
+        counts = k - last  # a tuple ending in a extends by a, a+1, ..., k-1
+        # each new letter: its place in its tuple's group, plus the group's first letter
+        offset = np.repeat(np.cumsum(counts) - counts - last, counts)
+        letters = np.arange(offset.size) - offset
+        idx = np.vstack([np.repeat(idx, counts, axis=1), letters.astype(dtype)])
+    return idx
+
+
+def _type_class_tail(probs: np.ndarray, values: np.ndarray, n: int, threshold: float) -> float:
+    """Exact P(sum of n i.i.d. atoms < threshold), summed over type classes.
+
+    Atoms with equal values are merged.  Each class is a nondecreasing tuple
+    of atom indices (its counts are the run lengths), with log weight
+    log n! - sum_i log c_i! + sum_i c_i log p_i.  A class is below the
+    threshold when its exact sum is: the float sum, added letter by letter,
+    decides unless it lies within its rounding bound of the threshold, and
+    ``math.fsum`` decides there.
+    """
+    keep = probs > 0.0
+    atoms, inverse = np.unique(values[keep], return_inverse=True)
+    log_p = np.log(np.bincount(inverse, weights=probs[keep], minlength=atoms.size))
+    log_fact = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    idx = _type_classes(atoms.size, n)
+    prev = idx[0]
+    log_w, sums = log_p[prev], atoms[prev]
+    run = np.ones(idx.shape[1], dtype=np.min_scalar_type(n))  # length of the last run
+    for col in idx[1:]:
+        same = col == prev
+        log_w -= np.where(same, 0.0, log_fact[run])  # log c! of a run ending before col
+        log_w += log_p[col]
+        run = np.where(same, run + 1, 1)
+        sums += atoms[col]
+        prev = col
+    log_w += log_fact[n]
+    log_w -= log_fact[run]
+    below = sums < threshold  # exact already when the threshold is infinite
+    if math.isfinite(threshold):
+        # a float sum of n finite letters is off its exact sum by at most
+        # (n-1)u/(1-(n-1)u) * n max|v|, u = 2^-53; this bound is over twice that
+        finite = atoms[np.isfinite(atoms)]
+        bound = (n + 1) * n * 2.0**-52 * float(np.abs(finite).max(initial=0.0))
+        for r in np.flatnonzero(np.abs(sums - threshold) <= bound):
+            if math.isfinite(sums[r]):
+                below[r] = math.fsum([*atoms[idx[:, r]].tolist(), -threshold]) < 0.0
+    log_w = log_w[below]
+    if log_w.size == 0:
+        return 0.0
+    top = float(log_w.max())
+    log_w -= top
+    return math.exp(top) * float(np.exp(log_w, out=log_w).sum())
+
+
 def iid_sum_tail(probs: np.ndarray, values: np.ndarray, n: int, threshold: float, *,
                  alphabet_size: int | None = None, allow_mc: bool = False,
                  mc_trials: int = 200_000, seed: int = 0):
     """P(sum of n i.i.d. atoms < threshold), exactly when the guard permits.
 
+    The exact path runs when ``alphabet_size**n`` (default: the number of
+    atoms) is at most ``TAIL_ENUMERATION_GUARD``.  It sums over type classes,
+    the C(n+k-1, n) count vectors of the k distinct atom values, instead of
+    the k^n outcome sequences, and decides each class by the exact sign of
+    its sum minus the threshold (an exact tie is not below it).  Past the
+    guard it raises :class:`GuardExceeded`, or with ``allow_mc`` draws a
+    seeded Monte Carlo estimate.
+
     Returns ``(tail, method, ci)`` where ``ci`` is a 95% Wilson interval for
     the Monte Carlo path and ``None`` for the exact path.
     """
+    if n < 1:
+        raise ValueError("blocklength must be at least 1")
     base = len(probs) if alphabet_size is None else alphabet_size
     if base**n <= TAIL_ENUMERATION_GUARD:
-        prob_n = reduce(np.kron, [np.asarray(probs)] * n)
-        sum_n = reduce(lambda acc, v: (acc[:, None] + v[None, :]).ravel(),
-                       [np.asarray(values)] * n)
-        return float(prob_n[sum_n < threshold].sum()), "exact", None
+        tail = _type_class_tail(np.asarray(probs, dtype=float),
+                                np.asarray(values, dtype=float), n, float(threshold))
+        return tail, "exact", None
     if not allow_mc:
         raise GuardExceeded(
             f"tail enumeration {base}^{n} exceeds guard {TAIL_ENUMERATION_GUARD}; "

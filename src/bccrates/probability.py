@@ -22,8 +22,12 @@ class GuardExceeded(RuntimeError):
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    safe = np.where(p > 0.0, p, 1.0)
-    return p * np.log(safe)
+    """p log p elementwise; 0 * p where p is not positive (so -0.0 and nan keep)."""
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(p.shape)
+    np.log(p, out=out, where=p > 0.0)
+    out *= p
+    return out
 
 
 def _as_prob_vector(probs, tol: float = NORMALIZATION_TOL) -> tuple[np.ndarray, bool]:

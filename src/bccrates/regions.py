@@ -8,7 +8,6 @@ constraint slack (nonnegative means satisfied, up to a +1e-9 tolerance).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from .frontier import GridSpec, secrecy_frontier, _simplex_grid
 from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
+_DEGRADED_BLOCK = 1 << 16    # intermediate-channel candidates per block of is_degraded
 
 
 class Infeasible:
@@ -268,13 +268,18 @@ def is_degraded(w_y: Dmc, w_z: Dmc, grid_step: float = 0.05, *,
     count = len(rows) ** w_y.output_size
     if count > guard:
         raise GuardExceeded(f"degradedness grid needs {count} candidates, above guard")
+    # candidates in itertools.product order, in blocks; the first strict minimum wins
+    shape = (len(rows),) * w_y.output_size
     best = math.inf
     best_rows = None
-    for combo in itertools.product(range(len(rows)), repeat=w_y.output_size):
-        cand = rows[list(combo)]
-        residual = float(np.max(np.abs(w_y.matrix @ cand - w_z.matrix)))
-        if residual < best:
-            best, best_rows = residual, cand
+    for start in range(0, count, _DEGRADED_BLOCK):
+        combos = np.stack(np.unravel_index(np.arange(start, min(count, start + _DEGRADED_BLOCK)),
+                                           shape), axis=1)
+        cands = rows[combos]
+        residuals = np.abs(np.matmul(w_y.matrix, cands) - w_z.matrix).max(axis=(1, 2))
+        pick = int(np.argmin(residuals))
+        if residuals[pick] < best:
+            best, best_rows = float(residuals[pick]), rows[combos[pick]]
     threshold = grid_step  # resolution-limited feasibility
     return DegradednessVerdict(
         bool(best <= threshold), "grid",

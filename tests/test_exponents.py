@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from bccrates import (
     superposition_resolvability_bound,
     theta_grid_default,
 )
+from bccrates import exponents
 from bccrates.channels import bsc
 
 from helpers import random_chain, random_dmc, random_pmf
@@ -342,7 +346,154 @@ class TestOptimizeTheta:
         assert rep.total <= brute + 1e-12
 
 
+def _kron_outcomes(probs, values, n):
+    """Every outcome sequence by ``np.kron``: its probability, and its sum added
+    letter by letter."""
+    prob_n = reduce(np.kron, [np.asarray(probs, dtype=float)] * n)
+    sum_n = reduce(lambda acc, v: (acc[:, None] + v[None, :]).ravel(),
+                   [np.asarray(values, dtype=float)] * n)
+    return prob_n, sum_n
+
+
+def _oracle_kron_tail(probs, values, n, threshold):
+    prob_n, sum_n = _kron_outcomes(probs, values, n)
+    return float(prob_n[sum_n < threshold].sum())
+
+
+def _near_tie_mass(probs, values, n, threshold):
+    """(mass of outcomes whose float sum lies within the rounding bound of the
+    threshold, the tail with those outcomes decided by their exact sums)."""
+    values = np.asarray(values, dtype=float)
+    prob_n, sums = _kron_outcomes(probs, values, n)
+    idx = np.indices((len(values),) * n).reshape(n, -1).T
+    mags = np.abs(values[idx]).sum(axis=1)
+    near = np.abs(sums - threshold) <= 2 * (n + 1) * 2.0**-52 * mags
+    below = sums < threshold
+    for r in np.flatnonzero(near):
+        below[r] = math.fsum([*values[idx[r]].tolist(), -threshold]) < 0.0
+    return float(prob_n[near].sum()), float(prob_n[below].sum())
+
+
 class TestIidSumTail:
+    def test_type_classes_match_kron_enumeration(self):
+        rng = np.random.default_rng(2024)
+        clean = tied = 0
+        for _ in range(400):
+            k, n = int(rng.integers(2, 10)), int(rng.integers(1, 9))
+            if k**n > 2**15:
+                continue
+            probs = rng.dirichlet(np.ones(k))
+            values = rng.normal(size=k)
+            if rng.random() < 0.3:
+                values = np.round(values * 8) / 8  # dyadic: many exact ties
+            # a threshold a few ulps from one of the sums the enumeration forms
+            threshold = float(reduce(lambda a, v: a + v, values[rng.integers(0, k, size=n)]))
+            for _ in range(int(rng.integers(0, 4))):
+                threshold = float(np.nextafter(threshold, rng.choice([-np.inf, np.inf])))
+            # and one between the sums, at a random offset from the first
+            for alpha in (threshold, threshold + float(rng.normal())):
+                tail, method, _ = iid_sum_tail(probs, values, n, alpha)
+                assert method == "exact"
+                near_mass, exact_oracle = _near_tie_mass(probs, values, n, alpha)
+                assert abs(tail - exact_oracle) <= 1e-12
+                diff = abs(tail - _oracle_kron_tail(probs, values, n, alpha))
+                if near_mass == 0.0:
+                    clean += 1
+                    assert diff <= 1e-12
+                else:
+                    tied += 1  # only the near-tie classes may move the tail
+                    assert diff <= near_mass + 1e-12
+        assert clean > 50 and tied > 50
+
+    def test_dyadic_exact_ties_are_not_below(self):
+        probs = np.array([0.2, 0.5, 0.3])
+        values = np.array([-1.0, 0.5, 2.0])
+        for n in (1, 3, 6):
+            for counts in ((n, 0, 0), (0, n, 0), (1, n - 1, 0), (0, n - 1, 1)):
+                threshold = float(np.dot(counts, values))
+                tail, _, _ = iid_sum_tail(probs, values, n, threshold)
+                assert tail == pytest.approx(
+                    _oracle_kron_tail(probs, values, n, threshold), abs=1e-12)
+                above = iid_sum_tail(probs, values, n, np.nextafter(threshold, np.inf))[0]
+                assert above > tail
+
+    def test_duplicate_atom_values_merge(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+        values = np.array([0.3, -0.7, 0.3, 1.1, -0.7])
+        merged_probs = np.array([0.45, 0.4, 0.15])
+        merged_values = np.array([-0.7, 0.3, 1.1])
+        for n in (1, 4, 7):
+            for threshold in (-2.0, 0.0, 0.35, 3.0):
+                tail = iid_sum_tail(probs, values, n, threshold)[0]
+                assert tail == pytest.approx(
+                    iid_sum_tail(merged_probs, merged_values, n, threshold)[0], abs=1e-14)
+                assert tail == pytest.approx(
+                    _oracle_kron_tail(probs, values, n, threshold), abs=1e-12)
+
+    def test_infinite_thresholds_and_one_letter(self):
+        probs = np.array([0.6, 0.4])
+        values = np.array([-3.0, 5.0])
+        assert iid_sum_tail(probs, values, 5, -math.inf)[0] == 0.0
+        assert iid_sum_tail(probs, values, 5, math.inf)[0] == pytest.approx(1.0, abs=1e-14)
+        assert iid_sum_tail(probs, values, 5, math.nan)[0] == 0.0
+        assert iid_sum_tail(probs, values, 1, 0.0) == (pytest.approx(0.6, abs=1e-15),
+                                                       "exact", None)
+        assert iid_sum_tail(probs, values, 1, -3.0)[0] == 0.0
+        with pytest.raises(ValueError):
+            iid_sum_tail(probs, values, 0, 0.0)
+
+    def test_tiny_atom_in_log_domain(self):
+        tiny = 1e-200
+        probs = np.array([tiny, 0.5 - tiny, 0.5])
+        values = np.array([-10.0, 0.0, 1.0])
+        # (tiny, tiny) weighs 1e-400, below the least float, and the kron product
+        # flushes it to zero; the mixed classes keep full relative accuracy
+        assert iid_sum_tail(probs, values, 2, -15.0)[0] == 0.0
+        tail = iid_sum_tail(probs, values, 2, -8.0)[0]
+        assert tail == pytest.approx(2 * tiny * (1 - tiny), rel=1e-13)
+        assert _oracle_kron_tail(probs, values, 2, -15.0) == 0.0
+
+    def test_type_classes_in_combinations_order(self):
+        for k, n in ((0, 3), (1, 5), (3, 1), (3, 4), (5, 3), (8, 7), (2, 9), (300, 2)):
+            want = list(itertools.combinations_with_replacement(range(k), n))
+            got = exponents._type_classes(k, n)
+            assert got.shape == (n, math.comb(n + k - 1, n))
+            assert [tuple(c) for c in got.T.tolist()] == want
+
+    def test_exact_path_stays_within_base_to_the_n_floats(self):
+        rng = np.random.default_rng(8)
+        probs = rng.dirichlet(np.ones(8))
+        values = rng.normal(size=8)
+        tracemalloc.start()
+        try:
+            iid_sum_tail(probs, values, 7, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8**7
+
+    @pytest.mark.parametrize("base,n,method", [(2, 22, "exact"), (2, 23, "monte_carlo"),
+                                               (8, 7, "exact"), (8, 8, "monte_carlo")])
+    def test_guard_switch_is_pinned(self, base, n, method):
+        assert exponents.TAIL_ENUMERATION_GUARD == 2**22
+        probs = np.full(base, 1.0 / base)
+        values = np.arange(base, dtype=float)
+        threshold = n * (base - 1) / 2.0
+        if method == "monte_carlo":
+            with pytest.raises(GuardExceeded):
+                iid_sum_tail(probs, values, n, threshold)
+        tail, got, ci = iid_sum_tail(probs, values, n, threshold, allow_mc=True,
+                                     mc_trials=2000, seed=1)
+        assert got == method
+        assert (ci is None) == (method == "exact")
+        if base == 2 and method == "exact":
+            # sum < n/2 of n fair bits
+            want = sum(math.comb(n, j) for j in range(n) if j < n / 2) / 2**n
+            assert tail == pytest.approx(want, abs=1e-14)
+        if method == "monte_carlo":
+            # the Monte Carlo path is seeded: these estimates are fixed
+            assert tail == {2: 0.499, 8: 0.4455}[base]
+
     def test_exact_matches_brute_force(self):
         probs = np.array([0.5, 0.3, 0.2])
         vals = np.array([-1.0, 0.25, 2.0])

@@ -19,6 +19,7 @@ from bccrates import (
     product_extend,
     single_chain,
 )
+from bccrates import probability
 from bccrates.channels import bsc
 
 from helpers import random_dmc, random_pmf
@@ -276,3 +277,14 @@ class TestValidation:
 
     def test_entropy_helper(self):
         assert entropy(Pmf.uniform(4)) == pytest.approx(math.log(4), abs=1e-12)
+
+
+def test_xlogx_bits():
+    # p log p with 0 off the positive reals, bit for bit the product p * log(p or 1)
+    p = np.array([0.0, -0.0, 0.25, 1.0, 5e-324, 1e300, -0.5, np.inf, np.nan])
+    want = p * np.log(np.where(p > 0.0, p, 1.0))
+    got = probability._xlogx(p)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    grid = np.linspace(0.0, 1.0, 61).reshape(61, 1) * np.array([[1.0, 0.5, 0.0]])
+    assert np.array_equal(probability._xlogx(grid), grid * np.log(np.where(grid > 0, grid, 1)))
+    assert probability._xlogx([[0, 1]]).dtype == np.float64

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -282,6 +283,42 @@ class TestChannelOrdering:
         assert verdict.method == "grid"
         assert verdict.degraded
         assert verdict.resolution == 0.25
+
+    @pytest.mark.parametrize("block", [7, regions._DEGRADED_BLOCK])
+    def test_grid_search_matches_loop(self, monkeypatch, block):
+        monkeypatch.setattr(regions, "_DEGRADED_BLOCK", block)
+        rng = np.random.default_rng(31)
+        cases = [
+            (bec(0.45), bsc(0.11), 0.05),
+            (bec(0.2), bec(0.5), 0.2),
+            (bec(0.5), Dmc([[0.5, 0.5], [0.5, 0.5]]), 0.25),  # many tied candidates
+            (bec(0.3), bec(0.3).compose(Dmc([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                             [0.25, 0.25, 0.5]])), 0.25),
+            (Dmc(rng.dirichlet(np.ones(3), size=2)), Dmc(rng.dirichlet(np.ones(2), size=2)), 0.1),
+        ]
+        for w_y, w_z, step in cases:
+            verdict = is_degraded(w_y, w_z, grid_step=step)
+            best, best_rows = _oracle_degraded_grid(w_y, w_z, step)
+            assert verdict.method == "grid"
+            assert verdict.residual == best
+            assert verdict.degraded == (best <= step)
+            if verdict.degraded:
+                assert np.array_equal(verdict.intermediate.matrix, best_rows)
+            else:
+                assert verdict.intermediate is None
+
+
+def _oracle_degraded_grid(w_y, w_z, grid_step):
+    """The plain loop over intermediate channels in ``itertools.product`` order;
+    the first strict minimum of the residual wins."""
+    rows = regions._simplex_grid(w_z.output_size, max(1, round(1.0 / grid_step)))
+    best, best_rows = math.inf, None
+    for combo in itertools.product(range(len(rows)), repeat=w_y.output_size):
+        cand = rows[list(combo)]
+        residual = float(np.max(np.abs(w_y.matrix @ cand - w_z.matrix)))
+        if residual < best:
+            best, best_rows = residual, cand
+    return best, best_rows
 
 
 class TestMinDummyRate:
