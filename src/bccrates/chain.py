@@ -2,8 +2,8 @@
 
 A :class:`BccChain` bundles the auxiliary layers (time-sharing variable U,
 prefix variable V) with the physical channels to the legitimate receiver (Y)
-and the eavesdropper (Z).  All derived joints and information measures are
-computed exactly from the dense joint law.
+and the eavesdropper (Z).  :func:`informations` works from the chain's
+conditional laws; :func:`build_joint` gives the dense joint law.
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import (
-    Dmc,
-    JointPmf,
-    Pmf,
-    conditional_entropy,
-    conditional_mutual_information,
-)
+from .probability import Dmc, JointPmf, Pmf, _xlogx
 
 JOINT_AXES = ("u", "v", "x", "y", "z")
 MAX_AXIS_SIZE = 8
@@ -149,20 +143,39 @@ class ChainInformations:
     h_x_given_v: float
 
 
+def _row_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
+    """Sum over r of weights[r] * H(rows[r]): a conditional entropy in nats."""
+    return float(-(weights @ _xlogx(rows).sum(axis=1)))
+
+
 def informations(chain: BccChain) -> ChainInformations:
-    joint = build_joint(chain)
-    cmi = lambda a, b, given=None: conditional_mutual_information(joint, a, b, given)
+    """The twelve terms, each a difference of two conditional entropies.
+
+    Along U -> V -> X -> (Y, Z) the Markov property gives H(Y|U,V) = H(Y|V)
+    and H(Y|U,X) = H(Y|X), so every term needs only H(Y), H(Z) and seven
+    weighted row entropies of the chain's conditional laws; no joint is built.
+    """
+    p_u, p_vu = chain.p_u.probs, chain.p_v_given_u.matrix
+    p_xv, w_y, w_z = chain.p_x_given_v.matrix, chain.w_y.matrix, chain.w_z.matrix
+    p_v = p_u @ p_vu
+    p_x = p_v @ p_xv
+    p_xu = p_vu @ p_xv
+    h_y = float(-_xlogx(p_x @ w_y).sum())
+    h_z = float(-_xlogx(p_x @ w_z).sum())
+    h_y_u, h_z_u = _row_entropy(p_u, p_xu @ w_y), _row_entropy(p_u, p_xu @ w_z)
+    h_y_v, h_z_v = _row_entropy(p_v, p_xv @ w_y), _row_entropy(p_v, p_xv @ w_z)
+    h_y_x, h_z_x = _row_entropy(p_x, w_y), _row_entropy(p_x, w_z)
     return ChainInformations(
-        i_uy=cmi("u", "y"),
-        i_uz=cmi("u", "z"),
-        i_vy=cmi("v", "y"),
-        i_vz=cmi("v", "z"),
-        i_xy=cmi("x", "y"),
-        i_xz=cmi("x", "z"),
-        i_vy_given_u=cmi("v", "y", "u"),
-        i_vz_given_u=cmi("v", "z", "u"),
-        i_xy_given_u=cmi("x", "y", "u"),
-        i_xz_given_u=cmi("x", "z", "u"),
-        i_xz_given_v=cmi("x", "z", "v"),
-        h_x_given_v=conditional_entropy(joint, "x", "v"),
+        i_uy=h_y - h_y_u,
+        i_uz=h_z - h_z_u,
+        i_vy=h_y - h_y_v,
+        i_vz=h_z - h_z_v,
+        i_xy=h_y - h_y_x,
+        i_xz=h_z - h_z_x,
+        i_vy_given_u=h_y_u - h_y_v,
+        i_vz_given_u=h_z_u - h_z_v,
+        i_xy_given_u=h_y_u - h_y_x,
+        i_xz_given_u=h_z_u - h_z_x,
+        i_xz_given_v=h_z_v - h_z_x,
+        h_x_given_v=_row_entropy(p_v, p_xv),
     )

@@ -11,7 +11,6 @@ the conditional rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -157,6 +156,15 @@ def _simplex_grid(dim: int, k: int) -> np.ndarray:
     return np.asarray(combos, dtype=float) / k
 
 
+def _product_blocks(shape: tuple[int, ...], block: int):
+    """Index rows of every cell of ``shape`` in ``itertools.product`` order, as
+    consecutive (C, len(shape)) arrays of at most ``block`` rows."""
+    count = math.prod(shape)
+    for start in range(0, count, block):
+        yield np.stack(np.unravel_index(np.arange(start, min(count, start + block)), shape),
+                       axis=1)
+
+
 def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: float,
                    n_rd: int, v_equals_x: bool, mode: str) -> np.ndarray:
     """Full-grid sweep over the cloud prior and conditional rows (|V| = |X|);
@@ -199,17 +207,10 @@ def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: fl
         eval_chunk(pv_grid, np.ascontiguousarray(eye))
         return table
 
-    chunk = max(1, 2**16 // (mx * mx))
-    buf_pv, buf_rows = [], []
-    for pv in pv_grid:
-        for combo in itertools.product(range(len(rows)), repeat=mx):
-            buf_pv.append(pv)
-            buf_rows.append(rows[list(combo)])
-            if len(buf_pv) >= chunk:
-                eval_chunk(np.asarray(buf_pv), np.asarray(buf_rows))
-                buf_pv, buf_rows = [], []
-    if buf_pv:
-        eval_chunk(np.asarray(buf_pv), np.asarray(buf_rows))
+    # cells in (cloud prior, row of x = 0, ..., row of x = mx - 1) product order
+    shape = (len(pv_grid),) + (len(rows),) * mx
+    for idx in _product_blocks(shape, max(1, 2**16 // (mx * mx))):
+        eval_chunk(pv_grid[idx[:, 0]], rows[idx[:, 1:]])
     return table
 
 
@@ -291,14 +292,18 @@ def secrecy_capacity(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None) -> float:
 
 
 def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float, r_d: float,
-                          grid: GridSpec | None = None) -> float:
+                          grid: GridSpec | None = None, mode: str = "ds") -> float:
     """Max over cells of rs - mu * (cost - r_d): one supporting-line evaluation.
 
-    Minimizing this over a slope grid upper-bounds the convexified frontier
+    ``mode`` picks the cost as in the sweeps: ``"ds"`` for
+    :func:`secrecy_frontier`, ``"sim"`` for :func:`secrecy_frontier_sim`.
+    Minimizing this over a slope grid upper-bounds that convexified frontier
     at ``r_d``; used as an independent cross-check of the primal sweep.
     """
     if mu < 0.0:
         raise ValueError("supporting-line slope must be nonnegative")
+    if mode not in ("ds", "sim"):
+        raise ValueError(f"mode must be 'ds' or 'sim', got {mode!r}")
     grid = grid or GridSpec()
     if w_y.input_size != 2:
         raise ValueError("supporting-line evaluation is provided for binary inputs")
@@ -306,4 +311,4 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float, r_d: float,
     if (p.size) ** 3 > grid.cell_guard:
         raise GuardExceeded("supporting-line cell grid exceeds guard; coarsen prob_step")
     cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
-    return float(np.max(cells["rs"] - mu * (cells["rd_ds"] - r_d)))
+    return float(np.max(cells["rs"] - mu * (cells[f"rd_{mode}"] - r_d)))

@@ -2,8 +2,9 @@
 
 A rate quadruple bundles the dummy-randomness budget with the common,
 private, and confidential message rates.  Every check evaluates its defining
-inequalities exactly from the chain's joint law and reports the per
-constraint slack (nonnegative means satisfied, up to a +1e-9 tolerance).
+inequalities exactly from the chain's information terms
+(:func:`~bccrates.chain.informations`) and reports the per constraint slack
+(nonnegative means satisfied, up to a +1e-9 tolerance).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import _sweep_py
 from .chain import BccChain, ChainInformations, informations
-from .frontier import GridSpec, secrecy_frontier, _simplex_grid
+from .frontier import GridSpec, secrecy_frontier, _product_blocks, _simplex_grid
 from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
@@ -269,12 +270,9 @@ def is_degraded(w_y: Dmc, w_z: Dmc, grid_step: float = 0.05, *,
     if count > guard:
         raise GuardExceeded(f"degradedness grid needs {count} candidates, above guard")
     # candidates in itertools.product order, in blocks; the first strict minimum wins
-    shape = (len(rows),) * w_y.output_size
     best = math.inf
     best_rows = None
-    for start in range(0, count, _DEGRADED_BLOCK):
-        combos = np.stack(np.unravel_index(np.arange(start, min(count, start + _DEGRADED_BLOCK)),
-                                           shape), axis=1)
+    for combos in _product_blocks((len(rows),) * w_y.output_size, _DEGRADED_BLOCK):
         cands = rows[combos]
         residuals = np.abs(np.matmul(w_y.matrix, cands) - w_z.matrix).max(axis=(1, 2))
         pick = int(np.argmin(residuals))

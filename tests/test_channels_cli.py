@@ -22,6 +22,8 @@ from bccrates.channels import (
 )
 from bccrates.cli import main
 
+from test_chain import _oracle_informations
+
 
 class TestChannelSpecs:
     def test_bsc_expansion(self):
@@ -357,7 +359,7 @@ class TestCliCheck:
     ("bcc", ["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2", "--pu", "uniform:2",
              "--pvu", "bsc:0.25", "--pxv", "bsc:0.1", "--sizes", "2,4,2,4", "--n", "6",
              "--trials", "4", "--seed", "1"],
-     "69bc8ca0d2af69f14c1ebb0f4376adf24dff7d197de336e85a22ec8dcf7e3a48"),
+     "959b4f1d40410bf96f04c0976c6c75829e572bafd8a138fcdc87593b3e25978a"),
     ("exp_single", ["exponent", "--kind", "single", "--pz", "bsc:0.2", "--px", "0.3,0.7",
                     "--n", "6", "--size", "8", "--theta-step", "0.05"],
      "1f3038caf97005d97f4018340eb907bf00e216ed4e5928020fe2445f9c7df62f"),
@@ -374,3 +376,20 @@ def test_csv_and_sidecar_bytes_golden(name, argv, digest, tmp_path, monkeypatch)
     data = (tmp_path / f"{name}.csv").read_bytes() \
         + (tmp_path / f"{name}.csv.meta.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_bcc_csv_bytes_and_sidecar_alphas(tmp_path, monkeypatch):
+    # the golden "bcc" case: its CSV bytes alone, and the thresholds its
+    # sidecar echoes, n * (I - delta), against the joint-law informations
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2", "--pu", "uniform:2",
+            "--pvu", "bsc:0.25", "--pxv", "bsc:0.1", "--sizes", "2,4,2,4", "--n", "6",
+            "--trials", "4", "--seed", "1", "--out", "bcc.csv"]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "bcc.csv").read_bytes()).hexdigest() == \
+        "3976478603dbcf2a69bf50c860001fbbdeae6b1862f0e65d8b0883949152a8af"
+    meta = json.loads((tmp_path / "bcc.csv.meta.json").read_text())
+    chain = BccChain(Pmf.uniform(2), bsc(0.25), bsc(0.1), bsc(0.1), bsc(0.2))
+    info = _oracle_informations(chain)
+    expected = [6 * (term - 0.05) for term in (info.i_uz, info.i_vy_given_u, info.i_vy)]
+    assert meta["alphas"] == pytest.approx(expected, rel=0.0, abs=1e-14)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +16,10 @@ from bccrates import (
     supporting_line_value,
     upper_concave_hull,
 )
-from bccrates import _sweep_py
+from bccrates import _sweep_py, frontier
 from bccrates._sweep_py import BIN_FUZZ, fold_max, sweep_binary
 from bccrates.channels import bec, bsc
+from bccrates.probability import _xlogx
 
 LN2 = math.log(2.0)
 
@@ -184,6 +186,29 @@ class TestSupportingLine:
             assert dual >= primal - 1e-9
             assert dual - primal < 0.01
 
+    @pytest.mark.parametrize("w_y,w_z,mu_max,mu_step", [
+        (bsc(0.1), bsc(0.2), 2.0, 0.1),
+        # this pair's frontiers rise by about 0.015 nats per nat of budget
+        (bsc(0.11), bec(0.45), 0.05, 0.0025),
+    ], ids=["bsc0.1/bsc0.2", "bsc0.11/bec0.45"])
+    def test_sim_dual_upper_bounds_sim_primal(self, w_y, w_z, mu_max, mu_step):
+        grid = GridSpec(prob_step=0.02, mu_max=mu_max, mu_step=mu_step)
+        sim = secrecy_frontier_sim(w_y, w_z, grid)
+        ds = secrecy_frontier(w_y, w_z, grid)
+        for rd in (0.05, 0.1, 0.192745, 0.381):
+            dual = min(supporting_line_value(w_y, w_z, float(mu), rd, grid, mode="sim")
+                       for mu in grid.mu_values())
+            assert dual >= sim.evaluate(rd) - 1e-9
+            assert dual - sim.evaluate(rd) < 0.01
+        # where simulating the prefix costs more, the sim dual falls below
+        # the ds frontier, which no ds dual can do
+        if ds.evaluate(0.381) > sim.evaluate(0.381) + 1e-3:
+            assert dual < ds.evaluate(0.381)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            supporting_line_value(bsc(0.1), bsc(0.2), 0.5, 0.1, mode="rd")
+
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):
             supporting_line_value(bsc(0.1), bsc(0.2), -0.5, 0.1)
@@ -216,6 +241,68 @@ class TestGeneralAlphabets:
     def test_input_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             secrecy_frontier(bsc(0.1), Dmc(np.full((3, 3), 1.0 / 3.0)))
+
+
+def _oracle_general_sweep(w_y, w_z, grid, rd_step, n_rd, v_equals_x, mode):
+    """``frontier._general_sweep`` as a Python loop over ``itertools.product``,
+    appending one cell at a time and flushing every 2**16 // mx**2 cells."""
+    mx = w_y.shape[0]
+    k = max(1, round(1.0 / grid.prob_step))
+    pv_grid = frontier._simplex_grid(mx, k)
+    rows = frontier._simplex_grid(mx, k)
+    hz_rows = -_xlogx(w_z).sum(axis=1)
+    table = np.full(n_rd, -np.inf)
+
+    def eval_chunk(pv, pxv):
+        pyv = pxv @ w_y
+        pzv = pxv @ w_z
+        py = np.einsum("cv,cvy->cy", pv, pyv)
+        pz = np.einsum("cv,cvz->cz", pv, pzv)
+        hy = -_xlogx(py).sum(axis=1)
+        hz = -_xlogx(pz).sum(axis=1)
+        ivy = hy + np.einsum("cv,cvy->c", pv, _xlogx(pyv))
+        ivz = hz + np.einsum("cv,cvz->c", pv, _xlogx(pzv))
+        if mode == "ds":
+            cost = hz - np.einsum("cv,cvx->cx", pv, pxv) @ hz_rows
+        else:
+            cost = ivz - np.einsum("cv,cvx->c", pv, _xlogx(pxv))
+        fold_max(table, cost, ivy - ivz, rd_step)
+
+    assert not v_equals_x
+    chunk = max(1, 2**16 // (mx * mx))
+    buf_pv, buf_rows = [], []
+    for pv in pv_grid:
+        for combo in itertools.product(range(len(rows)), repeat=mx):
+            buf_pv.append(pv)
+            buf_rows.append(rows[list(combo)])
+            if len(buf_pv) >= chunk:
+                eval_chunk(np.asarray(buf_pv), np.asarray(buf_rows))
+                buf_pv, buf_rows = [], []
+    if buf_pv:
+        eval_chunk(np.asarray(buf_pv), np.asarray(buf_rows))
+    return table
+
+
+def _four_input_pair():
+    rng = np.random.default_rng(9)
+    return Dmc(rng.dirichlet(np.ones(3), size=4)), Dmc(rng.dirichlet(np.ones(2), size=4))
+
+
+@pytest.mark.parametrize("pair,step", [
+    (TestGeneralAlphabets.ternary_pair, 1.0 / 3.0),
+    (TestGeneralAlphabets.ternary_pair, 0.25),
+    (_four_input_pair, 0.5),
+], ids=["ternary-1/3", "ternary-0.25", "four-input-0.5"])
+def test_general_sweep_matches_loop_oracle(monkeypatch, pair, step):
+    w_y, w_z = pair()
+    grid = GridSpec(prob_step=step, rd_step=0.01)
+    for fn in (secrecy_frontier, secrecy_frontier_sim):
+        for hull in (True, False):
+            got = fn(w_y, w_z, grid, hull=hull)
+            with monkeypatch.context() as patch:
+                patch.setattr(frontier, "_general_sweep", _oracle_general_sweep)
+                want = fn(w_y, w_z, grid, hull=hull)
+            assert got.points == want.points
 
 
 def _oracle_fold_max(table, rd, rs, rd_step):
