@@ -13,7 +13,6 @@ nats.
 from .chain import (
     BccChain,
     ChainInformations,
-    build_joint,
     chain_v_equals_x,
     informations,
     single_chain,
@@ -50,16 +49,11 @@ from .frontier import (
 from .probability import (
     Dmc,
     GuardExceeded,
-    JointPmf,
     Pmf,
-    binary_convolution,
     binary_entropy,
-    conditional_entropy,
-    conditional_mutual_information,
     entropy,
     kl_divergence,
     mutual_information,
-    product_extend,
 )
 from .regions import (
     INFEASIBLE,

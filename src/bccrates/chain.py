@@ -3,7 +3,7 @@
 A :class:`BccChain` bundles the auxiliary layers (time-sharing variable U,
 prefix variable V) with the physical channels to the legitimate receiver (Y)
 and the eavesdropper (Z).  :func:`informations` works from the chain's
-conditional laws; :func:`build_joint` gives the dense joint law.
+conditional laws.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import Dmc, JointPmf, Pmf, _xlogx
+from .probability import Dmc, Pmf, _xlogx
 
-JOINT_AXES = ("u", "v", "x", "y", "z")
 MAX_AXIS_SIZE = 8
 
 
@@ -110,19 +109,6 @@ def chain_v_equals_x(p_u: Pmf, p_x_given_u: Dmc, w_y: Dmc, w_z: Dmc) -> BccChain
 def single_chain(p_v: Pmf, p_x_given_v: Dmc, w_y: Dmc, w_z: Dmc) -> BccChain:
     """Chain with a constant U, for searches where U is pure time sharing."""
     return BccChain(Pmf([1.0]), Dmc([p_v.probs]), p_x_given_v, w_y, w_z)
-
-
-def build_joint(chain: BccChain) -> JointPmf:
-    """Dense joint P(u,v,x,y,z) factored along the chain."""
-    probs = np.einsum(
-        "u,uv,vx,xy,xz->uvxyz",
-        chain.p_u.probs,
-        chain.p_v_given_u.matrix,
-        chain.p_x_given_v.matrix,
-        chain.w_y.matrix,
-        chain.w_z.matrix,
-    )
-    return JointPmf(probs, JOINT_AXES)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from ._csv import write_csv
 from .probability import Dmc, GuardExceeded, _xlogx
 
 FEASIBILITY_TOL = 1e-9
+CELL_GUARD = 2**22           # most cells one sweep or supporting-line table may evaluate
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class GridSpec:
     mu_step: float = 0.05
     rd_step: float | None = None
     rd_max: float | None = None
-    cell_guard: int = 2**22
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prob_step <= 0.5:
@@ -177,9 +177,9 @@ def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: fl
     else:
         rows = _simplex_grid(mx, k)
         n_cells = len(pv_grid) * len(rows) ** mx
-    if n_cells > grid.cell_guard:
+    if n_cells > CELL_GUARD:
         raise GuardExceeded(
-            f"general-alphabet sweep needs {n_cells} cells, above guard {grid.cell_guard}; "
+            f"general-alphabet sweep needs {n_cells} cells, above guard {CELL_GUARD}; "
             "coarsen prob_step"
         )
 
@@ -291,16 +291,20 @@ def secrecy_capacity(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None) -> float:
     return max(0.0, float(frontier.r_s[-1]))
 
 
-def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float, r_d: float,
-                          grid: GridSpec | None = None, mode: str = "ds") -> float:
-    """Max over cells of rs - mu * (cost - r_d): one supporting-line evaluation.
+def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float,
+                          grid: GridSpec | None = None,
+                          mode: str = "ds") -> float | np.ndarray:
+    """Max over cells of rs - mu * (cost - r_d): supporting-line evaluations.
 
     ``mode`` picks the cost as in the sweeps: ``"ds"`` for
     :func:`secrecy_frontier`, ``"sim"`` for :func:`secrecy_frontier_sim`.
     Minimizing this over a slope grid upper-bounds that convexified frontier
-    at ``r_d``; used as an independent cross-check of the primal sweep.
+    at ``r_d``; used as an independent cross-check of the primal sweep.  A
+    scalar ``mu`` gives a float; an array of slopes gives one value per slope,
+    all from one cell table.
     """
-    if mu < 0.0:
+    slopes = np.asarray(mu, dtype=float)
+    if np.any(slopes < 0.0):
         raise ValueError("supporting-line slope must be nonnegative")
     if mode not in ("ds", "sim"):
         raise ValueError(f"mode must be 'ds' or 'sim', got {mode!r}")
@@ -308,7 +312,9 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float, r_d: float,
     if w_y.input_size != 2:
         raise ValueError("supporting-line evaluation is provided for binary inputs")
     p = grid.prob_grid()
-    if (p.size) ** 3 > grid.cell_guard:
+    if (p.size) ** 3 > CELL_GUARD:
         raise GuardExceeded("supporting-line cell grid exceeds guard; coarsen prob_step")
     cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
-    return float(np.max(cells["rs"] - mu * (cells[f"rd_{mode}"] - r_d)))
+    rs, excess = cells["rs"], cells[f"rd_{mode}"] - r_d
+    values = np.array([np.max(rs - m * excess) for m in slopes.ravel()])
+    return float(values[0]) if slopes.ndim == 0 else values.reshape(slopes.shape)

@@ -9,12 +9,10 @@ use from any number of threads is safe.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 NORMALIZATION_TOL = 1e-12
-PRODUCT_SIZE_GUARD = 2**24
 
 
 class GuardExceeded(RuntimeError):
@@ -65,16 +63,17 @@ class Pmf:
 
     @classmethod
     def uniform(cls, m: int) -> Pmf:
+        if m < 1:
+            raise ValueError(f"alphabet size must be at least 1, got {m!r}")
         return cls(np.full(m, 1.0 / m))
 
     @classmethod
     def point_mass(cls, m: int, index: int) -> Pmf:
+        if not 0 <= index < m:
+            raise ValueError(f"point-mass index {index!r} outside range({m!r})")
         v = np.zeros(m)
         v[index] = 1.0
         return cls(v)
-
-    def entropy(self) -> float:
-        return entropy(self)
 
     def __repr__(self) -> str:
         return f"Pmf({self.probs.tolist()})"
@@ -114,9 +113,6 @@ class Dmc:
     def identity(cls, m: int) -> Dmc:
         return cls(np.eye(m))
 
-    def row(self, x: int) -> Pmf:
-        return Pmf(self.matrix[x])
-
     def output(self, input_dist: Pmf) -> Pmf:
         """Push an input distribution through the channel."""
         if input_dist.size != self.input_size:
@@ -142,54 +138,6 @@ class Dmc:
         return f"Dmc({self.matrix.tolist()})"
 
 
-class JointPmf:
-    """Dense joint distribution over a tuple of finite alphabets.
-
-    Axes carry string labels so information measures can be requested by
-    variable name rather than position.
-    """
-
-    __slots__ = ("probs", "axes", "renormalized")
-
-    def __init__(self, probs, axes) -> None:
-        arr = np.array(probs, dtype=np.float64)
-        axes = tuple(axes)
-        if arr.ndim != len(axes):
-            raise ValueError(f"array has {arr.ndim} axes but {len(axes)} labels given")
-        if len(set(axes)) != len(axes):
-            raise ValueError(f"duplicate axis labels: {axes}")
-        if np.any(arr < 0.0):
-            raise ValueError("negative probability entry in joint")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"joint sums to {total!r}, outside tolerance")
-        renormalized = total != 1.0
-        if renormalized:
-            arr = arr / total
-        arr.setflags(write=False)
-        self.probs = arr
-        self.axes = axes
-        self.renormalized = renormalized
-
-    def axis_index(self, name: str) -> int:
-        try:
-            return self.axes.index(name)
-        except ValueError:
-            raise ValueError(f"no axis {name!r} in {self.axes}") from None
-
-    def marginal_array(self, keep) -> np.ndarray:
-        """Marginal over all axes not in ``keep``, axes ordered as requested."""
-        keep = tuple(keep)
-        drop = tuple(i for i, name in enumerate(self.axes) if name not in keep)
-        arr = self.probs.sum(axis=drop) if drop else self.probs
-        remaining = [name for name in self.axes if name in keep]
-        order = [remaining.index(name) for name in keep]
-        return arr.transpose(order)
-
-    def marginal(self, keep) -> JointPmf:
-        return JointPmf(self.marginal_array(keep), tuple(keep))
-
-
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) variable in nats, with 0*log(0) = 0."""
     if not -NORMALIZATION_TOL <= p <= 1.0 + NORMALIZATION_TOL:
@@ -201,14 +149,6 @@ def binary_entropy(p: float) -> float:
     if p < 1.0:
         out -= (1.0 - p) * math.log(1.0 - p)
     return out
-
-
-def binary_convolution(x: float, y: float) -> float:
-    """Crossover probability of two cascaded binary symmetric channels."""
-    for v in (x, y):
-        if not -NORMALIZATION_TOL <= v <= 1.0 + NORMALIZATION_TOL:
-            raise ValueError(f"probability {v!r} outside [0, 1]")
-    return x * (1.0 - y) + (1.0 - x) * y
 
 
 def _coerce_vector(p) -> np.ndarray:
@@ -245,65 +185,3 @@ def mutual_information(input_dist: Pmf, channel: Dmc) -> float:
     h_out = float(-_xlogx(out).sum())
     h_cond = float(np.dot(input_dist.probs, -_xlogx(channel.matrix).sum(axis=1)))
     return h_out - h_cond
-
-
-def _merged_marginal(joint: JointPmf, a: str, b: str, given) -> np.ndarray:
-    if given is None:
-        given = ()
-    elif isinstance(given, str):
-        given = (given,)
-    else:
-        given = tuple(given)
-    names = (a, b) + given
-    if len(set(names)) != len(names):
-        raise ValueError(f"axes must be distinct, got {names}")
-    arr = joint.marginal_array(names)
-    return arr.reshape(arr.shape[0], arr.shape[1], -1)
-
-
-def conditional_mutual_information(joint: JointPmf, a: str, b: str, given=None) -> float:
-    """I(A;B|C) in nats from a labelled joint; ``given`` may be absent or a tuple."""
-    p3 = _merged_marginal(joint, a, b, given)
-    h = lambda arr: float(-_xlogx(np.asarray(arr).ravel()).sum())
-    h_ac = h(p3.sum(axis=1))
-    h_bc = h(p3.sum(axis=0))
-    h_abc = h(p3)
-    h_c = h(p3.sum(axis=(0, 1)))
-    return h_ac + h_bc - h_abc - h_c
-
-
-def conditional_entropy(joint: JointPmf, target: str, given) -> float:
-    """H(target | given) in nats from a labelled joint."""
-    if isinstance(given, str):
-        given = (given,)
-    else:
-        given = tuple(given)
-    names = (target,) + given
-    if len(set(names)) != len(names):
-        raise ValueError(f"axes must be distinct, got {names}")
-    arr = joint.marginal_array(names)
-    h = lambda a: float(-_xlogx(np.asarray(a).ravel()).sum())
-    return h(arr) - h(arr.sum(axis=0))
-
-
-def product_extend(obj, n: int):
-    """i.i.d. n-fold extension of a ``Pmf`` or ``Dmc`` over tuple alphabets.
-
-    Tuples are indexed lexicographically with the first symbol most
-    significant.  Guarded so the dense result stays below
-    ``PRODUCT_SIZE_GUARD`` entries.
-    """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"extension order must be a positive integer, got {n!r}")
-    n = int(n)
-    if isinstance(obj, Pmf):
-        if obj.size**n > PRODUCT_SIZE_GUARD:
-            raise GuardExceeded(f"product alphabet {obj.size}^{n} exceeds guard")
-        return Pmf(reduce(np.kron, [obj.probs] * n))
-    if isinstance(obj, Dmc):
-        if (obj.input_size**n) * (obj.output_size**n) > PRODUCT_SIZE_GUARD:
-            raise GuardExceeded(
-                f"product channel {obj.input_size}^{n} x {obj.output_size}^{n} exceeds guard"
-            )
-        return Dmc(reduce(np.kron, [obj.matrix] * n))
-    raise TypeError(f"product_extend expects Pmf or Dmc, got {type(obj).__name__}")

@@ -21,6 +21,7 @@ from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
 _DEGRADED_BLOCK = 1 << 16    # intermediate-channel candidates per block of is_degraded
+ORDERING_GUARD = 2**22       # most input laws or intermediate channels an ordering check tries
 
 
 class Infeasible:
@@ -198,24 +199,30 @@ def split_rates(chain: BccChain, quad: RateQuad) -> RateSplit:
     return RateSplit(case=case, r_d=r_d, r_0=r_0, r_s=r_s, shifted=shifted)
 
 
-def _input_grid(m: int, step: float, guard: int) -> np.ndarray:
-    k = max(1, round(1.0 / step))
+def _grid_k(step: float) -> int:
+    """Grid points per unit for an ordering check's ``grid_step`` in (0, 0.5]."""
+    if not 0.0 < step <= 0.5:
+        raise ValueError(f"grid_step must lie in (0, 0.5], got {step!r}")
+    return max(1, round(1.0 / step))
+
+
+def _input_grid(m: int, step: float) -> np.ndarray:
+    k = _grid_k(step)
     if m == 2:
         return np.stack([np.linspace(0.0, 1.0, k + 1),
                          1.0 - np.linspace(0.0, 1.0, k + 1)], axis=1)
     count = math.comb(k + m - 1, m - 1)
-    if count > guard:
-        raise GuardExceeded(f"input grid needs {count} points, above guard {guard}")
+    if count > ORDERING_GUARD:
+        raise GuardExceeded(f"input grid needs {count} points, above guard {ORDERING_GUARD}")
     return _simplex_grid(m, k)
 
 
-def is_more_capable(w_y: Dmc, w_z: Dmc, grid_step: float = 0.001, *,
-                    guard: int = 2**22) -> bool:
+def is_more_capable(w_y: Dmc, w_z: Dmc, grid_step: float = 0.001) -> bool:
     """True when the receiver channel carries at least as much information as
     the eavesdropper channel for every input law on the grid (within 1e-9)."""
     if w_y.input_size != w_z.input_size:
         raise ValueError("channels must share the input alphabet")
-    grid = _input_grid(w_y.input_size, grid_step, guard)
+    grid = _input_grid(w_y.input_size, grid_step)
     hy_rows = -_xlogx(w_y.matrix).sum(axis=1)
     hz_rows = -_xlogx(w_z.matrix).sum(axis=1)
     py = grid @ w_y.matrix
@@ -237,8 +244,7 @@ class DegradednessVerdict:
         return self.degraded
 
 
-def is_degraded(w_y: Dmc, w_z: Dmc, grid_step: float = 0.05, *,
-                guard: int = 2**22) -> DegradednessVerdict:
+def is_degraded(w_y: Dmc, w_z: Dmc, grid_step: float = 0.05) -> DegradednessVerdict:
     """Does an intermediate channel turn the receiver channel into the
     eavesdropper channel?
 
@@ -264,10 +270,9 @@ def is_degraded(w_y: Dmc, w_z: Dmc, grid_step: float = 0.05, *,
         clipped /= clipped.sum(axis=1, keepdims=True)
         return DegradednessVerdict(True, "exact", Dmc(clipped), residual)
 
-    k = max(1, round(1.0 / grid_step))
-    rows = _simplex_grid(w_z.output_size, k)
+    rows = _simplex_grid(w_z.output_size, _grid_k(grid_step))
     count = len(rows) ** w_y.output_size
-    if count > guard:
+    if count > ORDERING_GUARD:
         raise GuardExceeded(f"degradedness grid needs {count} candidates, above guard")
     # candidates in itertools.product order, in blocks; the first strict minimum wins
     best = math.inf
@@ -375,8 +380,8 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
     11 mixing weights.  Returns :data:`INFEASIBLE` when no searched chain
     supports the request.
     """
-    if r_0 < 0.0 or r_s < 0.0:
-        raise ValueError("rates must be nonnegative")
+    if r_0 < 0.0 or r_s < 0.0 or math.isnan(r_0) or math.isnan(r_s):
+        raise ValueError(f"rates must be nonnegative, got r_0={r_0!r}, r_s={r_s!r}")
     grid = grid or GridSpec()
     if r_0 == 0.0:
         front = secrecy_frontier(w_y, w_z, grid)

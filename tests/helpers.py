@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from bccrates import BccChain, Dmc, Pmf
+from bccrates.probability import _xlogx
+
+CHAIN_AXES = "uvxyz"
 
 
 def random_pmf(rng: np.random.Generator, m: int) -> Pmf:
@@ -37,3 +40,21 @@ def random_more_capable_pair(rng: np.random.Generator) -> tuple[Dmc, Dmc]:
     w_y = random_dmc(rng, 2, my)
     intermediate = random_dmc(rng, my, mz)
     return w_y, w_y.compose(intermediate)
+
+
+def chain_joint(chain: BccChain) -> np.ndarray:
+    """Dense P(u, v, x, y, z) of the chain, axes in ``CHAIN_AXES`` order."""
+    return np.einsum(f"u,uv,vx,xy,xz->{CHAIN_AXES}", chain.p_u.probs, chain.p_v_given_u.matrix,
+                     chain.p_x_given_v.matrix, chain.w_y.matrix, chain.w_z.matrix)
+
+
+def joint_entropy(joint: np.ndarray, names: str, axes: str = CHAIN_AXES) -> float:
+    """H (nats) of the marginal of ``joint`` on ``names``, a string of distinct
+    letters of ``axes``; einsum raises ValueError for a repeated or unknown one."""
+    return float(-_xlogx(np.einsum(f"{axes}->{names}", joint)).sum())
+
+
+def cmi(joint: np.ndarray, a: str, b: str, given: str = "", axes: str = CHAIN_AXES) -> float:
+    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C) in nats; each argument names axes."""
+    h = lambda names: joint_entropy(joint, names, axes)
+    return h(a + given) + h(b + given) - h(a + b + given) - h(given)

@@ -11,6 +11,7 @@ import numpy as np
 
 from bccrates import (
     BccChain,
+    Dmc,
     GridSpec,
     Pmf,
     check_inner_bound,
@@ -22,7 +23,6 @@ from bccrates import (
     minimize_superposition_bound,
     exact_leakage,
     mutual_information,
-    product_extend,
     resolvability_exponent,
     resolvability_exponent_slope,
     secrecy_capacity,
@@ -254,9 +254,9 @@ def test_criterion_5_exponent_calculus():
 
         theta = float(rng.uniform(0.1, 1.0))
         once = superposition_exponent(theta, w, layer, prior)
-        twice = superposition_exponent(theta, product_extend(w, 2),
-                                       product_extend(layer, 2),
-                                       product_extend(prior, 2))
+        twice = superposition_exponent(theta, Dmc(np.kron(w.matrix, w.matrix)),
+                                       Dmc(np.kron(layer.matrix, layer.matrix)),
+                                       Pmf(np.kron(prior.probs, prior.probs)))
         worst_add = max(worst_add, abs(twice - 2.0 * once))
         assert abs(twice - 2.0 * once) <= 1e-9
 

@@ -69,6 +69,17 @@ class TestChannelSpecs:
         np.testing.assert_array_equal(parse_pmf("0.25,0.75").probs, [0.25, 0.75])
         assert isinstance(parse_pmf("0.5,0.5"), Pmf)
 
+    @pytest.mark.parametrize("spec", ["uniform:0", "point:2:5", "point:2:-1"])
+    def test_bad_pmf_spec_is_invalid_configuration(self, spec, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            parse_pmf(spec)
+        out = tmp_path / "sweep.csv"
+        code = main(["exponent", "--kind", "single", "--pz", "bsc:0.2", "--px", spec,
+                     "--n", "4", "--out", str(out)])
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliRegion:
     def test_frontier_csv_and_sidecar(self, tmp_path):
@@ -314,6 +325,15 @@ class TestCliCheck:
         assert payload["more_capable_eavesdropper_over_receiver"] is True
         assert payload["eavesdropper_degraded_from_receiver"]["verdict"] is False
 
+    @pytest.mark.parametrize("step", ["0", "-0.5", "2", "nan"])
+    def test_ordering_grid_step_outside_half_unit_is_invalid(self, step, capsys):
+        code = main(["check", "ordering", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     f"--grid-step={step}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "invalid configuration" in captured.err
+        assert captured.out == ""
+
     def test_split(self, capsys):
         code = main(["check", "split", "--py", "bsc:0.1", "--pz", "bsc:0.2",
                      "--quad", "0.2,0,0,0.1"])
@@ -336,6 +356,15 @@ class TestCliCheck:
         assert code == 4
         payload = json.loads(capsys.readouterr().out)
         assert payload["feasible"] is False
+
+    @pytest.mark.parametrize("r0,rs", [("0", "nan"), ("nan", "0.1")])
+    def test_min_randomness_nan_rate_is_invalid(self, r0, rs, capsys):
+        code = main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--r0", r0, "--rs", rs, "--grid-step", "0.02"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "invalid configuration" in captured.err
+        assert captured.out == ""
 
     def test_min_randomness_feasible(self, capsys):
         code = main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",

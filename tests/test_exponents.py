@@ -20,7 +20,6 @@ from bccrates import (
     minimize_superposition_bound,
     mutual_information,
     optimize_theta,
-    product_extend,
     resolvability_bound,
     resolvability_exponent,
     resolvability_exponent_slope,
@@ -139,8 +138,8 @@ class TestExponentCalculus:
             theta = float(rng.uniform(0.05, 1.0))
             single = superposition_exponent(theta, w, layer, prior)
             doubled = superposition_exponent(
-                theta, product_extend(w, 2), product_extend(layer, 2),
-                product_extend(prior, 2))
+                theta, Dmc(np.kron(w.matrix, w.matrix)),
+                Dmc(np.kron(layer.matrix, layer.matrix)), Pmf(np.kron(prior.probs, prior.probs)))
             assert doubled == pytest.approx(2.0 * single, abs=1e-9)
 
     def test_monotone_and_convex_in_theta(self):

@@ -180,8 +180,7 @@ class TestSupportingLine:
         grid = GridSpec(prob_step=0.02, mu_max=2.0, mu_step=0.05)
         front = secrecy_frontier(bsc(0.1), bsc(0.2), grid)
         for rd in (0.05, 0.1, 0.192745, 0.4):
-            dual = min(supporting_line_value(bsc(0.1), bsc(0.2), float(mu), rd, grid)
-                       for mu in grid.mu_values())
+            dual = supporting_line_value(bsc(0.1), bsc(0.2), grid.mu_values(), rd, grid).min()
             primal = front.evaluate(rd)
             assert dual >= primal - 1e-9
             assert dual - primal < 0.01
@@ -196,8 +195,7 @@ class TestSupportingLine:
         sim = secrecy_frontier_sim(w_y, w_z, grid)
         ds = secrecy_frontier(w_y, w_z, grid)
         for rd in (0.05, 0.1, 0.192745, 0.381):
-            dual = min(supporting_line_value(w_y, w_z, float(mu), rd, grid, mode="sim")
-                       for mu in grid.mu_values())
+            dual = supporting_line_value(w_y, w_z, grid.mu_values(), rd, grid, mode="sim").min()
             assert dual >= sim.evaluate(rd) - 1e-9
             assert dual - sim.evaluate(rd) < 0.01
         # where simulating the prefix costs more, the sim dual falls below
@@ -212,6 +210,22 @@ class TestSupportingLine:
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):
             supporting_line_value(bsc(0.1), bsc(0.2), -0.5, 0.1)
+        with pytest.raises(ValueError):
+            supporting_line_value(bsc(0.1), bsc(0.2), np.array([0.0, 0.5, -0.5]), 0.1)
+
+    @pytest.mark.parametrize("mode", ["ds", "sim"])
+    def test_slope_array_matches_one_slope_per_table(self, mode):
+        # each value is the float of one cell table per slope, as scalar calls give
+        w_y, w_z, grid, r_d = bsc(0.11), bec(0.45), GridSpec(prob_step=0.1), 0.2
+        slopes = np.array([0.0, 0.05, 0.3, 1.0, 7.5])
+        values = supporting_line_value(w_y, w_z, slopes, r_d, grid, mode=mode)
+        assert values.shape == slopes.shape
+        p = grid.prob_grid()
+        for mu, value in zip(slopes, values):
+            cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
+            want = float(np.max(cells["rs"] - float(mu) * (cells[f"rd_{mode}"] - r_d)))
+            scalar = supporting_line_value(w_y, w_z, float(mu), r_d, grid, mode=mode)
+            assert isinstance(scalar, float) and scalar == want == value
 
 
 class TestGeneralAlphabets:
@@ -236,7 +250,7 @@ class TestGeneralAlphabets:
     def test_cell_guard(self):
         w_y, w_z = self.ternary_pair()
         with pytest.raises(GuardExceeded):
-            secrecy_frontier(w_y, w_z, GridSpec(prob_step=0.02, cell_guard=10_000))
+            secrecy_frontier(w_y, w_z, GridSpec(prob_step=0.02))
 
     def test_input_alphabet_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,24 +6,17 @@ import pytest
 
 from bccrates import (
     Dmc,
-    GuardExceeded,
-    JointPmf,
     Pmf,
-    binary_convolution,
     binary_entropy,
-    build_joint,
-    conditional_entropy,
-    conditional_mutual_information,
     entropy,
     kl_divergence,
     mutual_information,
-    product_extend,
     single_chain,
 )
 from bccrates import probability
 from bccrates.channels import bsc
 
-from helpers import random_dmc, random_pmf
+from helpers import chain_joint, cmi, joint_entropy, random_dmc, random_pmf
 
 LN2 = math.log(2.0)
 
@@ -58,25 +52,29 @@ class TestBinaryEntropy:
         assert binary_entropy(1.0 + 1e-13) == 0.0
 
 
+def crossover(x: float, y: float) -> float:
+    """Crossover probability of BSC(x) cascaded with BSC(y)."""
+    return float(bsc(x).compose(bsc(y)).matrix[0, 1])
+
+
 class TestBinaryConvolution:
     def test_identity_element(self):
         for x in (0.0, 0.3, 0.9):
-            assert binary_convolution(x, 0.0) == x
+            assert crossover(x, 0.0) == x
 
     def test_absorbing_element(self):
         for x in (0.0, 0.3, 0.9):
-            assert binary_convolution(x, 0.5) == pytest.approx(0.5, abs=1e-15)
+            assert crossover(x, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_direct_arithmetic(self):
-        assert binary_convolution(0.1, 0.2) == pytest.approx(0.26, abs=1e-15)
+        assert crossover(0.1, 0.2) == pytest.approx(0.26, abs=1e-15)
 
     def test_symmetric(self):
-        assert binary_convolution(0.13, 0.41) == pytest.approx(
-            binary_convolution(0.41, 0.13), abs=1e-15)
+        assert crossover(0.13, 0.41) == pytest.approx(crossover(0.41, 0.13), abs=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            binary_convolution(1.2, 0.1)
+            crossover(1.2, 0.1)
 
 
 class TestKlDivergence:
@@ -149,103 +147,93 @@ class TestMutualInformation:
 
 
 class TestConditionalMutualInformation:
+    # the dense-joint oracle in tests/helpers.py that test_chain checks
+    # informations() against
     def test_conditionally_independent(self):
         rng = np.random.default_rng(3)
         pc = rng.dirichlet(np.ones(3))
         pa_c = rng.dirichlet(np.ones(2), size=3)
         pb_c = rng.dirichlet(np.ones(4), size=3)
         probs = np.einsum("c,ca,cb->abc", pc, pa_c, pb_c)
-        joint = JointPmf(probs, ("a", "b", "c"))
-        assert conditional_mutual_information(joint, "a", "b", "c") == pytest.approx(
-            0.0, abs=1e-12)
+        assert cmi(probs, "a", "b", "c", axes="abc") == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_conditioner_degenerates(self):
         rng = np.random.default_rng(5)
         pab = rng.dirichlet(np.ones(6)).reshape(2, 3)
-        joint = JointPmf(pab[:, :, None], ("a", "b", "c"))
-        with_cond = conditional_mutual_information(joint, "a", "b", "c")
-        without = conditional_mutual_information(joint, "a", "b")
+        with_cond = cmi(pab[:, :, None], "a", "b", "c", axes="abc")
+        without = cmi(pab[:, :, None], "a", "b", axes="abc")
         assert with_cond == pytest.approx(without, abs=1e-12)
 
     def test_conditioning_on_input_kills_information(self):
         chain = single_chain(Pmf.uniform(2), Dmc.identity(2), bsc(0.1), bsc(0.2))
-        joint = build_joint(chain)
-        assert conditional_mutual_information(joint, "x", "z", "v") == pytest.approx(
-            0.0, abs=1e-12)
+        assert cmi(chain_joint(chain), "x", "z", "v") == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_errors(self):
-        joint = JointPmf(np.full((2, 2), 0.25), ("a", "b"))
+        joint = np.full((2, 2), 0.25)
         with pytest.raises(ValueError):
-            conditional_mutual_information(joint, "a", "a")
+            cmi(joint, "a", "a", axes="ab")
         with pytest.raises(ValueError):
-            conditional_mutual_information(joint, "a", "nope")
+            cmi(joint, "a", "nope", axes="ab")
 
 
 class TestBuildJoint:
     def test_deterministic_layers_point_mass(self):
         chain = single_chain(Pmf.point_mass(2, 1), Dmc.identity(2),
                              Dmc.identity(2), Dmc.identity(2))
-        joint = build_joint(chain)
-        assert joint.probs[0, 1, 1, 1, 1] == 1.0
-        assert joint.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        joint = chain_joint(chain)
+        assert joint[0, 1, 1, 1, 1] == 1.0
+        assert joint.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_output_marginal_is_pushforward(self):
         rng = np.random.default_rng(9)
         chain = single_chain(random_pmf(rng, 3), random_dmc(rng, 3, 2),
                              random_dmc(rng, 2, 4), random_dmc(rng, 2, 3))
-        joint = build_joint(chain)
-        np.testing.assert_allclose(joint.marginal_array(("y",)),
+        joint = chain_joint(chain)
+        np.testing.assert_allclose(joint.sum(axis=(0, 1, 2, 4)),
                                    chain.w_y.output(chain.p_x).probs, atol=1e-14)
-        np.testing.assert_allclose(joint.marginal_array(("z",)),
+        np.testing.assert_allclose(joint.sum(axis=(0, 1, 2, 3)),
                                    chain.w_z.output(chain.p_x).probs, atol=1e-14)
 
     def test_figure_chain_closed_forms(self):
         chain = single_chain(Pmf.uniform(2), Dmc.identity(2), bsc(0.1), bsc(0.2))
-        joint = build_joint(chain)
-        i_xy = conditional_mutual_information(joint, "x", "y")
-        i_xz = conditional_mutual_information(joint, "x", "z")
-        assert i_xy == pytest.approx(LN2 - h_oracle(0.1), abs=1e-12)
-        assert i_xz == pytest.approx(LN2 - h_oracle(0.2), abs=1e-12)
+        joint = chain_joint(chain)
+        assert cmi(joint, "x", "y") == pytest.approx(LN2 - h_oracle(0.1), abs=1e-12)
+        assert cmi(joint, "x", "z") == pytest.approx(LN2 - h_oracle(0.2), abs=1e-12)
 
 
 class TestConditionalEntropy:
     def test_deterministic_given_itself(self):
         chain = single_chain(Pmf.uniform(2), Dmc.identity(2), bsc(0.1), bsc(0.2))
-        joint = build_joint(chain)
-        assert conditional_entropy(joint, "x", "v") == pytest.approx(0.0, abs=1e-12)
+        joint = chain_joint(chain)
+        assert joint_entropy(joint, "xv") - joint_entropy(joint, "v") == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_independent_case(self):
-        joint = JointPmf(np.full((2, 2), 0.25), ("a", "b"))
-        assert conditional_entropy(joint, "a", "b") == pytest.approx(LN2, abs=1e-12)
+        joint = np.full((2, 2), 0.25)
+        h_a_given_b = joint_entropy(joint, "ab", "ab") - joint_entropy(joint, "b", "ab")
+        assert h_a_given_b == pytest.approx(LN2, abs=1e-12)
 
 
 class TestProductExtend:
-    def test_order_one_is_identity(self):
-        p = Pmf([0.4, 0.6])
-        np.testing.assert_array_equal(product_extend(p, 1).probs, p.probs)
-
+    # i.i.d. extensions as the exponent tests build them: np.kron of the
+    # letter laws, first letter most significant
     def test_uniform_cube(self):
-        ext = product_extend(Pmf.uniform(2), 3)
+        ext = Pmf(functools.reduce(np.kron, [Pmf.uniform(2).probs] * 3))
         np.testing.assert_allclose(ext.probs, np.full(8, 0.125), atol=1e-15)
 
     def test_channel_entry_product(self):
-        ext = product_extend(bsc(0.2), 2)
+        ext = Dmc(np.kron(bsc(0.2).matrix, bsc(0.2).matrix))
         # input (0,0) -> index 0; output (0,1) -> index 1
         assert ext.matrix[0, 1] == pytest.approx(0.8 * 0.2, abs=1e-15)
 
     def test_normalization_preserved(self):
+        # n-fold products stay inside the ingestion tolerance of Pmf and Dmc
         p = Pmf([0.1, 0.2, 0.7])
         for n in (2, 4, 8):
-            assert abs(product_extend(p, n).probs.sum() - 1.0) < 1e-9
-        w = bsc(0.3)
-        ext = product_extend(w, 12)
+            probs = functools.reduce(np.kron, [p.probs] * n)
+            assert abs(Pmf(probs).probs.sum() - 1.0) < 1e-9
+        ext = Dmc(functools.reduce(np.kron, [bsc(0.3).matrix] * 12))
         assert np.max(np.abs(ext.matrix.sum(axis=1) - 1.0)) < 1e-9
-
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            product_extend(Pmf.uniform(8), 9)
-        with pytest.raises(ValueError):
-            product_extend(Pmf.uniform(2), 0)
 
 
 class TestValidation:

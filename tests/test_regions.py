@@ -308,6 +308,15 @@ class TestChannelOrdering:
                 assert verdict.intermediate is None
 
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, 2.0, math.nan])
+    def test_grid_step_outside_half_unit_rejected(self, step):
+        # a non-positive or oversized step would collapse to a 2-point grid
+        with pytest.raises(ValueError):
+            is_more_capable(bsc(0.1), bsc(0.2), step)
+        with pytest.raises(ValueError):
+            is_degraded(bec(0.2), bec(0.5), grid_step=step)
+
+
 def _oracle_degraded_grid(w_y, w_z, grid_step):
     """The plain loop over intermediate channels in ``itertools.product`` order;
     the first strict minimum of the residual wins."""
@@ -343,6 +352,11 @@ class TestMinDummyRate:
         assert value >= 0.0
         # far more common rate than the channel supports
         assert min_dummy_rate(bsc(0.1), bsc(0.2), 5.0, 0.0, self.GRID) is INFEASIBLE
+
+    @pytest.mark.parametrize("r_0,r_s", [(0.0, math.nan), (math.nan, 0.1), (-0.1, 0.0)])
+    def test_nan_or_negative_rate_rejected(self, r_0, r_s):
+        with pytest.raises(ValueError):
+            min_dummy_rate(bsc(0.1), bsc(0.2), r_0, r_s, self.GRID)
 
 
 def _oracle_pair_search(cells, r_0, r_s):

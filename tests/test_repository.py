@@ -1,8 +1,13 @@
+import dataclasses
+import inspect
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+import bccrates
+from bccrates import chain, probability
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,3 +19,21 @@ def test_no_tracked_file_is_ignored():
     listed = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"], cwd=ROOT,
                             capture_output=True, text=True, check=True)
     assert listed.stdout.split() == []
+
+
+# the dense-joint toolkit and test-only helpers that left the package; the
+# oracle that replaces them lives in tests/helpers.py
+RETIRED = ("JointPmf", "build_joint", "JOINT_AXES", "conditional_mutual_information",
+           "conditional_entropy", "_merged_marginal", "product_extend", "PRODUCT_SIZE_GUARD",
+           "binary_convolution")
+
+
+def test_retired_names_stay_gone():
+    for module in (bccrates, probability, chain):
+        assert [name for name in RETIRED if hasattr(module, name)] == [], module.__name__
+    assert not hasattr(bccrates.Pmf, "entropy")
+    assert not hasattr(bccrates.Dmc, "row")
+    # size guards are module constants, not per-call knobs
+    assert "cell_guard" not in [f.name for f in dataclasses.fields(bccrates.GridSpec)]
+    for check in (bccrates.is_more_capable, bccrates.is_degraded):
+        assert "guard" not in inspect.signature(check).parameters
