@@ -32,7 +32,7 @@ class GridSpec:
     ``rd_step``/``rd_max`` control the budget axis (defaults: ``prob_step``
     and a channel-derived cap).  ``mu_*`` give the slope grid
     (:meth:`mu_values`) for supporting-line dual checks; they do not shape a
-    frontier.
+    frontier.  Every value must be finite.
     """
 
     prob_step: float = 0.005
@@ -44,6 +44,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.prob_step <= 0.5:
             raise ValueError(f"prob_step must lie in (0, 0.5], got {self.prob_step!r}")
+        for name in ("mu_max", "mu_step", "rd_step", "rd_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mu_max < 0.0 or self.mu_step <= 0.0:
             raise ValueError("mu grid must have nonnegative span and positive step")
         if self.rd_step is not None and self.rd_step <= 0.0:
@@ -62,8 +66,13 @@ class GridSpec:
     def rd_axis(self, cost_cap: float) -> np.ndarray:
         step = self.prob_step if self.rd_step is None else self.rd_step
         cap = cost_cap if self.rd_max is None else self.rd_max
-        count = int(math.ceil(cap / step - 1e-9)) + 1
-        return np.arange(count) * step
+        span = cap / step - 1e-9
+        if span > CELL_GUARD - 1:  # the axis below would hold ceil(span) + 1 entries
+            raise GuardExceeded(
+                f"budget axis needs {span + 1.0:.4g} entries, above guard {CELL_GUARD}; "
+                "coarsen rd_step or lower rd_max"
+            )
+        return np.arange(math.ceil(span) + 1) * step
 
 
 @dataclass(frozen=True)
@@ -314,7 +323,8 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float
     p = grid.prob_grid()
     if (p.size) ** 3 > CELL_GUARD:
         raise GuardExceeded("supporting-line cell grid exceeds guard; coarsen prob_step")
-    cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
-    rs, excess = cells["rs"], cells[f"rd_{mode}"] - r_d
+    cost = f"rd_{mode}"
+    cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p, ("rs", cost))
+    rs, excess = cells["rs"], cells[cost] - r_d
     values = np.array([np.max(rs - m * excess) for m in slopes.ravel()])
     return float(values[0]) if slopes.ndim == 0 else values.reshape(slopes.shape)

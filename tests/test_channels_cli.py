@@ -147,6 +147,33 @@ class TestCliRegion:
         assert code == 3
 
 
+GRID_COMMANDS = {
+    "region": ["region", "--ds", "--py", "bsc:0.1", "--pz", "bsc:0.2", "--grid-step", "0.05"],
+    "min-randomness": ["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                       "--r0", "0", "--rs", "0.1", "--grid-step", "0.05"],
+}
+
+
+class TestCliGridValues:
+    @pytest.mark.parametrize("option", ["--rd-step", "--rd-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_non_finite_budget_axis_is_invalid(self, command, option, value, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        code = main([*GRID_COMMANDS[command], f"{option}={value}", "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_fine_budget_axis_trips_guard(self, command, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        code = main([*GRID_COMMANDS[command], "--rd-step", "1e-9", "--out", str(out)])
+        assert code == 3
+        assert "budget axis" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliExponent:
     def test_sweep_csv_properties(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -60,6 +60,21 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(mu_step=-1.0)
 
+    @pytest.mark.parametrize("name", ["mu_max", "mu_step", "rd_step", "rd_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GridSpec(**{name: value})
+
+    def test_budget_axis_guard(self):
+        assert GridSpec(rd_step=0.5, rd_max=1.0).rd_axis(9.0).tolist() == [0.0, 0.5, 1.0]
+        count = frontier.CELL_GUARD
+        assert GridSpec(rd_step=1.0, rd_max=count - 1.0).rd_axis(0.0).size == count
+        with pytest.raises(GuardExceeded, match="budget axis"):
+            GridSpec(rd_step=1.0, rd_max=float(count)).rd_axis(0.0)
+        with pytest.raises(GuardExceeded, match="budget axis"):
+            GridSpec(rd_step=1e-9).rd_axis(math.log(4.0))
+
     def test_prob_grid_has_exact_endpoints(self):
         grid = GridSpec(prob_step=0.02).prob_grid()
         assert grid[0] == 0.0 and grid[-1] == 1.0
@@ -404,6 +419,12 @@ FRONTIER_DIGESTS = {
         "06d42e5b7a65a0c2facb8b81509d3839498b9b6cbf8fc1edaaf26fdc935a0e18",
     "ternary":
         "f43ad814db3e4b68c23e15b60415cb12ca987d82fa992ee92a68ac0468e18ebf",
+    # the two paper pairs at the step the benchmark and the CLI run, recorded
+    # from the sweep that materialized each (P, A, B, m) output law
+    "bsc0.1/bsc0.2@0.01":
+        "6f81523af1bacaf26452613e32dcf56c8947eb1cab8076657a641277811e2bbf",
+    "bsc0.11/bec0.45@0.01":
+        "4456f84bd7f1c053e80d0517dafef734d451ebee7e9c162a35070df1d7ae5033",
 }
 
 
@@ -414,5 +435,125 @@ def test_frontier_bytes_golden(name):
         "bsc0.11/bec0.45": (bsc(0.11), bec(0.45), 0.05),
         "identity/bsc0.2": (Dmc.identity(2), bsc(0.2), 0.05),
         "ternary": (*TestGeneralAlphabets.ternary_pair(), 0.5),
+        "bsc0.1/bsc0.2@0.01": (bsc(0.1), bsc(0.2), 0.01),
+        "bsc0.11/bec0.45@0.01": (bsc(0.11), bec(0.45), 0.01),
     }
     assert _frontier_digest(*pairs[name]) == FRONTIER_DIGESTS[name]
+
+
+def _oracle_row_entropies(rows):
+    return -_xlogx(rows).sum(axis=-1)
+
+
+def _oracle_receiver(w, p, q, a, b):
+    """Output law, entropy and I(V; output) as the sweep computed them before it
+    went letter by letter: the (P, A, B, m) law, then a last-axis sum."""
+    row0 = a * w[0] + (1.0 - a) * w[1]
+    row1 = (1.0 - b) * w[0] + b * w[1]
+    law = np.empty((len(p), len(row0), len(row1), row0.shape[1]))
+    for k in range(row0.shape[1]):
+        np.add(p * row0[:, k, None], q * row1[None, :, k], out=law[..., k])
+    h = _oracle_row_entropies(law)
+    return law, h, h - (p * _oracle_row_entropies(row0)[:, None]
+                        + q * _oracle_row_entropies(row1)[None, :])
+
+
+def _oracle_planes(w_y, w_z, p, a_grid, b_grid):
+    q = 1.0 - p
+    a, b = a_grid[:, None], b_grid[:, None]
+    p_y, hy, ivy = _oracle_receiver(w_y, p, q, a, b)
+    p_z, hz, ivz = _oracle_receiver(w_z, p, q, a, b)
+    px0 = p * a + q * (1.0 - b_grid[None, :])
+    hz_row0, hz_row1 = float(_oracle_row_entropies(w_z[0])), float(_oracle_row_entropies(w_z[1]))
+    ha = _oracle_row_entropies(np.stack([a_grid, 1.0 - a_grid], axis=1))
+    hb = _oracle_row_entropies(np.stack([b_grid, 1.0 - b_grid], axis=1))
+    return {
+        "rs": ivy - ivz,
+        "rd_ds": hz - (px0 * hz_row0 + (1.0 - px0) * hz_row1),
+        "rd_sim": ivz + p * ha[:, None] + q * hb[None, :],
+        "ivy": ivy, "ivz": ivz, "p_y": p_y, "p_z": p_z, "hy": hy, "hz": hz,
+    }
+
+
+def _oracle_sweep_binary(w_y, w_z, p_grid, a_grid, b_grid, rd_step, n_rd, mode):
+    """The law-materializing sweep, kept as the oracle of ``sweep_binary``:
+    every field of every batch of planes, then the sort-based fold."""
+    table = np.full(n_rd, -np.inf)
+    batch = max(1, _sweep_py.BATCH_CELLS // (len(a_grid) * len(b_grid)))
+    for start in range(0, len(p_grid), batch):
+        cells = _oracle_planes(w_y, w_z, p_grid[start:start + batch, None, None],
+                               a_grid, b_grid)
+        _oracle_fold_max(table, cells[f"rd_{mode}"], cells["rs"], rd_step)
+    return table
+
+
+def _random_binary_input_pair(outputs, seed):
+    """Two seeded binary-input channels with ``outputs`` letters each; one
+    letter of each eavesdropper row is zero, so some planes hold zeros."""
+    rng = np.random.default_rng(seed)
+    w_y = rng.dirichlet(np.ones(outputs), size=2)
+    w_z = rng.dirichlet(np.ones(outputs), size=2)
+    w_z[0, 0] = w_z[1, -1] = 0.0
+    return w_y, w_z / w_z.sum(axis=1, keepdims=True)
+
+
+ORACLE_PAIRS = {
+    "bsc0.1/bsc0.2": lambda: (bsc(0.1).matrix, bsc(0.2).matrix),
+    "bsc0.11/bec0.45": lambda: (bsc(0.11).matrix, bec(0.45).matrix),
+    "identity/bsc0.2": lambda: (Dmc.identity(2).matrix, bsc(0.2).matrix),
+    "random-3": lambda: _random_binary_input_pair(3, 31),
+    "random-5": lambda: _random_binary_input_pair(5, 51),
+    "random-7": lambda: _random_binary_input_pair(7, 71),
+}
+
+
+def _sweep_args(w_y, w_z, step, mode):
+    p = GridSpec(prob_step=step).prob_grid()
+    cap = min(math.log(2.0), math.log(w_z.shape[1])) + math.log(2.0)
+    return w_y, w_z, p, p, p, step, int(math.ceil(cap / step)) + 1, mode
+
+
+class TestLetterPlanes:
+    """The sweep forms each output letter's plane and never the law; below 8
+    letters it gives the oracle's bytes, from 8 letters up its entropy sum
+    runs in another order than NumPy's pairwise last-axis sum."""
+
+    @pytest.mark.parametrize("step", [0.05, 0.02, 0.01])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+    def test_sweep_matches_law_oracle_bytes(self, name, step):
+        w_y, w_z = ORACLE_PAIRS[name]()
+        for mode in ("ds", "sim"):
+            args = _sweep_args(w_y, w_z, step, mode)
+            assert sweep_binary(*args).tobytes() == _oracle_sweep_binary(*args).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+    def test_binary_cells_match_oracle_fields(self, name):
+        w_y, w_z = ORACLE_PAIRS[name]()
+        p = GridSpec(prob_step=0.05).prob_grid()
+        cells = _sweep_py.binary_cells(w_y, w_z, p, p, p)
+        want = _oracle_planes(w_y, w_z, p[:, None, None], p, p)
+        assert sorted(cells) == sorted(want)
+        for key, value in want.items():
+            flat = value.reshape(-1, *value.shape[3:])
+            assert cells[key].shape == flat.shape
+            assert cells[key].tobytes() == flat.tobytes(), key
+        assert cells["p_y"].shape == (p.size ** 3, w_y.shape[1])
+        assert cells["p_z"].shape == (p.size ** 3, w_z.shape[1])
+        some = _sweep_py.binary_cells(w_y, w_z, p, p, p, ("rs", "rd_sim"))
+        assert list(some) == ["rs", "rd_sim"]
+        assert all(some[key].tobytes() == cells[key].tobytes() for key in some)
+
+    @pytest.mark.parametrize("outputs", [8, 12])
+    def test_many_outputs_within_rounding(self, outputs):
+        w_y, w_z = _random_binary_input_pair(outputs, 10 + outputs)
+        for step in (0.05, 0.02):
+            for mode in ("ds", "sim"):
+                args = _sweep_args(w_y, w_z, step, mode)
+                np.testing.assert_allclose(sweep_binary(*args), _oracle_sweep_binary(*args),
+                                           rtol=0.0, atol=1e-12)
+        p = GridSpec(prob_step=0.05).prob_grid()
+        cells = _sweep_py.binary_cells(w_y, w_z, p, p, p)
+        want = _oracle_planes(w_y, w_z, p[:, None, None], p, p)
+        for key, value in want.items():
+            np.testing.assert_allclose(cells[key], value.reshape(cells[key].shape),
+                                       rtol=0.0, atol=1e-12, err_msg=key)
