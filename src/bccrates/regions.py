@@ -20,7 +20,7 @@ from .frontier import GridSpec, secrecy_frontier, _product_blocks, _simplex_grid
 from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
-_DEGRADED_BLOCK = 1 << 16    # intermediate-channel candidates per block of is_degraded
+_DEGRADED_BLOCK = 1 << 11    # is_degraded candidates per block: 3x2 temporaries stay near 100 KB
 ORDERING_GUARD = 2**22       # most input laws or intermediate channels an ordering check tries
 
 
@@ -317,24 +317,36 @@ def _distinct_cells(cells: dict) -> dict:
     return {key: cells[key][first] for key in _PAIR_FIELDS}
 
 
+def _total_variation(laws: np.ndarray, rows: slice) -> np.ndarray:
+    """TV distance between each law of ``rows`` and every law, one letter at a time."""
+    tv = np.abs(laws[rows, None, 0] - laws[None, :, 0])
+    for k in range(1, laws.shape[1]):
+        tv += np.abs(laws[rows, None, k] - laws[None, :, k])
+    return 0.5 * tv
+
+
 def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
     """Least input cost over two-point mixtures of a cell cloud; ``inf`` if none fits.
 
     Mixing cell i with weight lam and cell j with 1 - lam makes a binary cloud
     variable U.  A mixture must carry r_0 to both receivers, r_0 + r_s in
     total, and r_s of secrecy.  Every pair value is the same float the plain
-    double loop computes; three exact prunings skip pairs that cannot lower
+    double loop computes; four exact prunings skip pairs that cannot lower
     the minimum: weights with h(lam) below r_0 (I(U;Y), I(U;Z) <= H(U)),
-    duplicate cells, and pairs failing the linear secrecy or cost test, which
-    are checked before any entropy is evaluated.
+    duplicate cells, pairs failing the linear secrecy or cost test, and,
+    while nothing is feasible yet, pairs with h(lam) TV(P_Y,i, P_Y,j) or
+    h(lam) TV(P_Z,i, P_Z,j) below r_0.  The last holds because Y is a degraded
+    output of an erasure channel from U that erases with probability 1 - TV,
+    so I(U;Y) <= h(lam) TV.  All are checked before any entropy is evaluated.
     """
     cells = _distinct_cells(cells)
     n = len(cells["rs"])
     rows = max(1, _PAIR_BLOCK // n)
     best = math.inf
+    tv_floor = r_0 - SLACK_TOL - _ENTROPY_MARGIN
     for lam in _PAIR_WEIGHTS:
         h_lam = -_xlogx(np.array([lam, 1.0 - lam])).sum()
-        if h_lam < r_0 - SLACK_TOL - _ENTROPY_MARGIN:
+        if h_lam < tv_floor:
             continue
         # lam * x_i + (1 - lam) * x_j for every field, from pre-scaled halves
         wi = {key: lam * value for key, value in cells.items()}
@@ -344,6 +356,9 @@ def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
             rs_u = wi["rs"][i, None] + wj["rs"]
             cost = wi["rd_ds"][i, None] + wj["rd_ds"]
             keep = (rs_u >= r_s - SLACK_TOL) & (cost < best)
+            if math.isinf(best) and keep.any():
+                for key in ("p_y", "p_z"):
+                    keep &= h_lam * _total_variation(cells[key], i) >= tv_floor
             kept = np.count_nonzero(keep)
             if not kept:
                 continue

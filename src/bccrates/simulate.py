@@ -25,6 +25,7 @@ CODEBOOK_GUARD = 2**22
 OUTPUT_ENUM_GUARD = 2**20
 LEAKAGE_GUARD = 2**22
 DECODE_GUARD = 2**22
+_MC_BLOCK = 1 << 15          # entries per block of MC samples: temporaries stay near 1 MB
 
 
 def _rng_for(seed) -> np.random.Generator:
@@ -33,9 +34,18 @@ def _rng_for(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _inverse_cdf_sample(uniforms: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
-    # cdf_rows[..., last] is forced to 1, so the count below is always < m
-    return (cdf_rows <= uniforms[..., None]).sum(axis=-1)
+def _inverse_cdf_sample(uniforms: np.ndarray, cdf: np.ndarray, symbols) -> np.ndarray:
+    """The letter drawn by each uniform u from row ``symbols`` of ``cdf``: the
+    number of columns b < m - 1 with cdf[symbols, b] <= u, compared one column
+    at a time.  The last column is forced to 1 > u, so it would never count."""
+    columns = cdf[:, :-1].T
+    if not len(columns):
+        return np.zeros(np.broadcast_shapes(np.shape(uniforms), np.shape(symbols)),
+                        dtype=np.int64)
+    letters = (columns[0][symbols] <= uniforms).astype(np.int64)
+    for column in columns[1:]:
+        letters += column[symbols] <= uniforms
+    return letters
 
 
 def _cdf(matrix: np.ndarray) -> np.ndarray:
@@ -143,7 +153,7 @@ def generate_super_codebook(p_v: Pmf, p_x_given_v: Dmc, n: int, m1: int, m2: int
     rng = _rng_for(seed)
     v_words = rng.choice(p_v.size, size=(m2, n), p=p_v.probs)
     uniforms = rng.random((m2, m1, n))
-    x_words = _inverse_cdf_sample(uniforms, _cdf(p_x_given_v.matrix)[v_words][:, None, :, :])
+    x_words = _inverse_cdf_sample(uniforms, _cdf(p_x_given_v.matrix), v_words[:, None, :])
     v_words.setflags(write=False)
     x_words.setflags(write=False)
     return SuperCodebook(v_words=v_words, x_words=x_words, p_v=p_v,
@@ -174,29 +184,73 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
 
     Samples outputs from the simulated law (random codeword, then channel
     noise) and averages the pointwise log ratio against the i.i.d. target;
-    returns (estimate, standard error).  Likelihoods are summed as logs, so
-    long blocks cannot underflow.
+    returns (estimate, standard error).  The codeword picks are drawn first,
+    then the noise one block of samples at a time, so the draws are those of
+    one (samples, n) noise array and memory is bounded by a block.  A word's
+    log-likelihood of a sample depends only on their joint type, the counts
+    N_ab of positions with word letter a and output letter b.  A block's
+    counts come from one matrix product per output letter but the last
+    (exact integers), and sum_ab N_ab log W[a, b] is added in (a, b) order,
+    as logs, so long blocks cannot underflow.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     rng = _rng_for(seed)
     n = codebook.n
     words = codebook.x_words.reshape(-1, n)
+    count, (mx, mz) = words.shape[0], w_z.matrix.shape
     p_x = Pmf(codebook.p_v.probs @ codebook.p_x_given_v.matrix)
     p_z = w_z.output(p_x).probs
-    picks = rng.integers(0, words.shape[0], size=samples)
-    noise = rng.random((samples, n))
-    z = _inverse_cdf_sample(noise, _cdf(w_z.matrix)[words[picks]])
+    picks = rng.integers(0, count, size=samples)
+    cdf = _cdf(w_z.matrix)
     log_w, log_p_z = _log(w_z.matrix), _log(p_z)  # -inf: erasure-channel zeros
-    log_m = math.log(words.shape[0])
+    # word letters a < mx - 1 one-hot, then a column of ones for the output count:
+    # (n, count * (mx - 1) + 1).  The last letter a and the last output letter b
+    # take the rest of each word's letter count and of each sample's output count.
+    one_hot = np.concatenate([(words.T[:, :, None] == np.arange(mx - 1)).reshape(n, -1),
+                              np.ones((n, 1), dtype=bool)], axis=1).astype(float)
+    letter_counts = (words[:, :, None] == np.arange(mx)).sum(axis=1).astype(float)
+    rows = _mc_block_rows(n, count * mx * mz)
     log_ratios = np.empty(samples)
-    for i in range(samples):
-        # log mixture probability of the sampled output, by log-sum-exp
-        per_word = log_w[words, z[i][None, :]].sum(axis=1)
-        top = per_word.max()
-        log_mix = top + math.log(np.exp(per_word - top).sum()) - log_m
-        log_ratios[i] = log_mix - log_p_z[z[i]].sum()
+    for start in range(0, samples, rows):
+        pick = picks[start:start + rows]
+        z = _inverse_cdf_sample(rng.random((pick.size, n)), cdf, words[pick])
+        joint = np.empty((pick.size, count, mx, mz))   # N_ab per sample and word
+        out_counts = np.empty((pick.size, mz))
+        for b in range(mz - 1):
+            counts = (z == b).astype(float) @ one_hot
+            out_counts[:, b] = counts[:, -1]
+            joint[:, :, :-1, b] = counts[:, :-1].reshape(pick.size, count, mx - 1)
+            joint[:, :, -1, b] = counts[:, -1:] - joint[:, :, :-1, b].sum(axis=2)
+        out_counts[:, -1] = n - out_counts[:, :-1].sum(axis=1)
+        joint[..., -1] = letter_counts - joint[..., :-1].sum(axis=3)
+        per_word = _type_log_likelihoods(joint.reshape(pick.size, count, -1), log_w.ravel())
+        ref = _type_log_likelihoods(out_counts, log_p_z)
+        # log mixture probability of each sampled output, by log-sum-exp
+        top = per_word.max(axis=1)
+        log_mix = top + np.log(np.exp(per_word - top[:, None]).mean(axis=1))
+        log_ratios[start:start + pick.size] = log_mix - ref
     return float(log_ratios.mean()), float(log_ratios.std(ddof=1) / math.sqrt(samples))
+
+
+def _mc_block_rows(n: int, joint_size: int) -> int:
+    """Samples per block of ``mc_output_divergence``: its noise, output letters
+    and joint counts each fill at most ``_MC_BLOCK`` entries (or one sample)."""
+    return max(1, _MC_BLOCK // max(n, joint_size))
+
+
+def _type_log_likelihoods(counts: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    """sum_k counts[..., k] log_probs[k], added in k order; -inf where a positive
+    count meets a zero probability, never 0 * -inf."""
+    total = np.zeros(counts.shape[:-1])
+    impossible = np.zeros(counts.shape[:-1], dtype=bool)
+    for k, log_p in enumerate(log_probs):
+        if log_p == -math.inf:
+            impossible |= counts[..., k] > 0
+        else:
+            total += counts[..., k] * log_p
+    total[impossible] = -math.inf
+    return total
 
 
 def _mc_error(codebook: BccCodebook, matrix: np.ndarray, passing, samples: int,
@@ -215,7 +269,7 @@ def _mc_error(codebook: BccCodebook, matrix: np.ndarray, passing, samples: int,
     errors = 0
     for _ in range(samples):
         msg = tuple(int(rng.integers(size)) for size in codebook.sizes)
-        out = _inverse_cdf_sample(rng.random(codebook.n), cdf[codebook.x_words[msg]])
+        out = _inverse_cdf_sample(rng.random(codebook.n), cdf, codebook.x_words[msg])
         tests = passing(out)
         sent = int(np.ravel_multi_index(msg, codebook.sizes)) // (codewords // tests.size)
         errors += int(_decode_table(tests)) != sent
@@ -236,10 +290,12 @@ def mc_eve_error(codebook: BccCodebook, alpha0: float, samples: int, seed) -> fl
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-trial values with summary statistics (mean, std, normal 95% CI)."""
+    """Per-trial values with summary statistics (mean, std, normal 95% CI);
+    ``stderr`` holds each trial's Monte Carlo standard error, 0.0 when exact."""
 
     values: np.ndarray
     exact: np.ndarray
+    stderr: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -276,27 +332,32 @@ def mc_resolvability(p_v: Pmf, p_x_given_v: Dmc, w_z: Dmc, n: int, m1: int, m2: 
 
     Each value is exact when the output enumeration fits its guard.  Past the
     guard it is a ``mc_output_divergence`` estimate from ``mc_samples`` outputs
-    if ``allow_mc`` is set; otherwise the guard is raised.
+    if ``allow_mc`` is set, with its standard error in ``stderr`` and in the
+    ``mc_stderr`` metadata; otherwise the guard is raised.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     exact = _outputs_enumerable(w_z.output_size, n) or not allow_mc
     values = np.empty(trials)
+    stderr = np.zeros(trials)
     for t in range(trials):
         book = generate_super_codebook(p_v, p_x_given_v, n, m1, m2,
                                        seed=trial_seed(master_seed, t))
         if exact:
             values[t] = exact_output_divergence(book, w_z)
         else:
-            values[t], _ = mc_output_divergence(book, w_z, mc_samples,
-                                                np.random.SeedSequence((master_seed, t, 1)))
-    values.setflags(write=False)
+            values[t], stderr[t] = mc_output_divergence(
+                book, w_z, mc_samples, np.random.SeedSequence((master_seed, t, 1)))
+    for arr in (values, stderr):
+        arr.setflags(write=False)
     meta = {"n": n, "m1": m1, "m2": m2, "trials": trials, "master_seed": master_seed}
     if exact:
         meta["method"] = "exact_enumeration_per_trial"
     else:
-        meta.update(method="monte_carlo_output_sampling", mc_samples=mc_samples)
-    return SimResult(values=values, exact=np.full(trials, exact), metadata=meta)
+        meta.update(method="monte_carlo_output_sampling", mc_samples=mc_samples,
+                    mc_stderr=[float(se) for se in stderr])
+    return SimResult(values=values, exact=np.full(trials, exact), stderr=stderr,
+                     metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -343,11 +404,11 @@ def generate_bcc_codebook(chain: BccChain, sizes: tuple[int, int, int, int], n: 
     mu = chain.p_u.size
     u_words = rng.choice(mu, size=(size_k, n), p=chain.p_u.probs)
     uniforms_v = rng.random((size_k, size_l, size_s, n))
-    v_words = _inverse_cdf_sample(
-        uniforms_v, _cdf(chain.p_v_given_u.matrix)[u_words][:, None, None, :, :])
+    v_words = _inverse_cdf_sample(uniforms_v, _cdf(chain.p_v_given_u.matrix),
+                                  u_words[:, None, None, :])
     uniforms_x = rng.random((size_k, size_l, size_s, size_a, n))
-    x_words = _inverse_cdf_sample(
-        uniforms_x, _cdf(chain.p_x_given_v.matrix)[v_words][:, :, :, None, :, :])
+    x_words = _inverse_cdf_sample(uniforms_x, _cdf(chain.p_x_given_v.matrix),
+                                  v_words[:, :, :, None, :])
     for arr in (u_words, v_words, x_words):
         arr.setflags(write=False)
     return BccCodebook(u_words=u_words, v_words=v_words, x_words=x_words,

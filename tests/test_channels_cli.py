@@ -309,6 +309,8 @@ class TestCliSimulate:
         assert exact["method"] == "exact_enumeration_per_trial"
         assert mc["method"] == "monte_carlo_output_sampling"
         assert mc["mc_samples"] == 50 and "mc_samples" not in exact
+        assert len(mc["mc_stderr"]) == 2 and all(se > 0.0 for se in mc["mc_stderr"])
+        assert "mc_stderr" not in exact
 
     def test_bcc_run_with_huge_threshold(self, tmp_path):
         # e^{800} overflows a float; the exact decoders compare logs, erase

@@ -389,6 +389,19 @@ def _oracle_pair_search(cells, r_0, r_s):
     return best
 
 
+def _largest_common_rate(cells):
+    """max over weights and cell pairs of min(I(U;Y), I(U;Z))."""
+    best = 0.0
+    for lam in np.linspace(0.0, 1.0, 11):
+        infos = []
+        for p, hp in (("p_y", "hy"), ("p_z", "hz")):
+            mix = lam * cells[p][:, None] + (1.0 - lam) * cells[p]
+            infos.append(-regions._xlogx(mix).sum(axis=-1)
+                         - (lam * cells[hp][:, None] + (1.0 - lam) * cells[hp]))
+        best = max(best, float(np.minimum(*infos).max()))
+    return best
+
+
 def _pair(kind, rng):
     e1 = float(rng.uniform(0.02, 0.15))
     e2 = float(rng.uniform(0.1, 0.5))
@@ -438,6 +451,31 @@ class TestPairSearch:
         assert regions._pair_search(cells, r_0, 0.0) == expected
         assert math.isfinite(expected) == feasible
 
+    @pytest.mark.parametrize("pair", [(bsc(0.1), bsc(0.2)), (bsc(0.11), bec(0.45)),
+                                      (bec(0.2), bsc(0.1))], ids=["bsc", "bsc/bec", "bec/bsc"])
+    @pytest.mark.parametrize("offset", [-1e-12, 3e-9], ids=["feasible", "infeasible"])
+    def test_common_rate_at_the_largest_feasible(self, pair, offset):
+        # r_0 at the largest min(I(U;Y), I(U;Z)) of any mixture: the pair that
+        # reaches it must survive the total-variation bound, and nothing above it
+        cells = regions._pair_search_cells(*pair, budget=343)
+        r_0 = _largest_common_rate(regions._distinct_cells(cells)) + offset
+        expected = _oracle_pair_search(cells, r_0, 0.0)
+        assert regions._pair_search(cells, r_0, 0.0) == expected
+        assert math.isfinite(expected) == (offset < 0)
+
+    def test_total_variation_bounds_the_common_information(self):
+        cells = regions._distinct_cells(regions._pair_search_cells(bsc(0.11), bec(0.45),
+                                                                   budget=343))
+        every = slice(None)
+        for lam in np.linspace(0.05, 0.95, 7):
+            h_lam = -regions._xlogx(np.array([lam, 1.0 - lam])).sum()
+            for p, hp in (("p_y", "hy"), ("p_z", "hz")):
+                mix = lam * cells[p][:, None] + (1.0 - lam) * cells[p]
+                info = (-regions._xlogx(mix).sum(axis=-1)
+                        - (lam * cells[hp][:, None] + (1.0 - lam) * cells[hp]))
+                bound = h_lam * regions._total_variation(cells[p], every)
+                assert np.all(info <= bound + 1e-12)
+
     def test_duplicate_cells_dropped(self):
         cells = regions._pair_search_cells(bsc(0.1), bsc(0.2), budget=1500)
         assert len(cells["rs"]) == 1331
@@ -454,6 +492,7 @@ MIN_DUMMY_COMMON = [
     (bec(0.2), bsc(0.1), 0.02, 0.001, "0x1.c3aedf879fccbp-10"),
     (bec(0.1), bsc(0.2), 0.1, 0.02, "0x1.0ce5b9ece7380p-7"),
     (bsc(0.11), bec(0.45), 0.03, 0.01, None),
+    (bsc(0.1), bsc(0.2), 0.3, 0.0, None),
 ]
 
 

@@ -1,9 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import random_chain
+from helpers import random_chain, random_dmc
 
 from bccrates import (
     BccChain,
@@ -152,6 +153,20 @@ class TestMcResolvability:
         large = mc_resolvability(Pmf.uniform(2), bsc(0.1), bsc(0.2), 4, 4, 4,
                                  trials=150, master_seed=4)
         assert large.mean <= small.mean + small.ci95
+
+    def test_standard_errors_per_trial(self):
+        exact = mc_resolvability(Pmf.uniform(2), bsc(0.1), bsc(0.2), 4, 2, 2,
+                                 trials=3, master_seed=4)
+        assert np.array_equal(exact.stderr, np.zeros(3))
+        assert "mc_stderr" not in exact.metadata
+        mc = mc_resolvability(Pmf.uniform(2), bsc(0.1), bsc(0.2), 24, 2, 2, trials=3,
+                              master_seed=4, allow_mc=True, mc_samples=60)
+        for t in range(3):
+            book = generate_super_codebook(Pmf.uniform(2), bsc(0.1), 24, 2, 2,
+                                           seed=trial_seed(4, t))
+            want = mc_output_divergence(book, bsc(0.2), 60, np.random.SeedSequence((4, t, 1)))
+            assert (mc.values[t], mc.stderr[t]) == want
+        assert mc.metadata["mc_stderr"] == [float(se) for se in mc.stderr]
 
     def test_csv_round_trip(self, tmp_path):
         res = mc_resolvability(Pmf.uniform(2), bsc(0.1), bsc(0.2), 2, 2, 2,
@@ -538,3 +553,100 @@ class TestSimulateBcc:
         est, stderr = mc_output_divergence(book, w_z, samples=400, seed=3)
         assert math.isfinite(est) and math.isfinite(stderr)
         assert lo - 5 * stderr <= est <= hi + 5 * stderr
+
+
+def _oracle_inverse_cdf_sample(uniforms, cdf_rows):
+    """The gathered form: every column of each drawn CDF row compared at once."""
+    return (cdf_rows <= uniforms[..., None]).sum(axis=-1)
+
+
+def _oracle_mc_output_divergence(codebook, w_z, samples, seed):
+    """The per-sample loop: one (samples, n) noise draw, then for each sample a
+    gather-and-sum of log W over every word and a log-sum-exp."""
+    rng = simulate._rng_for(seed)
+    n = codebook.n
+    words = codebook.x_words.reshape(-1, n)
+    p_x = Pmf(codebook.p_v.probs @ codebook.p_x_given_v.matrix)
+    p_z = w_z.output(p_x).probs
+    picks = rng.integers(0, words.shape[0], size=samples)
+    noise = rng.random((samples, n))
+    z = _oracle_inverse_cdf_sample(noise, simulate._cdf(w_z.matrix)[words[picks]])
+    log_w, log_p_z = simulate._log(w_z.matrix), simulate._log(p_z)
+    log_m = math.log(words.shape[0])
+    log_ratios = np.empty(samples)
+    for i in range(samples):
+        per_word = log_w[words, z[i][None, :]].sum(axis=1)
+        top = per_word.max()
+        log_mix = top + math.log(np.exp(per_word - top).sum()) - log_m
+        log_ratios[i] = log_mix - log_p_z[z[i]].sum()
+    return float(log_ratios.mean()), float(log_ratios.std(ddof=1) / math.sqrt(samples))
+
+
+def _mc_layers(kind):
+    """(satellite layer, eavesdropper channel) for one kind of eavesdropper."""
+    rng = np.random.default_rng([len(kind), ord(kind[0])])
+    if kind == "bsc":
+        return bsc(0.1), bsc(0.2)
+    if kind == "bec":
+        return bsc(0.1), bec(0.3)
+    if kind == "ternary":
+        return random_dmc(rng, 2, 3), random_dmc(rng, 3, 3)
+    return bsc(0.1), Dmc(np.ones((2, 1)))
+
+
+class TestMcDivergenceBlocks:
+    """The blocked joint-type estimator against the per-sample loop."""
+
+    @pytest.mark.parametrize("kind", ["bsc", "bec", "ternary", "one_output"])
+    @pytest.mark.parametrize("n", [1, 8, 400, 1200])
+    @pytest.mark.parametrize("size", ["two", "block", "ragged"])
+    def test_matches_per_sample_loop(self, kind, n, size):
+        layer, w_z = _mc_layers(kind)
+        book = generate_super_codebook(Pmf.uniform(2), layer, n, 4, 4, seed=[n, len(kind)])
+        rows = simulate._mc_block_rows(n, 16 * w_z.input_size * w_z.output_size)
+        samples = {"two": 2, "block": rows, "ragged": 2 * rows + 3}[size]
+        est, stderr = mc_output_divergence(book, w_z, samples, seed=n + samples)
+        want, want_se = _oracle_mc_output_divergence(book, w_z, samples, seed=n + samples)
+        assert abs(est - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(stderr - want_se) <= 1e-12
+        if kind == "one_output":
+            assert (est, stderr) == (0.0, 0.0)
+
+    def test_needs_two_samples(self):
+        book = generate_super_codebook(Pmf.uniform(2), bsc(0.1), 8, 2, 2, seed=1)
+        with pytest.raises(ValueError):
+            mc_output_divergence(book, bsc(0.2), samples=1, seed=0)
+
+    def test_memory_is_one_block_not_all_samples(self):
+        book = generate_super_codebook(Pmf.uniform(2), bsc(0.1), 400, 4, 4, seed=1)
+        peaks = []
+        for samples in (2000, 8000):
+            tracemalloc.start()
+            try:
+                mc_output_divergence(book, bsc(0.2), samples, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 6,000 more samples add their picks and log ratios, not 6,000 rows of noise
+        assert peaks[1] - peaks[0] < 1 << 20
+        assert peaks[1] < 4 << 20
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_sampler_matches_gathered_rows(self, m):
+        rng = np.random.default_rng(m)
+        matrix = rng.dirichlet(np.ones(m), size=3)
+        if m > 1:
+            matrix[0, rng.integers(m)] = 0.0        # a letter that is never drawn
+            matrix /= matrix.sum(axis=1, keepdims=True)
+        cdf = simulate._cdf(matrix)
+        symbols = rng.integers(0, 3, size=(5, 1, 40))
+        uniforms = rng.random((5, 7, 40))
+        # some uniforms exactly on a CDF step: a tie counts the step as passed
+        ties = rng.random(uniforms.shape) < 0.3
+        steps = np.take_along_axis(cdf[symbols], rng.integers(0, m, uniforms.shape + (1,)),
+                                   axis=-1)[..., 0]
+        uniforms = np.where(ties & (steps < 1.0), steps, uniforms)
+        got = simulate._inverse_cdf_sample(uniforms, cdf, symbols)
+        want = _oracle_inverse_cdf_sample(uniforms, cdf[symbols])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
