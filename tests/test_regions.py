@@ -284,7 +284,8 @@ class TestChannelOrdering:
         assert verdict.degraded
         assert verdict.resolution == 0.25
 
-    @pytest.mark.parametrize("block", [7, regions._DEGRADED_BLOCK])
+    # small blocks, the earlier 2**16 block and the module default
+    @pytest.mark.parametrize("block", [7, 1 << 16, regions._DEGRADED_BLOCK])
     def test_grid_search_matches_loop(self, monkeypatch, block):
         monkeypatch.setattr(regions, "_DEGRADED_BLOCK", block)
         rng = np.random.default_rng(31)
