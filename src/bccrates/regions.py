@@ -338,12 +338,15 @@ def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
     h(lam) TV(P_Z,i, P_Z,j) below r_0.  The last holds because Y is a degraded
     output of an erasure channel from U that erases with probability 1 - TV,
     so I(U;Y) <= h(lam) TV.  All are checked before any entropy is evaluated.
+    A block's smaller TV is computed once and tested at every weight: rounding
+    is monotone, so h(lam) min(TV_Y, TV_Z) passes exactly when both products do.
     """
     cells = _distinct_cells(cells)
     n = len(cells["rs"])
     rows = max(1, _PAIR_BLOCK // n)
     best = math.inf
     tv_floor = r_0 - SLACK_TOL - _ENTROPY_MARGIN
+    tv_min = {}     # block start -> min(TV_Y, TV_Z) of its pairs, for every weight
     for lam in _PAIR_WEIGHTS:
         h_lam = -_xlogx(np.array([lam, 1.0 - lam])).sum()
         if h_lam < tv_floor:
@@ -357,8 +360,10 @@ def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
             cost = wi["rd_ds"][i, None] + wj["rd_ds"]
             keep = (rs_u >= r_s - SLACK_TOL) & (cost < best)
             if math.isinf(best) and keep.any():
-                for key in ("p_y", "p_z"):
-                    keep &= h_lam * _total_variation(cells[key], i) >= tv_floor
+                if start not in tv_min:
+                    tv_min[start] = np.minimum(_total_variation(cells["p_y"], i),
+                                               _total_variation(cells["p_z"], i))
+                keep &= h_lam * tv_min[start] >= tv_floor
             kept = np.count_nonzero(keep)
             if not kept:
                 continue

@@ -7,12 +7,19 @@ blocklengths every figure of merit is computed by exact enumeration: output
 distributions, divergences, leakage, and threshold-decoder error rates.
 The exact error tables, the Monte Carlo error estimates and the sequence
 decoders apply one threshold rule to log-likelihood sums added in letter order.
+
+A batch of trials is evaluated in blocks: each block draws its codebooks,
+one stream per trial, and every channel's rows are folded once per distinct
+word of the block, then gathered back.  The chain's composed laws and prior
+rows are formed once per call.  Codebook tables of a block fill at most
+``_TRIAL_BLOCK`` entries (or one trial), and nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +33,7 @@ OUTPUT_ENUM_GUARD = 2**20
 LEAKAGE_GUARD = 2**22
 DECODE_GUARD = 2**22
 _MC_BLOCK = 1 << 15          # entries per block of MC samples: temporaries stay near 1 MB
+_TRIAL_BLOCK = 1 << 16       # codeword-table entries per block of trials (512 KB a table)
 
 
 def _rng_for(seed) -> np.random.Generator:
@@ -66,10 +74,56 @@ def _letter_fold(words: np.ndarray, letter_rows: np.ndarray, combine, start: flo
     return rows
 
 
+class _DistinctWords:
+    """A stack of words (letters on the last axis), folded once per distinct word.
+
+    A word's key is the exact integer its letters spell in base b, one more
+    than the largest letter, or its row of letters where b^n would overflow
+    int64.  A fold is row-wise, so a gathered row is the same float as the
+    word folded alone.  The distinct rows are gathered back only when at most
+    half the words are distinct; otherwise every word is folded in place.
+    """
+
+    def __init__(self, words: np.ndarray):
+        n = words.shape[-1]
+        self.shape = words.shape[:-1]
+        self.words = words.reshape(-1, n)
+        letters = int(self.words.max()) + 1
+        if letters == 1 or n < 64 and letters**n <= np.iinfo(np.int64).max:
+            keys = self.words @ letters ** np.arange(n - 1, -1, -1, dtype=np.int64)
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        else:
+            _, first, inverse = np.unique(self.words, axis=0, return_index=True,
+                                          return_inverse=True)
+        self.first, self.inverse = first, inverse.reshape(-1)
+        if 2 * first.size > self.words.shape[0]:
+            self.first = self.inverse = None
+
+    def fold(self, letter_rows: np.ndarray, combine, start: float) -> np.ndarray:
+        """``_letter_fold`` rows of every word, shaped as the stack plus outputs.
+
+        Words are folded ``_TRIAL_BLOCK`` entries at a time into one table, so
+        the last letter's step never holds a second table of every word.
+        """
+        words = self.words if self.first is None else self.words[self.first]
+        outputs = letter_rows.shape[-1] ** words.shape[1]
+        chunk = max(1, _TRIAL_BLOCK // outputs)
+        if words.shape[0] <= chunk:
+            rows = _letter_fold(words, letter_rows, combine, start)
+        else:
+            rows = np.empty((words.shape[0], outputs))
+            for at in range(0, words.shape[0], chunk):
+                rows[at:at + chunk] = _letter_fold(words[at:at + chunk], letter_rows,
+                                                   combine, start)
+        if self.inverse is not None:
+            rows = rows[self.inverse]
+        return rows.reshape(self.shape + rows.shape[-1:])
+
+
 def codeword_channel_rows(words: np.ndarray, channel_matrix: np.ndarray) -> np.ndarray:
     """Product-law rows P^n(. | word) for each word, outputs indexed
     lexicographically (first symbol most significant)."""
-    return _letter_fold(words, channel_matrix, np.multiply, 1.0)
+    return _DistinctWords(np.atleast_2d(words)).fold(channel_matrix, np.multiply, 1.0)
 
 
 def _log(probs: np.ndarray) -> np.ndarray:
@@ -85,7 +139,7 @@ def _log_likelihoods(words: np.ndarray, matrix: np.ndarray, seq=None) -> np.ndar
     so a table entry equals the value for its sequence bit for bit."""
     log_m = _log(matrix)
     if seq is None:
-        return _letter_fold(words, log_m, np.add, 0.0)
+        return _DistinctWords(words).fold(log_m, np.add, 0.0)
     return np.cumsum(log_m[words, seq[None, :]], axis=1)[:, -1]
 
 
@@ -160,22 +214,33 @@ def generate_super_codebook(p_v: Pmf, p_x_given_v: Dmc, n: int, m1: int, m2: int
                          p_x_given_v=p_x_given_v, seed=seed)
 
 
-def output_distribution(codebook: SuperCodebook, w_z: Dmc) -> np.ndarray:
-    """Exact block output law: uniform mixture of the codeword product rows."""
-    n, mz = codebook.n, w_z.output_size
+def _output_mixtures(books: list[SuperCodebook], w_z: Dmc) -> np.ndarray:
+    """Exact block output law of each codebook, shape (books, mz^n): the
+    uniform mixture of its codeword product rows, added in codeword order."""
+    n, mz = books[0].n, w_z.output_size
     if not _outputs_enumerable(mz, n):
         raise GuardExceeded(f"output enumeration {mz}^{n} exceeds guard")
-    rows = codeword_channel_rows(codebook.x_words.reshape(-1, n), w_z.matrix)
-    return rows.mean(axis=0)
+    words = _DistinctWords(np.stack([book.x_words for book in books]))
+    rows = words.fold(w_z.matrix, np.multiply, 1.0)
+    return rows.reshape(len(books), -1, rows.shape[-1]).mean(axis=1)
+
+
+def _target_response(codebook: SuperCodebook, w_z: Dmc) -> np.ndarray:
+    """The i.i.d. target law over every output sequence."""
+    p_x = Pmf(codebook.p_v.probs @ codebook.p_x_given_v.matrix)
+    return codeword_channel_rows(np.zeros((1, codebook.n), dtype=np.int64),
+                                 w_z.output(p_x).probs[None, :])[0]
+
+
+def output_distribution(codebook: SuperCodebook, w_z: Dmc) -> np.ndarray:
+    """Exact block output law: uniform mixture of the codeword product rows."""
+    return _output_mixtures([codebook], w_z)[0]
 
 
 def exact_output_divergence(codebook: SuperCodebook, w_z: Dmc) -> float:
     """D(simulated block output || i.i.d. target response), in nats."""
     mix = output_distribution(codebook, w_z)
-    p_x = Pmf(codebook.p_v.probs @ codebook.p_x_given_v.matrix)
-    ref = codeword_channel_rows(np.zeros((1, codebook.n), dtype=np.int64),
-                                w_z.output(p_x).probs[None, :])[0]
-    return kl_divergence(mix, ref)
+    return kl_divergence(mix, _target_response(codebook, w_z))
 
 
 def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
@@ -325,6 +390,13 @@ def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((master_seed, trial))
 
 
+def _trial_blocks(trials: int, entries: int) -> list[range]:
+    """Consecutive trials whose codeword tables, ``entries`` each, fill at most
+    ``_TRIAL_BLOCK`` entries together (at least one trial a block)."""
+    step = max(1, _TRIAL_BLOCK // entries)
+    return [range(start, min(start + step, trials)) for start in range(0, trials, step)]
+
+
 def mc_resolvability(p_v: Pmf, p_x_given_v: Dmc, w_z: Dmc, n: int, m1: int, m2: int,
                      trials: int, master_seed: int, *, allow_mc: bool = False,
                      mc_samples: int = 20000) -> SimResult:
@@ -333,19 +405,25 @@ def mc_resolvability(p_v: Pmf, p_x_given_v: Dmc, w_z: Dmc, n: int, m1: int, m2: 
     Each value is exact when the output enumeration fits its guard.  Past the
     guard it is a ``mc_output_divergence`` estimate from ``mc_samples`` outputs
     if ``allow_mc`` is set, with its standard error in ``stderr`` and in the
-    ``mc_stderr`` metadata; otherwise the guard is raised.
+    ``mc_stderr`` metadata; otherwise the guard is raised.  Exact trials are
+    evaluated a block at a time, each value the one its codebook gives alone.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     exact = _outputs_enumerable(w_z.output_size, n) or not allow_mc
     values = np.empty(trials)
     stderr = np.zeros(trials)
-    for t in range(trials):
-        book = generate_super_codebook(p_v, p_x_given_v, n, m1, m2,
-                                       seed=trial_seed(master_seed, t))
+    ref = None
+    for block in _trial_blocks(trials, m1 * m2 * w_z.output_size**n if exact else _TRIAL_BLOCK):
+        books = [generate_super_codebook(p_v, p_x_given_v, n, m1, m2,
+                                         seed=trial_seed(master_seed, t)) for t in block]
         if exact:
-            values[t] = exact_output_divergence(book, w_z)
-        else:
+            mixes = _output_mixtures(books, w_z)
+            if ref is None:
+                ref = _target_response(books[0], w_z)
+            values[block] = [kl_divergence(mix, ref) for mix in mixes]
+            continue
+        for t, book in zip(block, books):
             values[t], stderr[t] = mc_output_divergence(
                 book, w_z, mc_samples, np.random.SeedSequence((master_seed, t, 1)))
     for arr in (values, stderr):
@@ -422,22 +500,30 @@ def _passes(log_p: np.ndarray, alpha: float, log_q) -> np.ndarray:
         return log_p >= alpha + log_q
 
 
+def _bob_tests(alphas, log_v: np.ndarray, log_u: np.ndarray, log_prior) -> np.ndarray:
+    """The two tests of ``decode_bob`` on cloud, common-layer and prior log-likelihoods."""
+    _, alpha1, alpha2 = alphas
+    return _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
+
+
 def _bob_passing(codebook: BccCodebook, alphas, y=None) -> np.ndarray:
     """The tests of ``decode_bob`` for every flat (k, l, s) candidate at ``y``,
     or, with ``y`` None, at every output sequence (candidates by sequences)."""
+    if y is None:
+        return _BccTables(codebook.chain, codebook.n).bob_passing(_Block([codebook]), alphas)[0]
     chain = codebook.chain
     n = codebook.n
-    size_k, size_l, size_s, _ = codebook.sizes
-    _, alpha1, alpha2 = alphas
+    _, size_l, size_s, _ = codebook.sizes
     log_v = _log_likelihoods(codebook.v_words.reshape(-1, n), chain.p_y_given_v.matrix, y)
     log_u = np.repeat(_log_likelihoods(codebook.u_words, chain.p_y_given_u.matrix, y),
                       size_l * size_s, axis=0)
-    log_prior = _prior_log_likelihoods(chain.p_y, n, y)
-    return _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
+    return _bob_tests(alphas, log_v, log_u, _prior_log_likelihoods(chain.p_y, n, y))
 
 
 def _eve_passing(codebook: BccCodebook, alpha0: float, z=None) -> np.ndarray:
     """The test of ``decode_eve`` for every common word, as in ``_bob_passing``."""
+    if z is None:
+        return _BccTables(codebook.chain, codebook.n).eve_passing(_Block([codebook]), alpha0)[0]
     chain = codebook.chain
     log_u = _log_likelihoods(codebook.u_words, chain.p_z_given_u.matrix, z)
     return _passes(log_u, alpha0, _prior_log_likelihoods(chain.p_z, codebook.n, z))
@@ -468,22 +554,134 @@ def decode_eve(z_seq, codebook: BccCodebook, alpha0: float):
     return _unique_pass(_eve_passing(codebook, alpha0, np.asarray(z_seq, dtype=np.int64)))
 
 
-def _decode_table(passing: np.ndarray) -> np.ndarray:
-    """Decoded candidate for every output sequence (a column of ``passing``);
+def _decode_table(passing: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Decoded candidate for every output sequence (candidates on ``axis``);
     an erasure decodes to candidate 0, so it is an error unless 0 was sent."""
-    return np.where(passing.sum(axis=0) == 1, passing.argmax(axis=0), 0)
+    return np.where(passing.sum(axis=axis) == 1, passing.argmax(axis=axis), 0)
 
 
-def _exact_error(codebook: BccCodebook, matrix: np.ndarray, passing: np.ndarray) -> float:
-    """1 - sum_y P(y|x) [decoded(y) = sent(x)], averaged over the codewords x.
+def _exact_errors(passing: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1 - sum_y P(y|x) [decoded(y) = sent(x)], averaged over the codewords x,
+    for each trial of ``passing`` (trials, candidates, outputs).
 
-    The candidates of ``passing`` are the leading message indices ((k, l, s)
-    or k), so each one is sent by an equal run of consecutive flat codewords.
+    ``rows`` holds each trial's codeword product rows, flat codewords in
+    order; it is scaled in place.  The candidates are the leading message
+    indices ((k, l, s) or k), so each one is sent by an equal run of
+    consecutive flat codewords.
     """
-    rows_x = codeword_channel_rows(codebook.x_words.reshape(-1, codebook.n), matrix)
-    sent = np.repeat(np.arange(passing.shape[0]), rows_x.shape[0] // passing.shape[0])
-    rows_x *= _decode_table(passing)[None, :] == sent[:, None]
-    return float(1.0 - rows_x.sum(axis=1).mean())
+    trials, candidates, outputs = passing.shape
+    rows = rows.reshape(trials, -1, outputs)
+    sent = np.repeat(np.arange(candidates), rows.shape[1] // candidates)
+    rows *= _decode_table(passing, axis=1)[:, None, :] == sent[:, None]
+    return 1.0 - rows.sum(axis=2).mean(axis=1)
+
+
+def _leakages(cond: np.ndarray) -> list[float]:
+    """Mutual information between the confidential message and the block
+    output, for each trial of ``cond`` (trials, S, mz^n)."""
+    return [sum(kl_divergence(row, mix) for row in laws) / laws.shape[0]
+            for laws, mix in zip(cond, cond.mean(axis=1))]
+
+
+class _Block:
+    """Codebooks of one chain, sizes and n, stacked trial by trial; each
+    layer's distinct words are found once, when first read."""
+
+    def __init__(self, books: list[BccCodebook]):
+        self.books = books
+        self.trials = len(books)
+        self.sizes = books[0].sizes
+
+    def _layer(self, name: str) -> _DistinctWords:
+        return _DistinctWords(np.stack([getattr(book, name) for book in self.books]))
+
+    @cached_property
+    def u(self) -> _DistinctWords:
+        return self._layer("u_words")
+
+    @cached_property
+    def v(self) -> _DistinctWords:
+        return self._layer("v_words")
+
+    @cached_property
+    def x(self) -> _DistinctWords:
+        return self._layer("x_words")
+
+
+class _BccTables:
+    """Exact decoder and leakage tables of three-layer codebooks for one chain
+    and blocklength.  The composed laws, their logs and the prior rows are
+    formed when first needed and serve every block evaluated with them."""
+
+    def __init__(self, chain: BccChain, n: int):
+        self.chain, self.n = chain, n
+
+    @cached_property
+    def _bob_laws(self) -> tuple:
+        chain = self.chain
+        return (_log(chain.p_y_given_v.matrix), _log(chain.p_y_given_u.matrix),
+                _prior_log_likelihoods(chain.p_y, self.n))
+
+    @cached_property
+    def _eve_laws(self) -> tuple:
+        return _log(self.chain.p_z_given_u.matrix), _prior_log_likelihoods(self.chain.p_z, self.n)
+
+    def bob_passing(self, block: _Block, alphas) -> np.ndarray:
+        """``_bob_passing`` tables of every codebook, (trials, K L S, my^n)."""
+        log_y_v, log_y_u, log_prior = self._bob_laws
+        _, size_l, size_s, _ = block.sizes
+        log_v = block.v.fold(log_y_v, np.add, 0.0)
+        log_v = log_v.reshape(block.trials, -1, log_v.shape[-1])
+        log_u = np.repeat(block.u.fold(log_y_u, np.add, 0.0), size_l * size_s, axis=1)
+        return _bob_tests(alphas, log_v, log_u, log_prior)
+
+    def eve_passing(self, block: _Block, alpha0: float) -> np.ndarray:
+        """``_eve_passing`` tables of every codebook, (trials, K, mz^n)."""
+        log_z_u, log_prior = self._eve_laws
+        return _passes(block.u.fold(log_z_u, np.add, 0.0), alpha0, log_prior)
+
+    def conditional_laws(self, block: _Block, rows: np.ndarray | None = None) -> np.ndarray:
+        """Eavesdropper block law given each confidential message, (trials, S,
+        mz^n); the law given s averages its codeword rows in (k, l, a) order.
+        ``rows`` are the eavesdropper rows of every codeword, (trials, K, L, S,
+        A, mz^n); without them each confidential index is folded on its own,
+        so only its rows are held."""
+        size_s = block.sizes[2]
+        if self.chain.w_z.output_size**self.n * size_s > LEAKAGE_GUARD:
+            raise GuardExceeded("leakage enumeration exceeds guard")
+        if rows is not None:
+            return np.moveaxis(rows, 3, 1).mean(axis=(2, 3, 4))
+        words = np.stack([book.x_words for book in block.books])
+        return np.stack([_DistinctWords(words[:, :, :, s]).fold(
+            self.chain.w_z.matrix, np.multiply, 1.0).mean(axis=(1, 2, 3))
+            for s in range(size_s)], axis=1)
+
+    def evaluate(self, block: _Block, *, bob=None, eve=None, leak: bool = False):
+        """Exact receiver errors at thresholds ``bob``, eavesdropper errors at
+        threshold ``eve`` and leakages (``leak``) of every codebook of
+        ``block``; None for each one not asked.
+
+        Each channel's rows are folded once per distinct codeword of the
+        block; the eavesdropper rows serve both its error and the leakage.
+        """
+        chain, n = self.chain, self.n
+        size_k, size_l, size_s, _ = block.sizes
+        bob_errors = eve_errors = leakages = None
+        if bob is not None:
+            if not _decode_enumerable(chain.w_y.output_size, n, size_k * size_l * size_s):
+                raise GuardExceeded("receiver error enumeration exceeds guard")
+            bob_errors = _exact_errors(self.bob_passing(block, bob),
+                                       block.x.fold(chain.w_y.matrix, np.multiply, 1.0))
+        if eve is not None:
+            if not _decode_enumerable(chain.w_z.output_size, n, size_k):
+                raise GuardExceeded("eavesdropper error enumeration exceeds guard")
+            rows = block.x.fold(chain.w_z.matrix, np.multiply, 1.0)
+            if leak:   # before the error scales the rows in place
+                leakages = _leakages(self.conditional_laws(block, rows))
+            eve_errors = _exact_errors(self.eve_passing(block, eve), rows)
+        elif leak:
+            leakages = _leakages(self.conditional_laws(block))
+        return bob_errors, eve_errors, leakages
 
 
 def exact_bob_error(codebook: BccCodebook, alphas) -> float:
@@ -492,42 +690,25 @@ def exact_bob_error(codebook: BccCodebook, alphas) -> float:
     Erasures decode to the first message triple, so they count as errors
     except when that triple was sent.
     """
-    size_k, size_l, size_s, _ = codebook.sizes
-    w_y = codebook.chain.w_y
-    if not _decode_enumerable(w_y.output_size, codebook.n, size_k * size_l * size_s):
-        raise GuardExceeded("receiver error enumeration exceeds guard")
-    return _exact_error(codebook, w_y.matrix, _bob_passing(codebook, alphas))
+    tables = _BccTables(codebook.chain, codebook.n)
+    return float(tables.evaluate(_Block([codebook]), bob=alphas)[0][0])
 
 
 def exact_eve_error(codebook: BccCodebook, alpha0: float) -> float:
     """Average common-message decoding error at the eavesdropper, exact."""
-    w_z = codebook.chain.w_z
-    if not _decode_enumerable(w_z.output_size, codebook.n, codebook.sizes[0]):
-        raise GuardExceeded("eavesdropper error enumeration exceeds guard")
-    return _exact_error(codebook, w_z.matrix, _eve_passing(codebook, alpha0))
+    tables = _BccTables(codebook.chain, codebook.n)
+    return float(tables.evaluate(_Block([codebook]), eve=alpha0)[1][0])
 
 
 def conditional_output_distributions(codebook: BccCodebook) -> np.ndarray:
     """Eavesdropper block law given each confidential message, shape (S, mz^n)."""
-    chain = codebook.chain
-    n = codebook.n
-    mz = chain.w_z.output_size
-    size_k, size_l, size_s, size_a = codebook.sizes
-    if mz**n * size_s > LEAKAGE_GUARD:
-        raise GuardExceeded("leakage enumeration exceeds guard")
-    # reorder so the confidential index is leading, then average the rest out
-    words = np.moveaxis(codebook.x_words, 2, 0).reshape(size_s, -1, n)
-    out = np.empty((size_s, mz**n))
-    for s in range(size_s):
-        out[s] = codeword_channel_rows(words[s], chain.w_z.matrix).mean(axis=0)
-    return out
+    return _BccTables(codebook.chain, codebook.n).conditional_laws(_Block([codebook]))[0]
 
 
 def exact_leakage(codebook: BccCodebook) -> float:
     """Mutual information between the confidential message and the block output."""
-    cond = conditional_output_distributions(codebook)
-    mix = cond.mean(axis=0)
-    return sum(kl_divergence(row, mix) for row in cond) / cond.shape[0]
+    tables = _BccTables(codebook.chain, codebook.n)
+    return tables.evaluate(_Block([codebook]), leak=True)[2][0]
 
 
 @dataclass(frozen=True)
@@ -572,7 +753,9 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
     Thresholds default to the blockwise assignments n*(I - delta) for the
     three decoder tests.  Error rates are enumerated exactly when the guards
     permit and estimated by Monte Carlo over messages and noise otherwise
-    (``allow_mc``); leakage is always exact, under its own guard.
+    (``allow_mc``); leakage is always exact, under its own guard.  The exact
+    tables are evaluated a block of trials at a time, each value the one its
+    codebook gives alone; the Monte Carlo estimates keep one stream a trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -584,22 +767,24 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
     if not (exact_bob and exact_eve) and not allow_mc:
         raise GuardExceeded(
             "error-rate enumeration exceeds guards; enable the Monte Carlo fallback")
+    tables = _BccTables(chain, n)
+    entries = math.prod(sizes) * max(chain.w_y.output_size**n if exact_bob else 1,
+                                     chain.w_z.output_size**n)
     bob = np.empty(trials)
     eve = np.empty(trials)
     leak = np.empty(trials)
-    for t in range(trials):
-        book = generate_bcc_codebook(chain, sizes, n, seed=trial_seed(master_seed, t))
-        if exact_bob:
-            bob[t] = exact_bob_error(book, alphas)
-        else:
-            bob[t] = mc_bob_error(book, alphas, mc_samples,
-                                  np.random.SeedSequence((master_seed, t, 1)))
-        if exact_eve:
-            eve[t] = exact_eve_error(book, alphas[0])
-        else:
-            eve[t] = mc_eve_error(book, alphas[0], mc_samples,
-                                  np.random.SeedSequence((master_seed, t, 2)))
-        leak[t] = exact_leakage(book)
+    for block in _trial_blocks(trials, entries):
+        books = [generate_bcc_codebook(chain, sizes, n, seed=trial_seed(master_seed, t))
+                 for t in block]
+        bob_exact, eve_exact, leak[block] = tables.evaluate(
+            _Block(books), bob=alphas if exact_bob else None,
+            eve=alphas[0] if exact_eve else None, leak=True)
+        bob[block] = bob_exact if exact_bob else [
+            mc_bob_error(book, alphas, mc_samples, np.random.SeedSequence((master_seed, t, 1)))
+            for t, book in zip(block, books)]
+        eve[block] = eve_exact if exact_eve else [
+            mc_eve_error(book, alphas[0], mc_samples, np.random.SeedSequence((master_seed, t, 2)))
+            for t, book in zip(block, books)]
     for arr in (bob, eve, leak):
         arr.setflags(write=False)
     meta = {"n": n, "sizes": list(sizes), "trials": trials, "master_seed": master_seed,
@@ -607,5 +792,7 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
             "bob_method": "exact" if exact_bob else "monte_carlo",
             "eve_method": "exact" if exact_eve else "monte_carlo",
             "leakage_method": "exact"}
+    if not (exact_bob and exact_eve):
+        meta["mc_samples"] = mc_samples
     return BccSimReport(bob_errors=bob, eve_errors=eve, leakages=leak,
                         alphas=tuple(float(a) for a in alphas), metadata=meta)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import random_chain, random_dmc
+from helpers import random_chain, random_dmc, random_pmf
 
 from bccrates import (
     BccChain,
@@ -22,6 +22,7 @@ from bccrates import (
     exact_output_divergence,
     generate_bcc_codebook,
     generate_super_codebook,
+    kl_divergence,
     mc_resolvability,
     minimize_superposition_bound,
     output_distribution,
@@ -489,6 +490,8 @@ class TestSimulateBcc:
         # trial 2 recomputed in isolation matches the batch entry
         book = generate_bcc_codebook(chain, (2, 2, 2, 2), 4, seed=trial_seed(8, 2))
         assert exact_leakage(book) == rep.leakages[2]
+        assert exact_bob_error(book, rep.alphas) == rep.bob_errors[2]
+        assert exact_eve_error(book, rep.alphas[0]) == rep.eve_errors[2]
 
     def test_error_rate_decreases_with_blocklength(self):
         chain = fixture_chain()
@@ -650,3 +653,245 @@ class TestMcDivergenceBlocks:
         want = _oracle_inverse_cdf_sample(uniforms, cdf[symbols])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# The per-trial evaluation that blocks of trials replaced: each codebook's
+# rows folded word by word, one confidential index at a time for the leakage.
+
+def _oracle_log_rows(words, matrix):
+    return simulate._letter_fold(words, simulate._log(matrix), np.add, 0.0)
+
+
+def _oracle_exact_error(book, matrix, passing):
+    rows_x = simulate._letter_fold(book.x_words.reshape(-1, book.n), matrix, np.multiply, 1.0)
+    sent = np.repeat(np.arange(passing.shape[0]), rows_x.shape[0] // passing.shape[0])
+    decoded = np.where(passing.sum(axis=0) == 1, passing.argmax(axis=0), 0)
+    rows_x *= decoded[None, :] == sent[:, None]
+    return float(1.0 - rows_x.sum(axis=1).mean())
+
+
+def _oracle_bob_error(book, alphas):
+    chain, n = book.chain, book.n
+    _, size_l, size_s, _ = book.sizes
+    log_v = _oracle_log_rows(book.v_words.reshape(-1, n), chain.p_y_given_v.matrix)
+    log_u = np.repeat(_oracle_log_rows(book.u_words, chain.p_y_given_u.matrix),
+                      size_l * size_s, axis=0)
+    log_prior = _oracle_log_rows(np.zeros((1, n), dtype=np.int64), chain.p_y.probs[None, :])
+    passing = (simulate._passes(log_v, alphas[1], log_u)
+               & simulate._passes(log_v, alphas[2], log_prior))
+    return _oracle_exact_error(book, chain.w_y.matrix, passing)
+
+
+def _oracle_eve_error(book, alpha0):
+    chain, n = book.chain, book.n
+    log_u = _oracle_log_rows(book.u_words, chain.p_z_given_u.matrix)
+    log_prior = _oracle_log_rows(np.zeros((1, n), dtype=np.int64), chain.p_z.probs[None, :])
+    return _oracle_exact_error(book, chain.w_z.matrix,
+                               simulate._passes(log_u, alpha0, log_prior))
+
+
+def _oracle_conditional_laws(book):
+    size_s = book.sizes[2]
+    words = np.moveaxis(book.x_words, 2, 0).reshape(size_s, -1, book.n)
+    return np.array([simulate._letter_fold(words[s], book.chain.w_z.matrix, np.multiply,
+                                           1.0).mean(axis=0) for s in range(size_s)])
+
+
+def _oracle_leakage(book):
+    cond = _oracle_conditional_laws(book)
+    mix = cond.mean(axis=0)
+    return sum(kl_divergence(row, mix) for row in cond) / cond.shape[0]
+
+
+def _oracle_simulate_bcc(chain, sizes, n, trials, master_seed, mc_samples):
+    """(bob errors, eve errors, leakages) of ``simulate_bcc``, one trial at a time."""
+    alphas = decoding_thresholds(chain, n, 0.05)
+    size_k, size_l, size_s, _ = sizes
+    exact_bob = simulate._decode_enumerable(chain.w_y.output_size, n, size_k * size_l * size_s)
+    exact_eve = simulate._decode_enumerable(chain.w_z.output_size, n, size_k)
+    bob, eve, leak = np.empty(trials), np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        book = generate_bcc_codebook(chain, sizes, n, seed=trial_seed(master_seed, t))
+        if exact_bob:
+            bob[t] = _oracle_bob_error(book, alphas)
+        else:
+            bob[t] = mc_bob_error(book, alphas, mc_samples,
+                                  np.random.SeedSequence((master_seed, t, 1)))
+        if exact_eve:
+            eve[t] = _oracle_eve_error(book, alphas[0])
+        else:
+            eve[t] = mc_eve_error(book, alphas[0], mc_samples,
+                                  np.random.SeedSequence((master_seed, t, 2)))
+        leak[t] = _oracle_leakage(book)
+    return bob, eve, leak
+
+
+def _oracle_mc_resolvability(p_v, layer, w_z, n, m, trials, master_seed):
+    """Exact divergences of ``mc_resolvability``, one trial at a time."""
+    p_x = Pmf(p_v.probs @ layer.matrix)
+    ref = simulate._letter_fold(np.zeros((1, n), dtype=np.int64),
+                                w_z.output(p_x).probs[None, :], np.multiply, 1.0)[0]
+    values = np.empty(trials)
+    for t in range(trials):
+        book = generate_super_codebook(p_v, layer, n, m, m, seed=trial_seed(master_seed, t))
+        rows = simulate._letter_fold(book.x_words.reshape(-1, n), w_z.matrix, np.multiply, 1.0)
+        values[t] = kl_divergence(rows.mean(axis=0), ref)
+    return values
+
+
+def _block_chain(kind):
+    """A chain whose eavesdropper is of one kind; the one-output kinds are run at
+    n = 40, where the receiver's error needs the Monte Carlo fallback."""
+    rng = np.random.default_rng([len(kind), ord(kind[-1])])
+    if kind == "bsc":
+        return BccChain(Pmf.uniform(2), bsc(0.25), bsc(0.1), bsc(0.1), bsc(0.2))
+    if kind == "bec":
+        return BccChain(Pmf.uniform(2), bsc(0.25), bsc(0.1), bec(0.3), bec(0.45))
+    if kind == "ternary":
+        return BccChain(random_pmf(rng, 2), random_dmc(rng, 2, 3), random_dmc(rng, 3, 3),
+                        random_dmc(rng, 3, 2), random_dmc(rng, 3, 3))
+    if kind == "one_output":
+        return BccChain(Pmf.uniform(2), bsc(0.25), bsc(0.1), bsc(0.1), Dmc(np.ones((2, 1))))
+    # 3^40 words overflow an int64 key
+    return BccChain(Pmf.uniform(2), bsc(0.25), random_dmc(rng, 2, 3), random_dmc(rng, 3, 2),
+                    Dmc(np.ones((3, 1))))
+
+
+BLOCK_CASES = ([(kind, n) for kind in ("bsc", "bec", "ternary") for n in (1, 4, 6)]
+               + [("one_output", 40), ("one_output_ternary", 40)])
+BLOCK_SIZES = (2, 3, 2, 3)      # 18 codewords a confidential message
+
+
+class TestTrialBlocks:
+    """Blocks of trials against the per-trial loop: every value bit for bit."""
+
+    @staticmethod
+    def _three_trial_blocks(monkeypatch, codewords, outputs):
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 3 * codewords * outputs)
+
+    @pytest.mark.parametrize("kind, n", BLOCK_CASES)
+    @pytest.mark.parametrize("trials", [1, 3, 7], ids=["one", "block", "ragged"])
+    def test_simulate_bcc_matches_per_trial_loop(self, monkeypatch, kind, n, trials):
+        chain = _block_chain(kind)
+        exact_bob = simulate._decode_enumerable(chain.w_y.output_size, n, 12)
+        outputs = max(chain.w_y.output_size**n if exact_bob else 1, chain.w_z.output_size**n)
+        self._three_trial_blocks(monkeypatch, math.prod(BLOCK_SIZES), outputs)
+        rep = simulate_bcc(chain, BLOCK_SIZES, n, trials=trials, master_seed=n,
+                           allow_mc=True, mc_samples=20)
+        bob, eve, leak = _oracle_simulate_bcc(chain, BLOCK_SIZES, n, trials, n, 20)
+        assert rep.metadata["bob_method"] == ("exact" if exact_bob else "monte_carlo")
+        assert np.array_equal(rep.bob_errors, bob)
+        assert np.array_equal(rep.eve_errors, eve)
+        assert np.array_equal(rep.leakages, leak)
+
+    @pytest.mark.parametrize("kind, n", BLOCK_CASES)
+    @pytest.mark.parametrize("trials", [1, 3, 7], ids=["one", "block", "ragged"])
+    def test_mc_resolvability_matches_per_trial_loop(self, monkeypatch, kind, n, trials):
+        chain = _block_chain(kind)
+        p_v, layer = chain.p_v_given_u.output(chain.p_u), chain.p_x_given_v
+        self._three_trial_blocks(monkeypatch, 16, chain.w_z.output_size**n)
+        res = mc_resolvability(p_v, layer, chain.w_z, n, 4, 4, trials, master_seed=n + 1)
+        want = _oracle_mc_resolvability(p_v, layer, chain.w_z, n, 4, trials, n + 1)
+        assert np.array_equal(res.values, want)
+
+    @pytest.mark.parametrize("trials", [1, 16, 23], ids=["one", "block", "ragged"])
+    def test_default_block(self, trials):
+        # 64 codewords by 2^6 outputs: 16 trials fill a block of the default size
+        assert simulate._TRIAL_BLOCK // (64 * 2**6) == 16
+        rep = simulate_bcc(fixture_chain(), (2, 4, 2, 4), 6, trials=trials, master_seed=11)
+        bob, eve, leak = _oracle_simulate_bcc(fixture_chain(), (2, 4, 2, 4), 6, trials, 11, 0)
+        assert np.array_equal(rep.bob_errors, bob)
+        assert np.array_equal(rep.eve_errors, eve)
+        assert np.array_equal(rep.leakages, leak)
+        res = mc_resolvability(Pmf.uniform(2), bsc(0.1), bsc(0.2), 6, 8, 8, trials, 12)
+        want = _oracle_mc_resolvability(Pmf.uniform(2), bsc(0.1), bsc(0.2), 6, 8, trials, 12)
+        assert np.array_equal(res.values, want)
+
+    @pytest.mark.parametrize("kind, n", BLOCK_CASES)
+    def test_one_codebook_case(self, kind, n):
+        chain = _block_chain(kind)
+        book = generate_bcc_codebook(chain, BLOCK_SIZES, n, seed=[n, 5])
+        assert np.array_equal(conditional_output_distributions(book),
+                              _oracle_conditional_laws(book))
+        assert exact_leakage(book) == _oracle_leakage(book)
+        alphas = decoding_thresholds(chain, n, 0.05)
+        assert exact_eve_error(book, alphas[0]) == _oracle_eve_error(book, alphas[0])
+        if simulate._decode_enumerable(chain.w_y.output_size, n, 12):
+            assert exact_bob_error(book, alphas) == _oracle_bob_error(book, alphas)
+        super_book = generate_super_codebook(chain.p_v_given_u.output(chain.p_u),
+                                             chain.p_x_given_v, n, 3, 4, seed=[n, 6])
+        rows = simulate._letter_fold(super_book.x_words.reshape(-1, n), chain.w_z.matrix,
+                                     np.multiply, 1.0)
+        assert np.array_equal(output_distribution(super_book, chain.w_z), rows.mean(axis=0))
+
+    def test_mc_fallback_peak_not_above_per_trial_loop(self):
+        tracemalloc.start()
+        try:
+            simulate_bcc(fixture_chain(), (8, 8, 2, 2), 16, trials=2, master_seed=0,
+                         allow_mc=True, mc_samples=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-trial loop peaked at 193 MiB on this call
+        assert peak <= 193 << 20
+
+    def test_peak_is_one_block_not_all_trials(self):
+        peaks = []
+        for trials in (10, 200):
+            tracemalloc.start()
+            try:
+                simulate_bcc(fixture_chain(), (2, 4, 2, 4), 6, trials=trials, master_seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_sidecar_records_mc_samples(self, tmp_path):
+        chain = _block_chain("one_output")
+        rep = simulate_bcc(chain, (2, 2, 2, 2), 40, trials=2, master_seed=3, allow_mc=True,
+                           mc_samples=7)
+        assert (rep.metadata["bob_method"], rep.metadata["eve_method"]) == \
+            ("monte_carlo", "exact")
+        assert rep.metadata["mc_samples"] == 7
+        rep.write_csv(tmp_path / "bcc.csv")
+        assert '"mc_samples": 7' in (tmp_path / "bcc.csv.meta.json").read_text()
+        exact = simulate_bcc(fixture_chain(), (2, 2, 2, 2), 4, trials=2, master_seed=3,
+                             mc_samples=7)
+        assert "mc_samples" not in exact.metadata
+
+
+class TestDistinctWords:
+    @pytest.mark.parametrize("letters, n", [(1, 100), (2, 62), (2, 63), (2, 65), (3, 39),
+                                            (3, 40), (4, 31), (4, 33)])
+    def test_keys_keep_words_apart(self, letters, n):
+        # words that differ only in their first (most significant) letter: at
+        # 2^65 and 4^33 an int64 key would wrap and merge them
+        rng = np.random.default_rng([letters, n])
+        base = rng.integers(0, letters, size=(4, n))
+        base[1] = base[0]
+        base[1, 0] = (base[0, 0] + 1) % letters
+        base[0, 1:] = letters - 1
+        base[1, 1:] = letters - 1
+        words = base[rng.integers(0, 4, size=(3, 5))]
+        distinct = simulate._DistinctWords(words)
+        flat = words.reshape(-1, n)
+        want = np.unique(flat, axis=0).shape[0]
+        assert distinct.first.size == want
+        assert np.array_equal(distinct.words[distinct.first][distinct.inverse], flat)
+
+    @pytest.mark.parametrize("repeats", [True, False], ids=["gathered", "in_place"])
+    def test_fold_in_chunks_matches_one_fold(self, monkeypatch, repeats):
+        rng = np.random.default_rng(7)
+        words = rng.integers(0, 3, size=(40, 5))
+        if repeats:
+            words = words[rng.integers(0, 6, size=40)]
+        matrix = random_dmc(rng, 3, 2).matrix
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 3 * 2**5)     # three words a chunk
+        distinct = simulate._DistinctWords(words.reshape(4, 10, 5))
+        assert (distinct.inverse is not None) == repeats
+        for rows, combine, start in ((matrix, np.multiply, 1.0),
+                                     (simulate._log(matrix), np.add, 0.0)):
+            want = simulate._letter_fold(words, rows, combine, start)
+            got = distinct.fold(rows, combine, start)
+            assert got.shape == (4, 10, 2**5)
+            assert np.array_equal(got.reshape(40, -1), want)
