@@ -5,7 +5,7 @@ Subcommands: ``region`` (frontier CSV), ``exponent`` (bound sweep CSV),
 rate splitting, minimum randomness).  Every output file gets a
 ``.meta.json`` sidecar echoing the configuration so runs are reproducible
 byte for byte.  Exit codes: 0 success, 2 invalid configuration, 3 size
-guard exceeded, 4 infeasible query.
+guard exceeded, 4 infeasible query, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import argparse
 import dataclasses
 import json
 import sys
+
+import numpy as np
 
 from . import __version__
 from ._csv import write_csv
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_GUARD = 3
 EXIT_INFEASIBLE = 4
+EXIT_NUMERICAL = 5
 
 
 class InfeasibleQuery(RuntimeError):
@@ -184,6 +187,7 @@ def _cmd_check_ordering(args) -> int:
         "eavesdropper_degraded_from_receiver": {
             "verdict": degraded.degraded,
             "method": degraded.method,
+            "residual": degraded.residual,
             "intermediate": degraded.intermediate.matrix.tolist()
             if degraded.intermediate is not None else None,
         },
@@ -346,6 +350,9 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:   # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -10,6 +10,7 @@ from bccrates import (
     Pmf,
     leakage_bound,
     resolvability_bound,
+    regions,
     superposition_resolvability_bound,
 )
 from bccrates.channels import (
@@ -352,7 +353,36 @@ class TestCliCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["more_capable_receiver_over_eavesdropper"] is False
         assert payload["more_capable_eavesdropper_over_receiver"] is True
-        assert payload["eavesdropper_degraded_from_receiver"]["verdict"] is False
+        degraded = payload["eavesdropper_degraded_from_receiver"]
+        assert degraded["verdict"] is False
+        assert degraded["method"] == "exact"
+        assert degraded["residual"] > 1e-9
+        assert degraded["intermediate"] is None
+
+    def test_ordering_with_three_outputs_each(self, capsys):
+        # both channels ternary: a grid over intermediates at step 0.05 needs 231^3 candidates
+        code = main(["check", "ordering", "--py", "bec:0.2", "--pz", "bec:0.5"])
+        assert code == 0
+        degraded = json.loads(capsys.readouterr().out)["eavesdropper_degraded_from_receiver"]
+        assert degraded["verdict"] is True
+        assert degraded["residual"] <= 1e-9
+        np.testing.assert_allclose(bec(0.2).matrix @ np.array(degraded["intermediate"]),
+                                   bec(0.5).matrix, rtol=0.0, atol=1e-9)
+        code = main(["check", "ordering", "--py", "bec:0.5", "--pz", "bec:0.2"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)[
+            "eavesdropper_degraded_from_receiver"]["verdict"] is False
+
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        def fail(a, b):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(regions, "_nnls", fail)
+        code = main(["check", "ordering", "--py", "bec:0.2", "--pz", "bec:0.5"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "numerical failure: did not converge" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("step", ["0", "-0.5", "2", "nan"])
     def test_ordering_grid_step_outside_half_unit_is_invalid(self, step, capsys):

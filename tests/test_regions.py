@@ -263,16 +263,47 @@ class TestChannelOrdering:
         assert verdict.intermediate.is_identity()
 
     def test_bsc_not_degraded_to_bec(self):
-        assert not is_degraded(bsc(0.11), bec(0.45)).degraded
+        verdict = is_degraded(bsc(0.11), bec(0.45))
+        assert not verdict.degraded
+        _assert_farkas(bsc(0.11), bec(0.45), verdict)
+
+    def test_more_capable_yet_not_degraded(self):
+        # BSC(eps) is degraded from BEC(delta) iff delta <= 2 eps; for
+        # 2 eps < delta < h(eps) in bits the BEC is still more capable
+        assert is_more_capable(bec(0.4), bsc(0.19), 0.01)
+        verdict = is_degraded(bec(0.4), bsc(0.19))
+        assert not verdict.degraded
+        _assert_farkas(bec(0.4), bsc(0.19), verdict)
+        assert is_degraded(bec(0.4), bsc(0.21)).degraded
 
     def test_degraded_implies_more_capable(self):
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            w_y = Dmc(rng.dirichlet(np.ones(2), size=2))
-            mid = Dmc(rng.dirichlet(np.ones(3), size=2))
-            w_z = w_y.compose(mid)
-            assert is_degraded(w_y, w_z).degraded
-            assert is_more_capable(w_y, w_z, 0.01)
+        for outputs in (2, 3, 4):
+            for _ in range(20):
+                w_y = Dmc(rng.dirichlet(np.ones(outputs), size=2))
+                mid = Dmc(rng.dirichlet(np.ones(3), size=outputs))
+                w_z = w_y.compose(mid)
+                verdict = is_degraded(w_y, w_z)
+                assert verdict.degraded
+                _assert_witness(w_y, w_z, verdict)
+                assert is_more_capable(w_y, w_z, 0.01)
+
+    def test_independent_pairs_get_a_farkas_certificate(self):
+        rng = np.random.default_rng(5)
+        certified = 0
+        for _ in range(40):
+            mx, my, mz = rng.integers(2, 5, size=3)
+            w_y = Dmc(rng.dirichlet(np.ones(my), size=mx))
+            w_z = Dmc(rng.dirichlet(np.ones(mz), size=mx))
+            verdict = is_degraded(w_y, w_z)
+            if not is_more_capable(w_y, w_z, 0.05):     # degraded implies more capable
+                assert not verdict.degraded
+            if verdict.degraded:
+                _assert_witness(w_y, w_z, verdict)
+            else:
+                _assert_farkas(w_y, w_z, verdict)
+                certified += 1
+        assert certified >= 30
 
     def test_grid_method_for_wider_outputs(self):
         w_y = bec(0.3)
@@ -280,14 +311,12 @@ class TestChannelOrdering:
                                     [0.0, 1.0, 0.0],
                                     [0.25, 0.25, 0.5]]))
         verdict = is_degraded(w_y, w_z, grid_step=0.25)
-        assert verdict.method == "grid"
+        assert verdict.method == "exact"
         assert verdict.degraded
-        assert verdict.resolution == 0.25
+        _assert_witness(w_y, w_z, verdict)
 
-    # small blocks, the earlier 2**16 block and the module default
-    @pytest.mark.parametrize("block", [7, 1 << 16, regions._DEGRADED_BLOCK])
-    def test_grid_search_matches_loop(self, monkeypatch, block):
-        monkeypatch.setattr(regions, "_DEGRADED_BLOCK", block)
+    def test_grid_search_matches_loop(self):
+        # the grid search over intermediates is the oracle: same verdict at its step
         rng = np.random.default_rng(31)
         cases = [
             (bec(0.45), bsc(0.11), 0.05),
@@ -299,15 +328,14 @@ class TestChannelOrdering:
         ]
         for w_y, w_z, step in cases:
             verdict = is_degraded(w_y, w_z, grid_step=step)
-            best, best_rows = _oracle_degraded_grid(w_y, w_z, step)
-            assert verdict.method == "grid"
-            assert verdict.residual == best
+            best = _oracle_degraded_grid(w_y, w_z, step)
+            assert verdict.method == "exact"
             assert verdict.degraded == (best <= step)
             if verdict.degraded:
-                assert np.array_equal(verdict.intermediate.matrix, best_rows)
+                _assert_witness(w_y, w_z, verdict)
+                assert verdict.residual <= best
             else:
-                assert verdict.intermediate is None
-
+                _assert_farkas(w_y, w_z, verdict)
 
     @pytest.mark.parametrize("step", [0.0, -0.5, 2.0, math.nan])
     def test_grid_step_outside_half_unit_rejected(self, step):
@@ -318,17 +346,41 @@ class TestChannelOrdering:
             is_degraded(bec(0.2), bec(0.5), grid_step=step)
 
 
+def _assert_witness(w_y, w_z, verdict):
+    """A "degraded" verdict's intermediate reproduces W_Z within 1e-9."""
+    assert verdict.residual <= 1e-9
+    assert np.abs(w_y.matrix @ verdict.intermediate.matrix - w_z.matrix).max() <= 1e-9
+
+
+def _assert_farkas(w_y, w_z, verdict):
+    """Completed by row terms r_y = -max_z (W_Y^T G)[y, z], a "not degraded"
+    certificate G gives a Farkas vector v = (G, r) of the system A t = b that
+    stacks W_Y T = W_Z and T's row sums: A^T v <= tol and b^T v > m_Y tol.
+    A solution t >= 0 would sum to m_Y and give b^T v = t^T A^T v <= m_Y tol,
+    so no row-stochastic T gives W_Z."""
+    g = verdict.certificate
+    (mx, my), mz = w_y.matrix.shape, w_z.output_size
+    assert verdict.intermediate is None and g.shape == (mx, mz)
+    a = np.zeros((mx * mz + my, my * mz))
+    for x, y, z in itertools.product(range(mx), range(my), range(mz)):
+        a[x * mz + z, y * mz + z] = w_y.matrix[x, y]
+    for y in range(my):
+        a[mx * mz + y, y * mz:(y + 1) * mz] = 1.0
+    b = np.concatenate([w_z.matrix.ravel(), np.ones(my)])
+    v = np.concatenate([g.ravel(), -(w_y.matrix.T @ g).max(axis=1)])
+    tol = 1e-15
+    assert np.all(a.T @ v <= tol)
+    assert b @ v > my * tol
+
+
 def _oracle_degraded_grid(w_y, w_z, grid_step):
-    """The plain loop over intermediate channels in ``itertools.product`` order;
-    the first strict minimum of the residual wins."""
+    """The least residual max |W_Y T - W_Z| over the grid of row-stochastic T,
+    by a plain loop over intermediate channels."""
     rows = regions._simplex_grid(w_z.output_size, max(1, round(1.0 / grid_step)))
-    best, best_rows = math.inf, None
+    best = math.inf
     for combo in itertools.product(range(len(rows)), repeat=w_y.output_size):
-        cand = rows[list(combo)]
-        residual = float(np.max(np.abs(w_y.matrix @ cand - w_z.matrix)))
-        if residual < best:
-            best, best_rows = residual, cand
-    return best, best_rows
+        best = min(best, float(np.max(np.abs(w_y.matrix @ rows[list(combo)] - w_z.matrix))))
+    return best
 
 
 class TestMinDummyRate:
