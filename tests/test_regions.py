@@ -23,6 +23,7 @@ from bccrates import (
 )
 from bccrates import regions
 from bccrates.channels import bec, bsc
+from bccrates.frontier import _product_blocks
 
 from helpers import random_chain
 
@@ -315,8 +316,11 @@ class TestChannelOrdering:
         assert verdict.degraded
         _assert_witness(w_y, w_z, verdict)
 
-    def test_grid_search_matches_loop(self):
-        # the grid search over intermediates is the oracle: same verdict at its step
+    # small blocks, a 2**16 block and the 2**11 block the grid search once used
+    @pytest.mark.parametrize("block", [7, 1 << 16, 1 << 11])
+    def test_grid_search_matches_loop(self, block):
+        # the grid search over intermediates is the oracle: same verdict at its step;
+        # searched in blocks of candidates, it finds the plain loop's least residual
         rng = np.random.default_rng(31)
         cases = [
             (bec(0.45), bsc(0.11), 0.05),
@@ -329,6 +333,7 @@ class TestChannelOrdering:
         for w_y, w_z, step in cases:
             verdict = is_degraded(w_y, w_z, grid_step=step)
             best = _oracle_degraded_grid(w_y, w_z, step)
+            assert _blocked_degraded_grid(w_y, w_z, step, block) == best
             assert verdict.method == "exact"
             assert verdict.degraded == (best <= step)
             if verdict.degraded:
@@ -380,6 +385,17 @@ def _oracle_degraded_grid(w_y, w_z, grid_step):
     best = math.inf
     for combo in itertools.product(range(len(rows)), repeat=w_y.output_size):
         best = min(best, float(np.max(np.abs(w_y.matrix @ rows[list(combo)] - w_z.matrix))))
+    return best
+
+
+def _blocked_degraded_grid(w_y, w_z, grid_step, block):
+    """The same least residual, with the candidates taken ``block`` at a time in
+    ``itertools.product`` order and evaluated together."""
+    rows = regions._simplex_grid(w_z.output_size, max(1, round(1.0 / grid_step)))
+    best = math.inf
+    for combos in _product_blocks((len(rows),) * w_y.output_size, block):
+        residuals = np.abs(np.matmul(w_y.matrix, rows[combos]) - w_z.matrix).max(axis=(1, 2))
+        best = min(best, float(residuals.min()))
     return best
 
 
