@@ -1,18 +1,21 @@
-"""NumPy frontier sweep for binary-input channel pairs.
+"""NumPy frontier sweep for channel pairs with any input alphabet.
 
-A cell of the sweep is one triple (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1)).
-:func:`_planes` is the one place the per-cell formulas live: for a few
-cloud priors P_V(0) it evaluates every cell at once, giving whichever of
-the secrecy rate, the two randomness costs, the layer informations and the
-output laws its caller asks for.  Each receiver's output law is formed one
-output letter at a time, as a (P, A, B) plane per letter, and the output
-entropy is accumulated over those planes; the law itself is stacked only
-when it is asked for.  :func:`sweep_binary` folds one cost of each batch of
-planes into a per-budget maximum table; :func:`binary_cells` flattens the
-planes of a small grid.
+A cell is a cloud prior P_V with one conditional input row P_{X|V}(.|v) per
+cloud letter v (|V| = |X| = m), on the axes (prior, row of v = 0, ...); for
+binary inputs, the triple (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1)).  The per-cell
+formulas live only in :func:`_planes`, which evaluates every cell of a few
+cloud priors at once and gives the fields its caller asks for.  Each
+receiver's output law is formed one output letter at a time, as a plane per
+letter, with the entropy accumulated over the planes; sums over input and
+cloud letters run left to right.  :func:`sweep` folds one cost of each batch
+of planes into a per-budget maximum table; :func:`binary_cells` flattens the
+planes of a small binary grid.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -29,54 +32,72 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     return -_xlogx(rows).sum(axis=-1)
 
 
-def _receiver(w: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
-              law: bool):
-    """Output entropy and I(V; output) of every cell at one receiver, and the
-    (P, A, B, m) output law if ``law`` is set (else None).
+def _left_sum(terms):
+    """terms[0] + terms[1] + ... in that order, adding in place once the running
+    total is an array of its own with the full shape."""
+    total = terms[0]
+    for i, term in enumerate(terms[1:]):
+        if i and total.shape == np.broadcast_shapes(total.shape, np.shape(term)):
+            total += term
+        else:
+            total = total + term
+    return total
 
-    Letter k of the law is the plane p * row0[a, k] + q * row1[b, k].  The
-    entropy subtracts the planes' p log p in letter order, the same floats as
-    a sum over the last axis of the law for fewer than 8 letters (NumPy sums
-    longer last axes pairwise).
+
+def _receiver(w: np.ndarray, weights: list, rows: list, law: bool):
+    """Output entropy and I(V; output) of every cell at one receiver, and the
+    output law (letters on a last axis) if ``law`` is set (else None).
+
+    ``weights[v]`` is P_V(v) and ``rows[v]`` the input rows of v, placed on
+    the cell axes.  Letter k of the law is the plane
+    sum_v P_V(v) sum_x P_{X|V}(x|v) W[x, k].  The entropy subtracts the planes'
+    p log p in letter order, the same floats as a sum over the last axis of
+    the law for fewer than 8 letters (NumPy sums longer axes pairwise).
     """
-    row0 = a * w[0] + (1.0 - a) * w[1]  # output law given V = 0, per a
-    row1 = (1.0 - b) * w[0] + b * w[1]  # given V = 1, per b
+    given = [_left_sum([r[..., x, None] * w[x] for x in range(w.shape[0])]) for r in rows]
     planes = []
     for k in range(w.shape[1]):
-        plane = p * row0[:, k, None] + q * row1[None, :, k]
+        plane = _left_sum([p * g[..., k] for p, g in zip(weights, given)])
         if k == 0:
             h = -_xlogx(plane)
         else:
             h -= _xlogx(plane)
         if law:
             planes.append(plane)
-    iv = h - (p * _row_entropies(row0)[:, None] + q * _row_entropies(row1)[None, :])
+    iv = h - _left_sum([p * _row_entropies(g) for p, g in zip(weights, given)])
     return (np.stack(planes, axis=-1) if law else None), h, iv
 
 
-def _planes(w_y: np.ndarray, w_z: np.ndarray, p: np.ndarray, a_grid: np.ndarray,
-            b_grid: np.ndarray, fields=FIELDS) -> dict:
-    """The ``fields`` of every (a, b) cell at each cloud prior of the (P, 1, 1)
-    array ``p``, as (P, A, B) arrays ((P, A, B, m) for the output laws).
+def _planes(w_y: np.ndarray, w_z: np.ndarray, prior: np.ndarray, rows: list,
+            fields=FIELDS) -> dict:
+    """The ``fields`` of every cell of the (P, m) cloud priors ``prior`` and the
+    m (n_v, m) row grids ``rows``, as (P, n_0, ..., n_{m-1}) arrays (the output
+    laws with a last letter axis).
 
-    ``rd_ds`` is I(X;Z), the cost of a real prefix channel; ``rd_sim`` is
+    ``rd_ds`` is I(X;Z), the cost of a real prefix channel, with P_X of the
+    last input letter 1 minus each of the others in turn; ``rd_sim`` is
     I(V;Z) + H(X|V), the cost of simulating it from randomness.  Only the
     asked-for costs and laws are computed.
     """
-    q = 1.0 - p
-    a, b = a_grid[:, None], b_grid[:, None]
-    p_y, hy, ivy = _receiver(w_y, p, q, a, b, "p_y" in fields)
-    p_z, hz, ivz = _receiver(w_z, p, q, a, b, "p_z" in fields)
+    m = len(rows)
+    weights = [prior[:, v].reshape((-1,) + (1,) * m) for v in range(m)]
+    placed = [r.reshape((1,) * (1 + v) + (len(r),) + (1,) * (m - 1 - v) + (m,))
+              for v, r in enumerate(rows)]  # the rows of v on axis 1 + v
+    p_y, hy, ivy = _receiver(w_y, weights, placed, "p_y" in fields)
+    p_z, hz, ivz = _receiver(w_z, weights, placed, "p_z" in fields)
     cells = {"rs": ivy - ivz, "ivy": ivy, "ivz": ivz, "p_y": p_y, "p_z": p_z,
              "hy": hy, "hz": hz}
     if "rd_ds" in fields:
-        px0 = p * a + q * (1.0 - b_grid[None, :])
-        hz_row0, hz_row1 = float(_row_entropies(w_z[0])), float(_row_entropies(w_z[1]))
-        cells["rd_ds"] = hz - (px0 * hz_row0 + (1.0 - px0) * hz_row1)
+        px = [_left_sum([p * r[..., x] for p, r in zip(weights, placed)]) for x in range(m - 1)]
+        px.append(functools.reduce(np.subtract, px, 1.0))
+        for x, h in enumerate(_row_entropies(w_z)):
+            px[x] *= float(h)  # in place, and summed into px[0]: fewer live planes
+        for term in px[1:]:
+            px[0] += term
+        cells["rd_ds"] = hz - px[0]
     if "rd_sim" in fields:
-        ha = _row_entropies(np.stack([a_grid, 1.0 - a_grid], axis=1))  # H(X|V=0), per a
-        hb = _row_entropies(np.stack([b_grid, 1.0 - b_grid], axis=1))
-        cells["rd_sim"] = ivz + p * ha[:, None] + q * hb[None, :]
+        cells["rd_sim"] = _left_sum([ivz] + [p * _row_entropies(r)
+                                             for p, r in zip(weights, placed)])
     return {key: cells[key] for key in fields}
 
 
@@ -92,10 +113,10 @@ def fold_max(table: np.ndarray, rd: np.ndarray, rs: np.ndarray, rd_step: float) 
     table[:] = spill[:-1]
 
 
-def sweep_binary(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
-                 a_grid: np.ndarray, b_grid: np.ndarray, rd_step: float, n_rd: int,
-                 mode: str) -> np.ndarray:
-    """Raw per-budget maxima of the secrecy rate under one randomness cost.
+def sweep(w_y: np.ndarray, w_z: np.ndarray, prior: np.ndarray, rows: list,
+          rd_step: float, n_rd: int, mode: str) -> np.ndarray:
+    """Raw per-budget maxima of the secrecy rate under one randomness cost, over
+    the cells of the cloud priors ``prior`` and the row grids ``rows``.
 
     ``mode`` picks the cost: ``"ds"`` charges the eavesdropper information of
     the channel input, ``"sim"`` the cloud-layer information plus the
@@ -104,22 +125,23 @@ def sweep_binary(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
     maximum.
     """
     table = np.full(n_rd, -np.inf)
-    batch = max(1, BATCH_CELLS // (len(a_grid) * len(b_grid)))
+    batch = max(1, BATCH_CELLS // math.prod(len(r) for r in rows))
     cost = f"rd_{mode}"
-    for start in range(0, len(p_grid), batch):
-        cells = _planes(w_y, w_z, p_grid[start:start + batch, None, None], a_grid, b_grid,
-                        ("rs", cost))
+    for start in range(0, len(prior), batch):
+        cells = _planes(w_y, w_z, prior[start:start + batch], rows, ("rs", cost))
         fold_max(table, cells[cost], cells["rs"], rd_step)
     return table
 
 
 def binary_cells(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
                  a_grid: np.ndarray, b_grid: np.ndarray, fields=FIELDS) -> dict:
-    """The ``fields`` of every cell (all by default), flattened in lexicographic
-    (p, a, b) order; the output laws keep their last axis.
+    """The ``fields`` of every binary cell (p, a, b) (all by default), flattened
+    in lexicographic (p, a, b) order; the output laws keep their last axis.
 
     Materializes every cell, so only suitable for small grids (diagnostics,
     supporting-line evaluations, pair searches).
     """
-    cells = _planes(w_y, w_z, p_grid[:, None, None], a_grid, b_grid, fields)
+    prior = np.stack([p_grid, 1.0 - p_grid], axis=1)
+    rows = [np.stack([a_grid, 1.0 - a_grid], axis=1), np.stack([1.0 - b_grid, b_grid], axis=1)]
+    cells = _planes(w_y, w_z, prior, rows, fields)
     return {key: value.reshape(-1, *value.shape[3:]) for key, value in cells.items()}

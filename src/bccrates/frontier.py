@@ -3,10 +3,11 @@
 For a channel pair (receiver, eavesdropper) the achievable set of
 (randomness budget, confidential rate) pairs is swept on a probability grid
 over the auxiliary layers, reduced to a per-budget maximum, and convexified
-by two-point time sharing.  Binary-input pairs use the three-parameter
-search (cloud prior and the two conditional-input diagonal entries); larger
-input alphabets fall back to a guarded full grid over the cloud prior and
-the conditional rows.
+by two-point time sharing.  Every input alphabet takes the same sweep over
+a cloud prior and one conditional input row per cloud letter, each from a
+lattice on the simplex; for binary inputs that is the three-parameter search
+(cloud prior and the two conditional-input diagonal entries).  Inputs of three
+or more letters are held to a cell guard.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _sweep_py
 from ._csv import write_csv
-from .probability import Dmc, GuardExceeded, _xlogx
+from .probability import Dmc, GuardExceeded
 
 FEASIBILITY_TOL = 1e-9
 CELL_GUARD = 2**22           # most cells one sweep or supporting-line table may evaluate
@@ -150,77 +151,28 @@ def upper_concave_hull(points) -> Frontier:
                     provenance={"kind": "upper_concave_hull", "input_points": len(pts)})
 
 
-def _simplex_grid(dim: int, k: int) -> np.ndarray:
-    """All probability vectors of length ``dim`` with entries in multiples of 1/k."""
-    combos = []
+def _simplex_lattice(m: int, k: int, first: int = 0) -> np.ndarray:
+    """Every probability vector of length ``m`` on the 1/k lattice, one per row.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            combos.append(prefix + [remaining])
-            return
-        for c in range(remaining, -1, -1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], k, dim)
-    return np.asarray(combos, dtype=float) / k
-
-
-def _product_blocks(shape: tuple[int, ...], block: int):
-    """Index rows of every cell of ``shape`` in ``itertools.product`` order, as
-    consecutive (C, len(shape)) arrays of at most ``block`` rows."""
-    count = math.prod(shape)
-    for start in range(0, count, block):
-        yield np.stack(np.unravel_index(np.arange(start, min(count, start + block)), shape),
-                       axis=1)
-
-
-def _general_sweep(w_y: np.ndarray, w_z: np.ndarray, grid: GridSpec, rd_step: float,
-                   n_rd: int, v_equals_x: bool, mode: str) -> np.ndarray:
-    """Full-grid sweep over the cloud prior and conditional rows (|V| = |X|);
-    raw per-budget maxima under the ``mode`` cost, as in ``sweep_binary``."""
-    mx = w_y.shape[0]
-    k = max(1, round(1.0 / grid.prob_step))
-    pv_grid = _simplex_grid(mx, k)
-    if v_equals_x:
-        n_cells = len(pv_grid)
-    else:
-        rows = _simplex_grid(mx, k)
-        n_cells = len(pv_grid) * len(rows) ** mx
-    if n_cells > CELL_GUARD:
-        raise GuardExceeded(
-            f"general-alphabet sweep needs {n_cells} cells, above guard {CELL_GUARD}; "
-            "coarsen prob_step"
-        )
-
-    hz_rows = -_xlogx(w_z).sum(axis=1)
-    table = np.full(n_rd, -np.inf)
-
-    def eval_chunk(pv: np.ndarray, pxv: np.ndarray) -> None:
-        # pv: (C, mv); pxv: (C, mv, mx)
-        pyv = pxv @ w_y
-        pzv = pxv @ w_z
-        py = np.einsum("cv,cvy->cy", pv, pyv)
-        pz = np.einsum("cv,cvz->cz", pv, pzv)
-        hy = -_xlogx(py).sum(axis=1)
-        hz = -_xlogx(pz).sum(axis=1)
-        ivy = hy + np.einsum("cv,cvy->c", pv, _xlogx(pyv))
-        ivz = hz + np.einsum("cv,cvz->c", pv, _xlogx(pzv))
-        if mode == "ds":  # I(X;Z)
-            cost = hz - np.einsum("cv,cvx->cx", pv, pxv) @ hz_rows
-        else:  # I(V;Z) + H(X|V)
-            cost = ivz - np.einsum("cv,cvx->c", pv, _xlogx(pxv))
-        _sweep_py.fold_max(table, cost, ivy - ivz, rd_step)
-
-    if v_equals_x:
-        eye = np.broadcast_to(np.eye(mx), (len(pv_grid), mx, mx))
-        eval_chunk(pv_grid, np.ascontiguousarray(eye))
-        return table
-
-    # cells in (cloud prior, row of x = 0, ..., row of x = mx - 1) product order
-    shape = (len(pv_grid),) + (len(rows),) * mx
-    for idx in _product_blocks(shape, max(1, 2**16 // (mx * mx))):
-        eval_chunk(pv_grid[idx[:, 0]], rows[idx[:, 1:]])
-    return table
+    Coordinates ``first``, ``first`` + 1, ... (cyclically) take the values
+    i * (1/k) of :meth:`GridSpec.prob_grid`, each sweeping upward in
+    lexicographic order; the last one, ``first`` - 1, is the remainder 1 minus
+    the grid value of the others' total count (exactly 0 where they take the
+    whole mass).  For m = 2 that is (prob_grid, 1 - prob_grid) or its mirror.
+    """
+    values = np.arange(k + 1) * (1.0 / k)  # prob_grid's floats, without linspace's cost
+    values[-1] = 1.0
+    if m == 2:  # every binary sweep builds these: skip the general construction's cost
+        lattice = np.empty((k + 1, 2))
+        lattice[:, first], lattice[:, 1 - first] = values, 1.0 - values
+        return lattice
+    counts, left = np.zeros((1, 0), dtype=np.int64), np.array([k])
+    for _ in range(m - 1):  # every count from 0 to what the coordinates so far leave
+        reps = left + 1
+        parent = np.repeat(np.arange(len(left)), reps)
+        count = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts, left = np.column_stack([counts[parent], count]), left[parent] - count
+    return np.roll(np.column_stack([values[counts], 1.0 - values[k - left]]), first, axis=1)
 
 
 def _cost_cap(w_y: Dmc, w_z: Dmc) -> float:
@@ -235,15 +187,17 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
     rd_grid = grid.rd_axis(_cost_cap(w_y, w_z))
     rd_step = float(rd_grid[1] - rd_grid[0]) if rd_grid.size > 1 else 1.0
     p_grid = grid.prob_grid()
-    if w_y.input_size == 2:
-        a_grid = np.array([1.0]) if v_equals_x else p_grid
-        raw = _sweep_py.sweep_binary(w_y.matrix, w_z.matrix, p_grid, a_grid, a_grid,
-                                     rd_step, rd_grid.size, mode)
-        backend = "python"
-    else:
-        raw = _general_sweep(w_y.matrix, w_z.matrix, grid, rd_step, rd_grid.size,
-                             v_equals_x, mode)
-        backend = "python-general"
+    m, k = w_y.input_size, len(p_grid) - 1
+    n_cells = math.comb(k + m - 1, m - 1) ** (1 if v_equals_x else m + 1)
+    if m > 2 and n_cells > CELL_GUARD:
+        raise GuardExceeded(f"general-alphabet sweep needs {n_cells} cells, above guard "
+                            f"{CELL_GUARD}; coarsen prob_step")
+    # a cloud prior times one grid of conditional input rows per cloud letter;
+    # with V = X each row is the point mass on its letter
+    prior = _simplex_lattice(m, k)
+    rows = ([np.eye(m)[v:v + 1] for v in range(m)] if v_equals_x
+            else [prior] + [_simplex_lattice(m, k, v) for v in range(1, m)])
+    raw = _sweep_py.sweep(w_y.matrix, w_z.matrix, prior, rows, rd_step, rd_grid.size, mode)
     curve = np.maximum.accumulate(raw)
     if hull:
         vertices = _hull_vertices(rd_grid, curve)
@@ -259,7 +213,7 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
         "rd_max": float(rd_grid[-1]),
         "bin_fuzz_steps": _sweep_py.BIN_FUZZ,
         "feasibility_tol": FEASIBILITY_TOL,
-        "backend": backend,
+        "backend": "python",
         "input_size": w_y.input_size,
         "seed": None,
     }

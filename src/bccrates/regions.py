@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _sweep_py
 from .chain import BccChain, ChainInformations, informations
-from .frontier import GridSpec, secrecy_frontier, _simplex_grid
+from .frontier import GridSpec, secrecy_frontier, _simplex_lattice
 from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
@@ -205,23 +205,16 @@ def _grid_k(step: float) -> int:
     return max(1, round(1.0 / step))
 
 
-def _input_grid(m: int, step: float) -> np.ndarray:
-    k = _grid_k(step)
-    if m == 2:
-        return np.stack([np.linspace(0.0, 1.0, k + 1),
-                         1.0 - np.linspace(0.0, 1.0, k + 1)], axis=1)
-    count = math.comb(k + m - 1, m - 1)
-    if count > ORDERING_GUARD:
-        raise GuardExceeded(f"input grid needs {count} points, above guard {ORDERING_GUARD}")
-    return _simplex_grid(m, k)
-
-
 def is_more_capable(w_y: Dmc, w_z: Dmc, grid_step: float = 0.001) -> bool:
     """True when the receiver channel carries at least as much information as
     the eavesdropper channel for every input law on the grid (within 1e-9)."""
     if w_y.input_size != w_z.input_size:
         raise ValueError("channels must share the input alphabet")
-    grid = _input_grid(w_y.input_size, grid_step)
+    m, k = w_y.input_size, _grid_k(grid_step)
+    count = math.comb(k + m - 1, m - 1)
+    if count > ORDERING_GUARD:
+        raise GuardExceeded(f"input grid needs {count} points, above guard {ORDERING_GUARD}")
+    grid = _simplex_lattice(m, k)
     hy_rows = -_xlogx(w_y.matrix).sum(axis=1)
     hz_rows = -_xlogx(w_z.matrix).sum(axis=1)
     py = grid @ w_y.matrix
@@ -308,7 +301,7 @@ def _pair_search_cells(w_y: Dmc, w_z: Dmc, budget: int) -> dict:
     while (n + 2) ** 3 <= budget:
         n += 1
     p = np.linspace(0.0, 1.0, n + 1)
-    return _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
+    return _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p, _PAIR_FIELDS)
 
 
 _PAIR_FIELDS = ("rs", "rd_ds", "ivy", "p_y", "p_z", "hy", "hz")

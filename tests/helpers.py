@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from bccrates import BccChain, Dmc, Pmf
@@ -58,3 +60,28 @@ def cmi(joint: np.ndarray, a: str, b: str, given: str = "", axes: str = CHAIN_AX
     """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C) in nats; each argument names axes."""
     h = lambda names: joint_entropy(joint, names, axes)
     return h(a + given) + h(b + given) - h(a + b + given) - h(given)
+
+
+def simplex_grid(dim: int, k: int) -> np.ndarray:
+    """All probability vectors of length ``dim`` with entries in multiples of 1/k,
+    each entry c/k, by recursion with the first entry descending."""
+    combos = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            combos.append(prefix + [remaining])
+            return
+        for c in range(remaining, -1, -1):
+            rec(prefix + [c], remaining - c, slots - 1)
+
+    rec([], k, dim)
+    return np.asarray(combos, dtype=float) / k
+
+
+def product_blocks(shape: tuple[int, ...], block: int):
+    """Index rows of every cell of ``shape`` in ``itertools.product`` order, as
+    consecutive (C, len(shape)) arrays of at most ``block`` rows."""
+    count = math.prod(shape)
+    for start in range(0, count, block):
+        yield np.stack(np.unravel_index(np.arange(start, min(count, start + block)), shape),
+                       axis=1)

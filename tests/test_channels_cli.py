@@ -127,7 +127,7 @@ class TestCliRegion:
                      "--grid-step", "0.25", "--out", str(out)])
         assert code == 0
         meta = json.loads((tmp_path / "tern.csv.meta.json").read_text())
-        assert meta["backend"] == "python-general"
+        assert meta["backend"] == "python"
         assert meta["input_size"] == 3
         assert meta["argv"]["grid_step"] == 0.25
 

@@ -17,9 +17,11 @@ from bccrates import (
     upper_concave_hull,
 )
 from bccrates import _sweep_py, frontier
-from bccrates._sweep_py import BIN_FUZZ, fold_max, sweep_binary
+from bccrates._sweep_py import BIN_FUZZ, fold_max
 from bccrates.channels import bec, bsc
 from bccrates.probability import _xlogx
+
+from helpers import simplex_grid
 
 LN2 = math.log(2.0)
 
@@ -255,7 +257,7 @@ class TestGeneralAlphabets:
         w_y, w_z = self.ternary_pair()
         grid = GridSpec(prob_step=1.0 / 3.0, rd_step=0.05)
         front = secrecy_frontier(w_y, w_z, grid)
-        assert front.provenance["backend"] == "python-general"
+        assert front.provenance["backend"] == "python"
         assert front.r_s[0] >= 0.0
         assert np.all(np.diff(front.r_s) >= -1e-12)
         assert front.r_s[-1] <= math.log(3.0)
@@ -267,18 +269,58 @@ class TestGeneralAlphabets:
         with pytest.raises(GuardExceeded):
             secrecy_frontier(w_y, w_z, GridSpec(prob_step=0.02))
 
+    @pytest.mark.parametrize("v_equals_x", [False, True])
+    @pytest.mark.parametrize("hull", [True, False])
+    def test_one_input_channels_give_the_origin(self, hull, v_equals_x):
+        w_y, w_z = Dmc([[0.3, 0.7]]), Dmc([[0.5, 0.5]])
+        for fn in (secrecy_frontier, secrecy_frontier_sim):
+            front = fn(w_y, w_z, GridSpec(prob_step=0.1), hull=hull, v_equals_x=v_equals_x)
+            assert front.points == ((0.0, 0.0),)
+            assert front.provenance["input_size"] == 1
+
     def test_input_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             secrecy_frontier(bsc(0.1), Dmc(np.full((3, 3), 1.0 / 3.0)))
 
 
+class TestSimplexLattice:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 10, 20])
+    def test_matches_recursive_grid(self, m, k):
+        oracle = simplex_grid(m, k)
+        for first in range(m):
+            lattice = frontier._simplex_lattice(m, k, first)
+            assert lattice.shape == (math.comb(k + m - 1, m - 1), m)
+            np.testing.assert_allclose(lattice.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+            # the same points: pair rows by their counts, then one ulp (of a
+            # probability, 1.0) per coordinate, with the zeros exact
+            counts = np.rint(lattice * k).astype(np.int64)
+            assert np.all(counts.sum(axis=1) == k)
+            got = lattice[np.lexsort(counts.T)]
+            want = oracle[np.lexsort(np.rint(oracle * k).astype(np.int64).T)]
+            assert np.all(np.abs(got - want) <= np.spacing(1.0))
+            assert np.array_equal(got == 0.0, want == 0.0)
+
+    @pytest.mark.parametrize("step", [0.5, 1.0 / 3.0, 0.05, 0.01])
+    def test_binary_grids_are_the_linspace(self, step):
+        p = GridSpec(prob_step=step).prob_grid()
+        k = len(p) - 1
+        assert frontier._simplex_lattice(2, k, 0).tobytes() == np.stack([p, 1.0 - p], 1).tobytes()
+        assert frontier._simplex_lattice(2, k, 1).tobytes() == np.stack([1.0 - p, p], 1).tobytes()
+
+    def test_one_letter(self):
+        assert frontier._simplex_lattice(1, 5).tolist() == [[1.0]]
+
+
 def _oracle_general_sweep(w_y, w_z, grid, rd_step, n_rd, v_equals_x, mode):
-    """``frontier._general_sweep`` as a Python loop over ``itertools.product``,
-    appending one cell at a time and flushing every 2**16 // mx**2 cells."""
+    """The full-grid sweep that served inputs of 3 or more letters before the
+    letter-plane sweep did: c/k grid values, matmul and einsum sums, cells
+    appended one at a time in ``itertools.product`` order and flushed every
+    2**16 // mx**2 cells."""
     mx = w_y.shape[0]
     k = max(1, round(1.0 / grid.prob_step))
-    pv_grid = frontier._simplex_grid(mx, k)
-    rows = frontier._simplex_grid(mx, k)
+    pv_grid = simplex_grid(mx, k)
+    rows = simplex_grid(mx, k)
     hz_rows = -_xlogx(w_z).sum(axis=1)
     table = np.full(n_rd, -np.inf)
 
@@ -317,21 +359,104 @@ def _four_input_pair():
     return Dmc(rng.dirichlet(np.ones(3), size=4)), Dmc(rng.dirichlet(np.ones(2), size=4))
 
 
-@pytest.mark.parametrize("pair,step", [
-    (TestGeneralAlphabets.ternary_pair, 1.0 / 3.0),
-    (TestGeneralAlphabets.ternary_pair, 0.25),
-    (_four_input_pair, 0.5),
+def _oracle_cell_sweep(w_y, w_z, prior, rows, rd_step, n_rd, mode):
+    """The letter-plane sweep one cell at a time, in Python floats: every sum
+    over input, cloud and output letters added left to right, P_X of the last
+    input letter as 1 minus each of the others in turn, then the sort-based
+    fold."""
+    m = len(rows)
+
+    def left_sum(terms):
+        terms = list(terms)
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    xlogx = lambda x: float(_xlogx(x))
+    entropy = lambda law: -left_sum(xlogx(x) for x in law)  # NumPy's order below 8 letters
+    hz_rows = [entropy(row) for row in w_z.tolist()]
+
+    def given(w, row):  # output law given one conditional input row
+        return [left_sum(row[x] * w[x][k] for x in range(m)) for k in range(len(w[0]))]
+
+    w_y, w_z = w_y.tolist(), w_z.tolist()
+    rows = [r.tolist() for r in rows]
+    laws_y = [[given(w_y, row) for row in r] for r in rows]
+    laws_z = [[given(w_z, row) for row in r] for r in rows]
+
+    def receiver(pv, laws):
+        planes = [left_sum(pv[v] * laws[v][k] for v in range(m)) for k in range(len(laws[0]))]
+        h = -xlogx(planes[0])
+        for plane in planes[1:]:
+            h -= xlogx(plane)
+        return h, h - left_sum(pv[v] * entropy(laws[v]) for v in range(m))
+
+    rs, costs = [], []
+    for pv in prior.tolist():
+        for combo in itertools.product(*(range(len(r)) for r in rows)):
+            cell = [rows[v][i] for v, i in enumerate(combo)]
+            _, ivy = receiver(pv, [laws_y[v][i] for v, i in enumerate(combo)])
+            hz, ivz = receiver(pv, [laws_z[v][i] for v, i in enumerate(combo)])
+            if mode == "ds":
+                px = [left_sum(pv[v] * cell[v][x] for v in range(m)) for x in range(m - 1)]
+                last = 1.0
+                for share in px:
+                    last -= share
+                px.append(last)
+                cost = hz - left_sum(px[x] * hz_rows[x] for x in range(m))
+            else:
+                cost = ivz
+                for v in range(m):
+                    cost = cost + pv[v] * entropy(cell[v])
+            rs.append(ivy - ivz)
+            costs.append(cost)
+    table = np.full(n_rd, -np.inf)
+    _oracle_fold_max(table, np.array(costs), np.array(rs), rd_step)
+    return table
+
+
+@pytest.mark.parametrize("pair,step,tol,cell_oracle", [
+    (TestGeneralAlphabets.ternary_pair, 1.0 / 3.0, 2.3e-16, True),
+    (TestGeneralAlphabets.ternary_pair, 0.25, 2.3e-16, False),
+    (_four_input_pair, 0.5, 0.0, False),
 ], ids=["ternary-1/3", "ternary-0.25", "four-input-0.5"])
-def test_general_sweep_matches_loop_oracle(monkeypatch, pair, step):
+def test_general_sweep_matches_loop_oracle(monkeypatch, pair, step, tol, cell_oracle):
+    # the letter-plane sweep moves frontiers of 3 or more inputs by at most an
+    # ulp from the full-grid sweep (grid values i * (1/k) for c/k, sums left to
+    # right for matmul), and not at all at step 0.5; at step 1/3 it gives the
+    # bytes of its own per-cell loop
     w_y, w_z = pair()
     grid = GridSpec(prob_step=step, rd_step=0.01)
+
+    def once_per_mode(oracle):  # the hull does not change the raw table
+        tables = {}
+
+        def sweep(w_y, w_z, prior, rows, rd_step, n_rd, mode):
+            if mode not in tables:
+                tables[mode] = oracle(w_y, w_z, prior, rows, rd_step, n_rd, mode)
+            return tables[mode]
+        return sweep
+
+    full_grid = once_per_mode(lambda w_y, w_z, prior, rows, rd_step, n_rd, mode:
+                              _oracle_general_sweep(w_y, w_z, grid, rd_step, n_rd, False, mode))
+    cell_loop = once_per_mode(_oracle_cell_sweep)
     for fn in (secrecy_frontier, secrecy_frontier_sim):
         for hull in (True, False):
             got = fn(w_y, w_z, grid, hull=hull)
             with monkeypatch.context() as patch:
-                patch.setattr(frontier, "_general_sweep", _oracle_general_sweep)
+                patch.setattr(_sweep_py, "sweep", full_grid)
                 want = fn(w_y, w_z, grid, hull=hull)
-            assert got.points == want.points
+            if tol == 0.0:
+                assert got.points == want.points
+            else:
+                assert got.r_d.tobytes() == want.r_d.tobytes()
+                assert np.max(np.abs(got.r_s - want.r_s)) <= tol
+            if cell_oracle:
+                with monkeypatch.context() as patch:
+                    patch.setattr(_sweep_py, "sweep", cell_loop)
+                    loop = fn(w_y, w_z, grid, hull=hull)
+                assert np.asarray(got.points).tobytes() == np.asarray(loop.points).tobytes()
 
 
 def _oracle_fold_max(table, rd, rs, rd_step):
@@ -383,6 +508,13 @@ class TestFoldMax:
         assert table.tolist() == [1.0, -np.inf, 5.0]
 
 
+def _binary_sweep(w_y, w_z, p_grid, a_grid, b_grid, rd_step, n_rd, mode):
+    """The sweep on the binary grids of (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1))."""
+    prior = np.stack([p_grid, 1.0 - p_grid], axis=1)
+    rows = [np.stack([a_grid, 1.0 - a_grid], axis=1), np.stack([1.0 - b_grid, b_grid], axis=1)]
+    return _sweep_py.sweep(w_y, w_z, prior, rows, rd_step, n_rd, mode)
+
+
 @pytest.mark.parametrize("batch_cells", [1, 4 * 21 * 21, 1 << 30])
 def test_sweep_batches_fold_the_same_cells(monkeypatch, batch_cells):
     # one plane per batch, 4 planes per batch with a short last batch, and
@@ -392,8 +524,8 @@ def test_sweep_batches_fold_the_same_cells(monkeypatch, batch_cells):
         args = (bsc(0.11).matrix, bec(0.45).matrix, p, p, p, 0.05, 30, mode)
         with monkeypatch.context() as patch:
             patch.setattr(_sweep_py, "BATCH_CELLS", batch_cells)
-            batched = sweep_binary(*args)
-        assert batched.tobytes() == sweep_binary(*args).tobytes()
+            batched = _binary_sweep(*args)
+        assert batched.tobytes() == _binary_sweep(*args).tobytes()
 
 
 def _frontier_digest(w_y, w_z, prob_step):
@@ -476,7 +608,7 @@ def _oracle_planes(w_y, w_z, p, a_grid, b_grid):
 
 
 def _oracle_sweep_binary(w_y, w_z, p_grid, a_grid, b_grid, rd_step, n_rd, mode):
-    """The law-materializing sweep, kept as the oracle of ``sweep_binary``:
+    """The law-materializing sweep, kept as the oracle of the sweep on binary grids:
     every field of every batch of planes, then the sort-based fold."""
     table = np.full(n_rd, -np.inf)
     batch = max(1, _sweep_py.BATCH_CELLS // (len(a_grid) * len(b_grid)))
@@ -524,7 +656,7 @@ class TestLetterPlanes:
         w_y, w_z = ORACLE_PAIRS[name]()
         for mode in ("ds", "sim"):
             args = _sweep_args(w_y, w_z, step, mode)
-            assert sweep_binary(*args).tobytes() == _oracle_sweep_binary(*args).tobytes()
+            assert _binary_sweep(*args).tobytes() == _oracle_sweep_binary(*args).tobytes()
 
     @pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
     def test_binary_cells_match_oracle_fields(self, name):
@@ -549,7 +681,7 @@ class TestLetterPlanes:
         for step in (0.05, 0.02):
             for mode in ("ds", "sim"):
                 args = _sweep_args(w_y, w_z, step, mode)
-                np.testing.assert_allclose(sweep_binary(*args), _oracle_sweep_binary(*args),
+                np.testing.assert_allclose(_binary_sweep(*args), _oracle_sweep_binary(*args),
                                            rtol=0.0, atol=1e-12)
         p = GridSpec(prob_step=0.05).prob_grid()
         cells = _sweep_py.binary_cells(w_y, w_z, p, p, p)

@@ -21,11 +21,9 @@ from bccrates import (
     single_chain,
     split_rates,
 )
-from bccrates import regions
+from bccrates import _sweep_py, regions
 from bccrates.channels import bec, bsc
-from bccrates.frontier import _product_blocks
-
-from helpers import random_chain
+from helpers import product_blocks, random_chain, simplex_grid
 
 LN2 = math.log(2.0)
 
@@ -381,7 +379,7 @@ def _assert_farkas(w_y, w_z, verdict):
 def _oracle_degraded_grid(w_y, w_z, grid_step):
     """The least residual max |W_Y T - W_Z| over the grid of row-stochastic T,
     by a plain loop over intermediate channels."""
-    rows = regions._simplex_grid(w_z.output_size, max(1, round(1.0 / grid_step)))
+    rows = simplex_grid(w_z.output_size, max(1, round(1.0 / grid_step)))
     best = math.inf
     for combo in itertools.product(range(len(rows)), repeat=w_y.output_size):
         best = min(best, float(np.max(np.abs(w_y.matrix @ rows[list(combo)] - w_z.matrix))))
@@ -391,9 +389,9 @@ def _oracle_degraded_grid(w_y, w_z, grid_step):
 def _blocked_degraded_grid(w_y, w_z, grid_step, block):
     """The same least residual, with the candidates taken ``block`` at a time in
     ``itertools.product`` order and evaluated together."""
-    rows = regions._simplex_grid(w_z.output_size, max(1, round(1.0 / grid_step)))
+    rows = simplex_grid(w_z.output_size, max(1, round(1.0 / grid_step)))
     best = math.inf
-    for combos in _product_blocks((len(rows),) * w_y.output_size, block):
+    for combos in product_blocks((len(rows),) * w_y.output_size, block):
         residuals = np.abs(np.matmul(w_y.matrix, rows[combos]) - w_z.matrix).max(axis=(1, 2))
         best = min(best, float(residuals.min()))
     return best
@@ -549,6 +547,15 @@ class TestPairSearch:
         cells = regions._pair_search_cells(bsc(0.1), bsc(0.2), budget=1500)
         assert len(cells["rs"]) == 1331
         assert len(regions._distinct_cells(cells)["rs"]) <= 1111
+
+    def test_cloud_holds_only_the_pair_fields(self):
+        # the cloud is asked for the fields the search reads, with the floats
+        # of the full cell table
+        cells = regions._pair_search_cells(bsc(0.11), bec(0.45), budget=1500)
+        assert list(cells) == list(regions._PAIR_FIELDS)
+        p = np.linspace(0.0, 1.0, 11)
+        full = _sweep_py.binary_cells(bsc(0.11).matrix, bec(0.45).matrix, p, p, p)
+        assert all(cells[key].tobytes() == full[key].tobytes() for key in cells)
 
 
 # min_dummy_rate at r_0 > 0 on the full cloud, recorded from the unpruned loop

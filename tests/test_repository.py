@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import bccrates
-from bccrates import chain, probability
+from bccrates import _sweep_py, chain, frontier, probability
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +37,8 @@ def test_retired_names_stay_gone():
     assert "cell_guard" not in [f.name for f in dataclasses.fields(bccrates.GridSpec)]
     for check in (bccrates.is_more_capable, bccrates.is_degraded):
         assert "guard" not in inspect.signature(check).parameters
+    # one letter-plane sweep serves every input alphabet; the full-grid sweep
+    # and its grid helpers live on as test oracles only
+    for module, name in ((frontier, "_general_sweep"), (frontier, "_product_blocks"),
+                         (frontier, "_simplex_grid"), (_sweep_py, "sweep_binary")):
+        assert not hasattr(module, name), name
