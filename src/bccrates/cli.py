@@ -212,10 +212,13 @@ def _cmd_check_split(args) -> int:
 def _cmd_check_min_randomness(args) -> int:
     value = min_dummy_rate(parse_channel(args.py), parse_channel(args.pz),
                            args.r0, args.rs, _grid_from_args(args))
+    # min_dummy_rate inverts the secrecy frontier at r_0 = 0 and otherwise
+    # searches two-point mixtures of its cell cloud
+    method = "frontier_inverse" if args.r0 == 0.0 else "pair_search"
     if value is INFEASIBLE:
-        _write_json({"feasible": False, "min_r_d_nats": None}, args.out)
+        _write_json({"feasible": False, "min_r_d_nats": None, "method": method}, args.out)
         raise InfeasibleQuery("requested rates are infeasible on the search grid")
-    _write_json({"feasible": True, "min_r_d_nats": value}, args.out)
+    _write_json({"feasible": True, "min_r_d_nats": value, "method": method}, args.out)
     return EXIT_OK
 
 

@@ -312,19 +312,22 @@ _ENTROPY_MARGIN = 1e-9       # far above the rounding in a computed I(U;Y)
 
 def _distinct_cells(cells: dict) -> dict:
     """The pair-search fields of the cells, keeping one of each bit-identical cell
-    (the p = 0 and p = 1 faces of the cloud repeat one cell per a or b)."""
+    (the p = 0 and p = 1 faces of the cloud repeat one cell per a or b), in
+    increasing input cost ``rd_ds``: a stable sort, so equal costs keep the
+    cloud's order."""
     fields = [cells[key].reshape(len(cells["rs"]), -1) for key in _PAIR_FIELDS]
     bits = np.concatenate(fields, axis=1).view(np.uint64)
     _, first = np.unique(bits, axis=0, return_index=True)
     first.sort()
+    first = first[np.argsort(cells["rd_ds"][first], kind="stable")]
     return {key: cells[key][first] for key in _PAIR_FIELDS}
 
 
-def _total_variation(laws: np.ndarray, rows: slice) -> np.ndarray:
-    """TV distance between each law of ``rows`` and every law, one letter at a time."""
-    tv = np.abs(laws[rows, None, 0] - laws[None, :, 0])
+def _total_variation(laws: np.ndarray, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+    """TV distance between each law of ``rows`` and each of ``cols``, one letter at a time."""
+    tv = np.abs(laws[rows, None, 0] - laws[None, cols, 0])
     for k in range(1, laws.shape[1]):
-        tv += np.abs(laws[rows, None, k] - laws[None, :, k])
+        tv += np.abs(laws[rows, None, k] - laws[None, cols, k])
     return 0.5 * tv
 
 
@@ -334,22 +337,41 @@ def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
     Mixing cell i with weight lam and cell j with 1 - lam makes a binary cloud
     variable U.  A mixture must carry r_0 to both receivers, r_0 + r_s in
     total, and r_s of secrecy.  Every pair value is the same float the plain
-    double loop computes; four exact prunings skip pairs that cannot lower
-    the minimum: weights with h(lam) below r_0 (I(U;Y), I(U;Z) <= H(U)),
-    duplicate cells, pairs failing the linear secrecy or cost test, and,
-    while nothing is feasible yet, pairs with h(lam) TV(P_Y,i, P_Y,j) or
-    h(lam) TV(P_Z,i, P_Z,j) below r_0.  The last holds because Y is a degraded
-    output of an erasure channel from U that erases with probability 1 - TV,
-    so I(U;Y) <= h(lam) TV.  All are checked before any entropy is evaluated.
-    A block's smaller TV is computed once and tested at every weight: rounding
-    is monotone, so h(lam) min(TV_Y, TV_Z) passes exactly when both products do.
+    double loop computes, and a minimum does not depend on the order its
+    terms are visited in.  The prunings below skip pairs that cannot lower
+    it; each is exact in floats, none is a tolerance, and all are checked
+    before any entropy is evaluated.
+
+    - Weights with h(lam) below r_0 (I(U;Y), I(U;Z) <= H(U)), and duplicate
+      cells.
+    - Cost.  The cells are sorted by cost c, so lam c_i and (1 - lam) c_j are
+      non-decreasing (rounding is monotone), and so is the rounded sum
+      fl(lam c_i + (1 - lam) c_j) in i and in j.  A block of rows from
+      ``start`` needs only the columns whose computed sum with row ``start``
+      lies below the best cost so far, found by ``searchsorted`` on those
+      sums (never on a difference).  Once not even column 0 does, no later
+      row of the weight can help.
+    - Secrecy.  When fl(max lam rs_i + max (1 - lam) rs_j) over a weight or a
+      block is below r_s - SLACK_TOL, no pair in it passes the linear
+      secrecy test, by the same monotonicity.
+    - Pairs failing the linear secrecy or cost test, and, while nothing is
+      feasible yet, pairs with h(lam) TV(P_Y,i, P_Y,j) or
+      h(lam) TV(P_Z,i, P_Z,j) below r_0.  The last holds because Y is a
+      degraded output of an erasure channel from U that erases with
+      probability 1 - TV, so I(U;Y) <= h(lam) TV.  A block's smaller TV is
+      computed once and tested at every weight: rounding is monotone, so
+      h(lam) min(TV_Y, TV_Z) passes exactly when both products do.
+
+    A block holds at most ``_PAIR_BLOCK`` pairs: ``_PAIR_BLOCK // width``
+    rows of ``width`` columns each, the columns cut into pieces of at most
+    ``_PAIR_BLOCK``.
     """
     cells = _distinct_cells(cells)
     n = len(cells["rs"])
-    rows = max(1, _PAIR_BLOCK // n)
     best = math.inf
+    rs_floor = r_s - SLACK_TOL
     tv_floor = r_0 - SLACK_TOL - _ENTROPY_MARGIN
-    tv_min = {}     # block start -> min(TV_Y, TV_Z) of its pairs, for every weight
+    tv_min = {}     # block corner -> min(TV_Y, TV_Z) of its pairs, for every weight
     for lam in _PAIR_WEIGHTS:
         h_lam = -_xlogx(np.array([lam, 1.0 - lam])).sum()
         if h_lam < tv_floor:
@@ -357,36 +379,52 @@ def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
         # lam * x_i + (1 - lam) * x_j for every field, from pre-scaled halves
         wi = {key: lam * value for key, value in cells.items()}
         wj = {key: (1.0 - lam) * value for key, value in cells.items()}
-        for start in range(0, n, rows):
-            i = slice(start, start + rows)
-            rs_u = wi["rs"][i, None] + wj["rs"]
-            cost = wi["rd_ds"][i, None] + wj["rd_ds"]
-            keep = (rs_u >= r_s - SLACK_TOL) & (cost < best)
-            if math.isinf(best) and keep.any():
-                if start not in tv_min:
-                    tv_min[start] = np.minimum(_total_variation(cells["p_y"], i),
-                                               _total_variation(cells["p_z"], i))
-                keep &= h_lam * tv_min[start] >= tv_floor
-            kept = np.count_nonzero(keep)
-            if not kept:
-                continue
-            if 2 * kept < keep.size:        # gather the kept pairs
-                ii, jj = np.nonzero(keep)
-                cost, at_i, at_j = cost[ii, jj], ii + start, jj
-            else:                           # cheaper to broadcast the whole block
-                cost = np.where(keep, cost, math.inf)
-                at_i, at_j = (i, None), (None, slice(None))
+        if wi["rs"].max() + wj["rs"].max() < rs_floor:
+            continue
+        start = 0
+        while start < n:
+            # while best is inf every block is full width, so the block
+            # corners (the keys of tv_min) are the same at every weight
+            cols = n if math.isinf(best) else int(
+                np.searchsorted(wi["rd_ds"][start] + wj["rd_ds"], best, side="left"))
+            if cols == 0:
+                break
+            width = min(cols, _PAIR_BLOCK)
+            i = slice(start, start + _PAIR_BLOCK // width)
+            start = i.stop
+            for corner in range(0, cols, width):
+                j = slice(corner, min(corner + width, cols))
+                if wi["rs"][i].max() + wj["rs"][j].max() < rs_floor:
+                    continue
+                rs_u = wi["rs"][i, None] + wj["rs"][j]
+                cost = wi["rd_ds"][i, None] + wj["rd_ds"][j]
+                keep = (rs_u >= rs_floor) & (cost < best)
+                if math.isinf(best) and keep.any():
+                    if (i.start, corner) not in tv_min:
+                        tv_min[i.start, corner] = np.minimum(
+                            _total_variation(cells["p_y"], i, j),
+                            _total_variation(cells["p_z"], i, j))
+                    keep &= h_lam * tv_min[i.start, corner] >= tv_floor
+                kept = np.count_nonzero(keep)
+                if not kept:
+                    continue
+                if 2 * kept < keep.size:        # gather the kept pairs
+                    ii, jj = np.nonzero(keep)
+                    cost, at_i, at_j = cost[ii, jj], ii + i.start, jj + corner
+                else:                           # cheaper to broadcast the whole block
+                    cost = np.where(keep, cost, math.inf)
+                    at_i, at_j = (i, None), (None, j)
 
-            def mixed(key):
-                return wi[key][at_i] + wj[key][at_j]
+                def mixed(key):
+                    return wi[key][at_i] + wj[key][at_j]
 
-            iuy = -_xlogx(mixed("p_y")).sum(axis=-1) - mixed("hy")
-            iuz = -_xlogx(mixed("p_z")).sum(axis=-1) - mixed("hz")
-            common_cap = np.minimum(iuy, iuz)
-            feasible = ((common_cap >= r_0 - SLACK_TOL)
-                        & (mixed("ivy") + common_cap >= r_0 + r_s - SLACK_TOL))
-            if np.any(feasible):
-                best = min(best, float(np.min(cost[feasible])))
+                iuy = -_xlogx(mixed("p_y")).sum(axis=-1) - mixed("hy")
+                iuz = -_xlogx(mixed("p_z")).sum(axis=-1) - mixed("hz")
+                common_cap = np.minimum(iuy, iuz)
+                feasible = ((common_cap >= r_0 - SLACK_TOL)
+                            & (mixed("ivy") + common_cap >= r_0 + r_s - SLACK_TOL))
+                if np.any(feasible):
+                    best = min(best, float(np.min(cost[feasible])))
     return best
 
 
@@ -400,8 +438,10 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
     variable must then carry real information), minimizing the input cost
     subject to the three rate constraints.  That search ignores ``grid``: it
     always uses the same 1,331-cell cloud (11 points per cell coordinate) and
-    11 mixing weights.  Returns :data:`INFEASIBLE` when no searched chain
-    supports the request.
+    11 mixing weights.  It visits the cells in increasing cost and skips only
+    pairs that exact float bounds rule out (see ``_pair_search``), so its
+    answer is the minimum over every mixture.  Returns :data:`INFEASIBLE` when
+    no searched chain supports the request.
     """
     if r_0 < 0.0 or r_s < 0.0 or math.isnan(r_0) or math.isnan(r_s):
         raise ValueError(f"rates must be nonnegative, got r_0={r_0!r}, r_s={r_s!r}")

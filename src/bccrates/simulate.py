@@ -32,7 +32,10 @@ CODEBOOK_GUARD = 2**22
 OUTPUT_ENUM_GUARD = 2**20
 LEAKAGE_GUARD = 2**22
 DECODE_GUARD = 2**22
-_MC_BLOCK = 1 << 15          # entries per block of MC samples: temporaries stay near 1 MB
+# Entries per array of an MC divergence block.  15,000 doubles stay under
+# 128 KiB, the default threshold above which malloc maps fresh pages for an
+# array, so a call's buffers do not each cost page faults.
+_MC_BLOCK = 15_000
 _TRIAL_BLOCK = 1 << 16       # codeword-table entries per block of trials (512 KB a table)
 
 
@@ -250,13 +253,21 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
     Samples outputs from the simulated law (random codeword, then channel
     noise) and averages the pointwise log ratio against the i.i.d. target;
     returns (estimate, standard error).  The codeword picks are drawn first,
-    then the noise one block of samples at a time, so the draws are those of
-    one (samples, n) noise array and memory is bounded by a block.  A word's
-    log-likelihood of a sample depends only on their joint type, the counts
-    N_ab of positions with word letter a and output letter b.  A block's
-    counts come from one matrix product per output letter but the last
-    (exact integers), and sum_ab N_ab log W[a, b] is added in (a, b) order,
-    as logs, so long blocks cannot underflow.
+    then the noise a few samples at a time, so the draws are those of one
+    (samples, n) noise array.  A word's log-likelihood of a sample depends
+    only on their joint type, the counts N_ab of positions with word letter
+    a and output letter b.  Sample s has output letter at most b at position
+    t exactly when u < cdf[x_t, b] (the CDF rows are non-decreasing), so one
+    matrix product per output letter but the last counts those positions,
+    and N_ab is the difference of two such counts (exact integers).
+    sum_ab N_ab log W[a, b] is added in (a, b) order, as logs, so long blocks
+    cannot underflow.
+
+    Memory is bounded by ``_MC_BLOCK`` entries an array.  The noise, its
+    word letters and output tests fill three (draw, n) buffers, allocated
+    once a call and refilled; the counts and log-likelihoods are formed a
+    block of ``_MC_BLOCK // (|words| |X| |Z|)`` samples at a time.  Each
+    sample's log ratio is the same float at every block size.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -267,41 +278,56 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
     p_x = Pmf(codebook.p_v.probs @ codebook.p_x_given_v.matrix)
     p_z = w_z.output(p_x).probs
     picks = rng.integers(0, count, size=samples)
-    cdf = _cdf(w_z.matrix)
+    steps = _cdf(w_z.matrix)[:, :-1].T     # (mz - 1, mx): the CDF steps a uniform is tested on
     log_w, log_p_z = _log(w_z.matrix), _log(p_z)  # -inf: erasure-channel zeros
     # word letters a < mx - 1 one-hot, then a column of ones for the output count:
-    # (n, count * (mx - 1) + 1).  The last letter a and the last output letter b
-    # take the rest of each word's letter count and of each sample's output count.
+    # (n, count * (mx - 1) + 1).  The last letter a takes the rest of each word's
+    # count, and the last output letter b the rest of every letter's count.
     one_hot = np.concatenate([(words.T[:, :, None] == np.arange(mx - 1)).reshape(n, -1),
                               np.ones((n, 1), dtype=bool)], axis=1).astype(float)
     letter_counts = (words[:, :, None] == np.arange(mx)).sum(axis=1).astype(float)
-    rows = _mc_block_rows(n, count * mx * mz)
+    rows = min(samples, _mc_block_rows(count * mx * mz))
+    draw = min(rows, max(1, _MC_BLOCK // n))
+    # a draw's noise, word letters and output-letter tests, refilled in place
+    noise, letters, below = np.empty((draw, n)), np.empty((draw, n), np.intp), np.empty((draw, n))
     log_ratios = np.empty(samples)
     for start in range(0, samples, rows):
         pick = picks[start:start + rows]
-        z = _inverse_cdf_sample(rng.random((pick.size, n)), cdf, words[pick])
-        joint = np.empty((pick.size, count, mx, mz))   # N_ab per sample and word
-        out_counts = np.empty((pick.size, mz))
+        k = pick.size
+        # at_most[b, s]: sample s's counts of positions whose output letter is
+        # at most b, the test u < cdf[a, b], per word letter a < mx - 1, then in all
+        at_most = np.empty((mz - 1, k, one_hot.shape[1]))
+        # np.take fills out= through a buffer unless mode is "clip" or "wrap";
+        # every index is in range, so clipping changes nothing
+        for at in range(0, k, draw):
+            piece = pick[at:at + draw]
+            u = rng.random(out=noise[:piece.size])
+            x = np.take(words, piece, axis=0, out=letters[:piece.size], mode="clip")
+            for b, step in enumerate(steps):
+                test = np.take(step, x, out=below[:piece.size], mode="clip")
+                np.matmul(np.less(u, test, out=test), one_hot, out=at_most[b, at:at + piece.size])
+        joint = np.empty((k, count, mx, mz))   # N_ab per sample and word
+        out_counts = np.empty((k, mz))
         for b in range(mz - 1):
-            counts = (z == b).astype(float) @ one_hot
+            counts = at_most[b] - at_most[b - 1] if b else at_most[b]
             out_counts[:, b] = counts[:, -1]
-            joint[:, :, :-1, b] = counts[:, :-1].reshape(pick.size, count, mx - 1)
+            joint[:, :, :-1, b] = counts[:, :-1].reshape(k, count, mx - 1)
             joint[:, :, -1, b] = counts[:, -1:] - joint[:, :, :-1, b].sum(axis=2)
         out_counts[:, -1] = n - out_counts[:, :-1].sum(axis=1)
         joint[..., -1] = letter_counts - joint[..., :-1].sum(axis=3)
-        per_word = _type_log_likelihoods(joint.reshape(pick.size, count, -1), log_w.ravel())
+        per_word = _type_log_likelihoods(joint.reshape(k, count, -1), log_w.ravel())
         ref = _type_log_likelihoods(out_counts, log_p_z)
         # log mixture probability of each sampled output, by log-sum-exp
         top = per_word.max(axis=1)
         log_mix = top + np.log(np.exp(per_word - top[:, None]).mean(axis=1))
-        log_ratios[start:start + pick.size] = log_mix - ref
+        log_ratios[start:start + k] = log_mix - ref
     return float(log_ratios.mean()), float(log_ratios.std(ddof=1) / math.sqrt(samples))
 
 
-def _mc_block_rows(n: int, joint_size: int) -> int:
-    """Samples per block of ``mc_output_divergence``: its noise, output letters
-    and joint counts each fill at most ``_MC_BLOCK`` entries (or one sample)."""
-    return max(1, _MC_BLOCK // max(n, joint_size))
+def _mc_block_rows(joint_size: int) -> int:
+    """Samples per block of ``mc_output_divergence``, whose joint counts fill at
+    most ``_MC_BLOCK`` entries (or one sample)."""
+    return max(1, _MC_BLOCK // joint_size)
 
 
 def _type_log_likelihoods(counts: np.ndarray, log_probs: np.ndarray) -> np.ndarray:

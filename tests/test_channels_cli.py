@@ -425,6 +425,17 @@ class TestCliCheck:
         assert "invalid configuration" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("r0, rs, code, method", [
+        ("0", "0.1", 0, "frontier_inverse"), ("0", "0.5", 4, "frontier_inverse"),
+        ("0.05", "0.02", 0, "pair_search"), ("0.3", "0", 4, "pair_search")])
+    def test_min_randomness_reports_method(self, r0, rs, code, method, capsys):
+        # r_0 = 0 inverts the secrecy frontier; r_0 > 0 searches mixtures
+        assert main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--r0", r0, "--rs", rs, "--grid-step", "0.02"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == method
+        assert payload["feasible"] is (code == 0)
+
     def test_min_randomness_feasible(self, capsys):
         code = main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",
                      "--r0", "0", "--rs", "0.1", "--grid-step", "0.02"])

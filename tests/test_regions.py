@@ -543,6 +543,64 @@ class TestPairSearch:
                 bound = h_lam * regions._total_variation(cells[p], every)
                 assert np.all(info <= bound + 1e-12)
 
+    @pytest.mark.parametrize("kind", ["bsc/bsc", "bsc/bec", "bec/bsc"])
+    @pytest.mark.parametrize("case", range(len(PAIR_SCENARIOS)))
+    def test_shuffled_cloud_matches_double_loop(self, kind, case):
+        # the search sorts the cloud by cost itself; the cloud's own order
+        # must not matter
+        name, r_0, rs_share, rs_offset = PAIR_SCENARIOS[case]
+        rng = np.random.default_rng([case, len(kind), ord(kind[-1]), 7])
+        w_y, w_z = _pair(kind, rng)
+        cells = regions._pair_search_cells(w_y, w_z, budget=(125, 216, 343)[case % 3])
+        order = rng.permutation(len(cells["rs"]))
+        shuffled = {key: value[order] for key, value in cells.items()}
+        r_s = rs_share * max(float(cells["rs"].max()), 0.0) + rs_offset
+        expected = _oracle_pair_search(cells, r_0, r_s)
+        assert regions._pair_search(shuffled, r_0, r_s) == expected, name
+
+    @pytest.mark.parametrize("r_0, rs_share", [(1e-12, 0.0), (1e-12, 0.5), (0.01, 0.0)])
+    def test_tied_costs_match_double_loop(self, r_0, rs_share):
+        # a pure-noise eavesdropper makes every cost I(X;Z) about 0, so the
+        # cost order is nearly all ties
+        cells = regions._pair_search_cells(bsc(0.1), bsc(0.5), budget=343)
+        assert np.abs(cells["rd_ds"]).max() < 1e-12
+        r_s = rs_share * float(cells["rs"].max())
+        expected = _oracle_pair_search(cells, r_0, r_s)
+        assert regions._pair_search(cells, r_0, r_s) == expected
+
+    @pytest.mark.parametrize("e1, e2", [(0.1, 0.2), (0.0731, 0.1642)])
+    @pytest.mark.parametrize("r_0", [0.006, 0.028])
+    @pytest.mark.parametrize("rs_share", [0.1, 0.3])
+    def test_benchmark_shapes_match_double_loop(self, e1, e2, r_0, rs_share):
+        # the shape of the benchmark's queries: BSC pairs, small r_0, r_s a
+        # share of the secrecy capacity h(e2) - h(e1)
+        cells = regions._pair_search_cells(bsc(e1), bsc(e2), budget=343)
+        r_s = rs_share * (h(e2) - h(e1))
+        expected = _oracle_pair_search(cells, r_0, r_s)
+        assert math.isfinite(expected)
+        assert regions._pair_search(cells, r_0, r_s) == expected
+
+    @pytest.mark.parametrize("block", ["1", "64", "n-1", "n", "65536"])
+    @pytest.mark.parametrize("r_0, r_s", [(0.02, 0.0), (0.01, 0.02), (0.3, 0.0)],
+                             ids=["feasible", "secrecy", "infeasible"])
+    def test_block_size_does_not_change_the_answer(self, monkeypatch, block, r_0, r_s):
+        cells = regions._pair_search_cells(bsc(0.1), bsc(0.25), budget=64)
+        n = len(regions._distinct_cells(cells)["rs"])
+        size = {"n-1": n - 1, "n": n}.get(block) or int(block)
+        pairs, plain = [], regions._xlogx   # pairs per evaluated block, from the entropy step
+
+        def xlogx(x):
+            if x.ndim > 1:
+                pairs.append(x.size // x.shape[-1])
+            return plain(x)
+
+        monkeypatch.setattr(regions, "_PAIR_BLOCK", size)
+        monkeypatch.setattr(regions, "_xlogx", xlogx)
+        expected = _oracle_pair_search(cells, r_0, r_s)
+        pairs.clear()
+        assert regions._pair_search(cells, r_0, r_s) == expected
+        assert max(pairs, default=0) <= size
+
     def test_duplicate_cells_dropped(self):
         cells = regions._pair_search_cells(bsc(0.1), bsc(0.2), budget=1500)
         assert len(cells["rs"]) == 1331
@@ -558,7 +616,9 @@ class TestPairSearch:
         assert all(cells[key].tobytes() == full[key].tobytes() for key in cells)
 
 
-# min_dummy_rate at r_0 > 0 on the full cloud, recorded from the unpruned loop
+# min_dummy_rate at r_0 > 0 on the full cloud, recorded from the unpruned loop;
+# the last two, benchmark-shaped (r_0 0.006 and 0.028, r_s 0.1 and 0.3 of the
+# secrecy capacity), from the search that formed every pair
 MIN_DUMMY_COMMON = [
     (bsc(0.1), bsc(0.2), 0.05, 0.02, "0x1.651c828ab1f8bp-6"),
     (bsc(0.1), bsc(0.2), 0.01, 0.03, "0x1.0c24b18d772dfp-5"),
@@ -569,6 +629,8 @@ MIN_DUMMY_COMMON = [
     (bec(0.1), bsc(0.2), 0.1, 0.02, "0x1.0ce5b9ece7380p-7"),
     (bsc(0.11), bec(0.45), 0.03, 0.01, None),
     (bsc(0.1), bsc(0.2), 0.3, 0.0, None),
+    (bsc(0.1), bsc(0.2), 0.006, 0.017532, "0x1.45cd658b6cc3fp-6"),
+    (bsc(0.0731), bsc(0.1642), 0.028, 0.055495, "0x1.0e81a611b6745p-4"),
 ]
 
 

@@ -606,7 +606,7 @@ class TestMcDivergenceBlocks:
     def test_matches_per_sample_loop(self, kind, n, size):
         layer, w_z = _mc_layers(kind)
         book = generate_super_codebook(Pmf.uniform(2), layer, n, 4, 4, seed=[n, len(kind)])
-        rows = simulate._mc_block_rows(n, 16 * w_z.input_size * w_z.output_size)
+        rows = simulate._mc_block_rows(16 * w_z.input_size * w_z.output_size)
         samples = {"two": 2, "block": rows, "ragged": 2 * rows + 3}[size]
         est, stderr = mc_output_divergence(book, w_z, samples, seed=n + samples)
         want, want_se = _oracle_mc_output_divergence(book, w_z, samples, seed=n + samples)
@@ -614,6 +614,19 @@ class TestMcDivergenceBlocks:
         assert abs(stderr - want_se) <= 1e-12
         if kind == "one_output":
             assert (est, stderr) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["bsc", "bec"])
+    @pytest.mark.parametrize("n", [8, 400, 1200])
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch, kind, n):
+        # each sample's log ratio is the same float at every block size, so
+        # the estimate and its standard error are too
+        layer, w_z = _mc_layers(kind)
+        book = generate_super_codebook(Pmf.uniform(2), layer, n, 4, 4, seed=[n, 5])
+        results = []
+        for block in (1, 401, 15_000, 1 << 15):
+            monkeypatch.setattr(simulate, "_MC_BLOCK", block)
+            results.append(mc_output_divergence(book, w_z, 437, seed=n))
+        assert results[1:] == results[:-1]
 
     def test_needs_two_samples(self):
         book = generate_super_codebook(Pmf.uniform(2), bsc(0.1), 8, 2, 2, seed=1)
