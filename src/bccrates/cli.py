@@ -22,10 +22,10 @@ from ._csv import write_csv
 from .chain import BccChain
 from .channels import parse_channel, parse_pmf
 from .exponents import (
-    _evaluate,
     _leakage_terms,
     _resolvability_terms,
     _superposition_terms,
+    _sweep,
     _theta_grid,
 )
 from .frontier import GridSpec, secrecy_frontier, secrecy_frontier_sim
@@ -120,8 +120,8 @@ def _cmd_exponent(args) -> int:
         terms = _superposition_terms(args.m1, args.m2, w_z, p_x_given_v, p_v)
     else:  # bcc
         terms = _leakage_terms(args.size_a, args.size_l, _chain_from_args(args))
-    # one term table per sweep; every term is evaluated at the swept theta
-    reports = [_evaluate(args.n, terms, (float(t),) * len(terms)) for t in thetas]
+    # every term at each swept theta, from one exponent table per term
+    reports = _sweep(args.n, terms, thetas)
     rows = [(rep.theta, rep.term1, rep.term2, rep.total) for rep in reports]
     # a term is certified when it decays at some swept theta
     certs = {f"term{i + 1}": any(rep.decays[i] for rep in reports)

@@ -27,21 +27,77 @@ def _check_theta(theta: float, name: str = "theta") -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {theta!r}")
 
 
-def _exponent_raw(theta: float, channel: np.ndarray, cond_input: np.ndarray,
-                  prior: np.ndarray) -> float:
-    """Unchecked evaluation of the layered exponent; valid for small |theta| too."""
+# np.power with a scalar exponent of one of these values returns the paired
+# function's result, which can differ in the last bit from its general power
+_SCALAR_POWERS = ((2.0, np.square), (-1.0, np.reciprocal), (0.5, np.sqrt))
+
+
+def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """Entrywise base**exponent, each entry as ``np.power`` gives it for a
+    scalar exponent of that entry's value."""
+    base, exponent = np.broadcast_arrays(base, exponent)
+    out = np.power(base, exponent)
+    for value, fn in _SCALAR_POWERS:
+        hit = exponent == value
+        if hit.any():
+            out[hit] = fn(base[hit])
+    return out
+
+
+def _exponent_table(thetas, channel: np.ndarray, cond_input: np.ndarray,
+                    prior: np.ndarray) -> np.ndarray:
+    """The layered exponent at every theta of ``thetas``, in one pass.
+
+    E(theta) = log sum_v prior(v) sum_z inner(v, z) out(z|v)^{-theta}, with
+    inner = cond_input @ channel^{1+theta} and out = cond_input @ channel,
+    unchecked, so valid for small negative theta too.  Each entry is the
+    float that evaluating the formula at that theta alone gives: the stacked
+    products take the same BLAS calls per theta, and the powers at theta = 1
+    (exponents 2 and -1) are formed by ``np.square``/``np.reciprocal``, as
+    ``np.power`` does for a scalar exponent (see :func:`_power`).
+    """
+    thetas = np.asarray(thetas, dtype=float)[:, np.newaxis, np.newaxis]
     out_given_v = cond_input @ channel  # rows: output law given each layer symbol
-    inner = cond_input @ np.power(channel, 1.0 + theta)
+    inner = np.matmul(cond_input, _power(channel, 1.0 + thetas))  # (theta, v, z)
     support = inner > 0.0
     if np.any(support & (out_given_v == 0.0)):
-        v, z = np.argwhere(support & (out_given_v == 0.0))[0]
+        _, v, z = np.argwhere(support & (out_given_v == 0.0))[0]
         raise ValueError(
             f"support violation: conditional output mass is zero at (v={v}, z={z}) "
             "while the tilted numerator is positive"
         )
+    base, exponent = np.broadcast_arrays(out_given_v, -thetas)
     tilt = np.zeros_like(inner)
-    tilt[support] = inner[support] * np.power(out_given_v[support], -theta)
-    return float(np.log(np.dot(prior, tilt.sum(axis=1))))
+    tilt[support] = inner[support] * _power(base[support], exponent[support])
+    # a (1, v) @ (v, 1) product per theta is the dot product of one theta alone
+    return np.log(np.matmul(tilt.sum(axis=2)[:, np.newaxis, :], prior[:, np.newaxis])[:, 0, 0])
+
+
+# the (channel, conditional input, prior) arrays of one exponent
+_Law = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _single_law(channel: Dmc, input_dist: Pmf) -> _Law:
+    """The law of the single-layer exponent."""
+    if input_dist.size != channel.input_size:
+        raise ValueError("input distribution does not match channel input size")
+    return channel.matrix, input_dist.probs[np.newaxis, :], np.ones(1)
+
+
+def _layered_law(channel: Dmc, conditional_input: Dmc, prior: Pmf) -> _Law:
+    """The law of the layered exponent."""
+    if prior.size != conditional_input.input_size:
+        raise ValueError("prior does not match conditional layer input size")
+    if conditional_input.output_size != channel.input_size:
+        raise ValueError("conditional layer does not match channel input size")
+    return channel.matrix, conditional_input.matrix, prior.probs
+
+
+def _exponent_at(theta: float, law: _Law) -> float:
+    _check_theta(theta)
+    if theta == 0.0:
+        return 0.0
+    return float(_exponent_table([theta], *law)[0])
 
 
 def resolvability_exponent(theta: float, channel: Dmc, input_dist: Pmf) -> float:
@@ -50,12 +106,7 @@ def resolvability_exponent(theta: float, channel: Dmc, input_dist: Pmf) -> float
     Nonnegative, convex and nondecreasing on [0, 1]; its slope at zero is
     I(X;Z).  ``theta=0`` returns exactly 0.
     """
-    _check_theta(theta)
-    if input_dist.size != channel.input_size:
-        raise ValueError("input distribution does not match channel input size")
-    if theta == 0.0:
-        return 0.0
-    return _exponent_raw(theta, channel.matrix, input_dist.probs[np.newaxis, :], np.ones(1))
+    return _exponent_at(theta, _single_law(channel, input_dist))
 
 
 def superposition_exponent(theta: float, channel: Dmc, conditional_input: Dmc,
@@ -66,33 +117,25 @@ def superposition_exponent(theta: float, channel: Dmc, conditional_input: Dmc,
     vanishes identically when the conditional layer is deterministic
     (satellite equals cloud center).
     """
-    _check_theta(theta)
-    if prior.size != conditional_input.input_size:
-        raise ValueError("prior does not match conditional layer input size")
-    if conditional_input.output_size != channel.input_size:
-        raise ValueError("conditional layer does not match channel input size")
-    if theta == 0.0:
-        return 0.0
-    return _exponent_raw(theta, channel.matrix, conditional_input.matrix, prior.probs)
+    return _exponent_at(theta, _layered_law(channel, conditional_input, prior))
 
 
-def _slope_at_zero(channel: np.ndarray, cond_input: np.ndarray, prior: np.ndarray,
-                   step: float) -> float:
+def _slope_at_zero(law: _Law, step: float) -> float:
     """Central finite difference of the layered exponent at zero."""
-    return (_exponent_raw(step, channel, cond_input, prior)
-            - _exponent_raw(-step, channel, cond_input, prior)) / (2.0 * step)
+    ahead, behind = _exponent_table([step, -step], *law).tolist()
+    return (ahead - behind) / (2.0 * step)
 
 
 def resolvability_exponent_slope(channel: Dmc, input_dist: Pmf,
                                  step: float = SLOPE_STEP) -> float:
     """Central finite difference of the exponent at zero; equals I(X;Z) to O(step^2)."""
-    return _slope_at_zero(channel.matrix, input_dist.probs[np.newaxis, :], np.ones(1), step)
+    return _slope_at_zero(_single_law(channel, input_dist), step)
 
 
 def superposition_exponent_slope(channel: Dmc, conditional_input: Dmc, prior: Pmf,
                                  step: float = SLOPE_STEP) -> float:
     """Central finite difference at zero for the layered exponent; equals I(X;Z|V)."""
-    return _slope_at_zero(channel.matrix, conditional_input.matrix, prior.probs, step)
+    return _slope_at_zero(_layered_law(channel, conditional_input, prior), step)
 
 
 @dataclass(frozen=True)
@@ -156,38 +199,36 @@ def _bound_term(n: int, size: int, theta: float, exponent: float) -> float:
     return _exp(n * exponent - theta * math.log(size) - math.log(theta))
 
 
-# A bound's terms: one (size, theta -> E(theta)) pair per term.  Each builder
-# derives the laws its exponents need once, not once per theta.
-_Terms = list[tuple[int, Callable[[float], float]]]
+# A bound's terms: one (size, law of its exponent) pair per term.  Each
+# builder derives the laws once, and each term's exponent is tabulated over a
+# whole theta array in one pass (:func:`_exponent_table`).
+_Terms = list[tuple[int, _Law]]
 
 
 def _resolvability_terms(size: int, channel: Dmc, input_dist: Pmf) -> _Terms:
-    return [(size, lambda t: resolvability_exponent(t, channel, input_dist))]
+    return [(size, _single_law(channel, input_dist))]
 
 
 def _superposition_terms(m1: int, m2: int, channel: Dmc, conditional_input: Dmc,
                          prior: Pmf) -> _Terms:
     cascade = conditional_input.compose(channel)
-    return [(m1, lambda t: superposition_exponent(t, channel, conditional_input, prior)),
-            (m2, lambda t: resolvability_exponent(t, cascade, prior))]
+    return [(m1, _layered_law(channel, conditional_input, prior)),
+            (m2, _single_law(cascade, prior))]
 
 
 def _leakage_terms(dummy_size: int, private_size: int, chain: BccChain) -> _Terms:
-    p_v, p_z_given_v = chain.p_v, chain.p_z_given_v
-    return [(dummy_size, lambda t: superposition_exponent(t, chain.w_z, chain.p_x_given_v, p_v)),
-            (private_size,
-             lambda t: superposition_exponent(t, p_z_given_v, chain.p_v_given_u, chain.p_u))]
+    return [(dummy_size, _layered_law(chain.w_z, chain.p_x_given_v, chain.p_v)),
+            (private_size, _layered_law(chain.p_z_given_v, chain.p_v_given_u, chain.p_u))]
 
 
-def _evaluate(n: int, terms: _Terms, thetas) -> BoundReport:
-    """The bound with term i at ``thetas[i]``."""
-    sizes = tuple(size for size, _ in terms)
-    if n < 1 or min(sizes) < 1:
+def _check_sizes(n: int, terms: _Terms) -> None:
+    if n < 1 or min(size for size, _ in terms) < 1:
         raise ValueError("blocklength and sizes must be at least 1")
-    for name, theta in zip(("theta", "theta_prime"), thetas):
-        if not 0.0 < theta <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {theta!r}")
-    exps = tuple(exponent(t) for (_, exponent), t in zip(terms, thetas))
+
+
+def _report(n: int, terms: _Terms, thetas, exps) -> BoundReport:
+    """The bound with term i at ``thetas[i]``, where its exponent is ``exps[i]``."""
+    sizes = tuple(size for size, _ in terms)
     values = [_bound_term(n, size, t, e) for size, t, e in zip(sizes, thetas, exps)]
     return BoundReport(
         term1=values[0],
@@ -196,15 +237,43 @@ def _evaluate(n: int, terms: _Terms, thetas) -> BoundReport:
         sizes=sizes,
         theta=thetas[0],
         theta_prime=thetas[1] if len(thetas) > 1 else None,
-        exponents=exps,
+        exponents=tuple(exps),
     )
+
+
+def _evaluate(n: int, terms: _Terms, thetas) -> BoundReport:
+    """The bound with term i at ``thetas[i]``."""
+    _check_sizes(n, terms)
+    for name, theta in zip(("theta", "theta_prime"), thetas):
+        if not 0.0 < theta <= 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {theta!r}")
+    exps = [_exponent_at(t, law) for (_, law), t in zip(terms, thetas)]
+    return _report(n, terms, thetas, exps)
+
+
+def _sweep(n: int, terms: _Terms, thetas: np.ndarray) -> list[BoundReport]:
+    """The bound with every term at each theta of ``thetas`` (a grid in (0, 1]),
+    from one exponent table per term."""
+    _check_sizes(n, terms)
+    tables = [_exponent_table(thetas, *law).tolist() for _, law in terms]
+    return [_report(n, terms, (t,) * len(terms), exps)
+            for t, exps in zip(thetas.tolist(), zip(*tables))]
 
 
 def _minimize(n: int, terms: _Terms, theta_grid) -> BoundReport:
     """The bound with each term at its own grid argmin (the terms are separable)."""
-    thetas = [optimize_theta(lambda t: _bound_term(n, size, t, exponent(t)), theta_grid).theta
-              for size, exponent in terms]
-    return _evaluate(n, terms, thetas)
+    _check_sizes(n, terms)
+    grid = theta_grid_default() if theta_grid is None else np.asarray(theta_grid, dtype=float)
+    if grid.size:
+        _check_theta(float(grid.min()))
+        _check_theta(float(grid.max()))
+    thetas, exps = [], []
+    for size, law in terms:
+        exponent = dict(zip(grid.tolist(), _exponent_table(grid, *law).tolist()))
+        theta = optimize_theta(lambda t: _bound_term(n, size, t, exponent[t]), grid).theta
+        thetas.append(theta)
+        exps.append(exponent[theta])
+    return _report(n, terms, thetas, exps)
 
 
 def resolvability_bound(n: int, codebook_size: int, theta: float, channel: Dmc,

@@ -168,10 +168,15 @@ def kl_divergence(p, q) -> float:
     pa, qa = _coerce_vector(p), _coerce_vector(q)
     if pa.shape != qa.shape:
         raise ValueError(f"alphabet mismatch: {pa.shape} vs {qa.shape}")
-    support = pa > 0.0
-    if np.any(qa[support] == 0.0):
+    return _kl(pa, qa)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    """:func:`kl_divergence` of two float arrays of one shape, unchecked."""
+    support = p > 0.0
+    if np.any(q[support] == 0.0):
         return math.inf
-    ps, qs = pa[support], qa[support]
+    ps, qs = p[support], q[support]
     return float(np.sum(ps * (np.log(ps) - np.log(qs))))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from ._csv import write_csv
 from .chain import BccChain
 from .exponents import decoding_thresholds
-from .probability import Dmc, GuardExceeded, Pmf, kl_divergence
+from .probability import Dmc, GuardExceeded, Pmf, _kl
 
 CODEBOOK_GUARD = 2**22
 OUTPUT_ENUM_GUARD = 2**20
@@ -243,7 +243,7 @@ def output_distribution(codebook: SuperCodebook, w_z: Dmc) -> np.ndarray:
 def exact_output_divergence(codebook: SuperCodebook, w_z: Dmc) -> float:
     """D(simulated block output || i.i.d. target response), in nats."""
     mix = output_distribution(codebook, w_z)
-    return kl_divergence(mix, _target_response(codebook, w_z))
+    return _kl(mix, _target_response(codebook, w_z))
 
 
 def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
@@ -447,7 +447,7 @@ def mc_resolvability(p_v: Pmf, p_x_given_v: Dmc, w_z: Dmc, n: int, m1: int, m2: 
             mixes = _output_mixtures(books, w_z)
             if ref is None:
                 ref = _target_response(books[0], w_z)
-            values[block] = [kl_divergence(mix, ref) for mix in mixes]
+            values[block] = [_kl(mix, ref) for mix in mixes]
             continue
         for t, book in zip(block, books):
             values[t], stderr[t] = mc_output_divergence(
@@ -605,7 +605,7 @@ def _exact_errors(passing: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _leakages(cond: np.ndarray) -> list[float]:
     """Mutual information between the confidential message and the block
     output, for each trial of ``cond`` (trials, S, mz^n)."""
-    return [sum(kl_divergence(row, mix) for row in laws) / laws.shape[0]
+    return [sum(_kl(row, mix) for row in laws) / laws.shape[0]
             for laws, mix in zip(cond, cond.mean(axis=1))]
 
 

@@ -8,6 +8,7 @@ import pytest
 from bccrates import (
     BccChain,
     Pmf,
+    exponents,
     leakage_bound,
     resolvability_bound,
     regions,
@@ -239,6 +240,27 @@ class TestCliExponent:
         reports = [bound(float(t)) for t in thetas]
         want = [any(rep.decays[i] for rep in reports) for i in range(len(reports[0].sizes))]
         assert list(meta["decay_certificate"].values()) == want
+
+    @pytest.mark.parametrize("kind,terms", [
+        ("single", lambda: exponents._resolvability_terms(4, bsc(0.2), Pmf.uniform(2))),
+        ("super", lambda: exponents._superposition_terms(4, 4, bsc(0.2), bsc(0.1),
+                                                         Pmf.uniform(2))),
+        ("bcc", lambda: exponents._leakage_terms(4, 4, BccChain(
+            Pmf.uniform(2), bsc(0.25), bsc(0.1), bsc(0.1), bsc(0.2)))),
+    ])
+    def test_fine_sweep_rows_match_per_theta_evaluation(self, kind, terms, tmp_path):
+        # 100 rows from one exponent table per term, theta = 1 among them,
+        # against the bound evaluated at one theta at a time
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--kind", kind, "--pz", "bsc:0.2", "--n", "6",
+                     "--theta-step", "0.01", "--out", str(out)]) == 0
+        thetas = exponents._theta_grid(0.01).tolist()
+        assert len(thetas) == 100 and thetas[-1] == 1.0
+        want = []
+        for t in thetas:
+            rep = exponents._evaluate(6, terms(), (t,) * len(terms()))
+            want.append(",".join(repr(c) for c in (rep.theta, rep.term1, rep.term2, rep.total)))
+        assert out.read_text().splitlines()[1:] == want
 
     def test_overflowing_bound_exits_ok(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -58,6 +58,106 @@ def psi_super_oracle(theta, w, layer, prior):
     return math.log(total)
 
 
+def _oracle_exponent(theta, channel, cond_input, prior):
+    """The per-theta evaluation the exponent table replaced: one theta, its
+    powers taken with a scalar exponent."""
+    out_given_v = cond_input @ channel
+    inner = cond_input @ np.power(channel, 1.0 + theta)
+    support = inner > 0.0
+    assert not np.any(support & (out_given_v == 0.0))
+    tilt = np.zeros_like(inner)
+    tilt[support] = inner[support] * np.power(out_given_v[support], -theta)
+    return float(np.log(np.dot(prior, tilt.sum(axis=1))))
+
+
+def _sparse_dmc(rng, m_in, m_out):
+    """Random channel with about a third of its entries zero (BEC-like rows)."""
+    matrix = rng.dirichlet(np.ones(m_out), size=m_in)
+    matrix[rng.random(matrix.shape) < 0.35] = 0.0
+    matrix[np.arange(m_in), rng.integers(m_out, size=m_in)] += 0.5  # no empty row
+    return Dmc(matrix / matrix.sum(axis=1, keepdims=True))
+
+
+TABLE_GRIDS = {
+    "default": theta_grid_default(),
+    "step_0.05": exponents._theta_grid(0.05),
+    "step_0.5": exponents._theta_grid(0.5),
+    "slope": np.array([exponents.SLOPE_STEP, -exponents.SLOPE_STEP]),
+}
+
+TERM_BUILDERS = {
+    "resolvability": lambda law: exponents._resolvability_terms(3, law["w"], law["px"]),
+    "superposition": lambda law: exponents._superposition_terms(
+        3, 5, law["w"], law["layer"], law["prior"]),
+    "leakage": lambda law: exponents._leakage_terms(3, 5, law["chain"]),
+}
+
+
+def _random_laws(seed, count):
+    """Seeded laws with |U|, |V|, |X|, |Z| <= 5: every other one with sparse
+    channels, every fourth with one-letter priors."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        mu, mv, mx, mz = (int(rng.integers(1, 6)) for _ in range(4))
+        if i % 4 == 0:
+            mu, mv = 1, 1
+        dmc = _sparse_dmc if i % 2 else random_dmc
+        layer, w = dmc(rng, mv, mx), dmc(rng, mx, mz)
+        yield {"w": w, "layer": layer, "prior": random_pmf(rng, mv),
+               "px": Pmf([1.0]) if mx == 1 else random_pmf(rng, mx),
+               "chain": BccChain(random_pmf(rng, mu), dmc(rng, mu, mv), layer,
+                                 dmc(rng, mx, 2), w)}
+
+
+class TestExponentTable:
+    @pytest.mark.parametrize("grid_name", TABLE_GRIDS)
+    @pytest.mark.parametrize("builder", TERM_BUILDERS)
+    def test_table_matches_per_theta_oracle_bit_for_bit(self, builder, grid_name):
+        grid = TABLE_GRIDS[grid_name]
+        assert grid_name == "slope" or 1.0 in grid  # theta = 1 squares and inverts
+        for law in _random_laws(31, 40):
+            for _, arrays in TERM_BUILDERS[builder](law):
+                table = exponents._exponent_table(grid, *arrays)
+                oracle = np.array([_oracle_exponent(t, *arrays) for t in grid.tolist()])
+                assert table.tobytes() == oracle.tobytes()
+
+    def test_scalar_exponents_and_slopes_match_oracle(self):
+        grid = TABLE_GRIDS["default"]
+        for law in _random_laws(32, 20):
+            w, layer, prior, px = law["w"], law["layer"], law["prior"], law["px"]
+            single = (w.matrix, px.probs[np.newaxis, :], np.ones(1))
+            layered = (w.matrix, layer.matrix, prior.probs)
+            for t in grid.tolist():
+                assert resolvability_exponent(t, w, px) == _oracle_exponent(t, *single)
+                assert superposition_exponent(t, w, layer, prior) == \
+                    _oracle_exponent(t, *layered)
+            step = exponents.SLOPE_STEP
+            for slope, arrays in ((resolvability_exponent_slope(w, px), single),
+                                  (superposition_exponent_slope(w, layer, prior), layered)):
+                assert slope == (_oracle_exponent(step, *arrays)
+                                 - _oracle_exponent(-step, *arrays)) / (2.0 * step)
+            assert math.copysign(1.0, resolvability_exponent(0.0, w, px)) == 1.0
+            assert resolvability_exponent(0.0, w, px) == 0.0
+            assert superposition_exponent(0.0, w, layer, prior) == 0.0
+
+    def test_minimized_bound_reads_the_table(self):
+        chain = next(_random_laws(33, 1))["chain"]
+        terms = exponents._leakage_terms(64, 16, chain)
+        grid = TABLE_GRIDS["step_0.05"]
+        rep = minimize_leakage_bound(9, 64, 16, chain, grid)
+        for (size, arrays), theta, exp in zip(terms, (rep.theta, rep.theta_prime),
+                                              rep.exponents):
+            values = [exponents._bound_term(9, size, t, _oracle_exponent(t, *arrays))
+                      for t in grid.tolist()]
+            assert theta == grid[int(np.argmin(values))]
+            assert exp == _oracle_exponent(theta, *arrays)
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.1, 0.5], [0.5, float("nan")]])
+    def test_grid_outside_unit_interval_is_rejected(self, grid):
+        with pytest.raises(ValueError):
+            minimize_superposition_bound(4, 4, 4, bsc(0.2), bsc(0.1), Pmf.uniform(2), grid)
+
+
 class TestExponentValues:
     def test_zero_at_theta_zero(self):
         assert resolvability_exponent(0.0, bsc(0.2), Pmf.uniform(2)) == 0.0

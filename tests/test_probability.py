@@ -100,6 +100,17 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence(Pmf([1.0]), Pmf([0.5, 0.5]))
 
+    def test_unchecked_form_matches_checked(self):
+        # the simulators' array-only form: same sum, same inf rule
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            p, q = rng.random(16), rng.random(16)
+            p[rng.random(16) < 0.3] = 0.0
+            q[rng.random(16) < 0.1] = 0.0
+            p, q = p / p.sum(), q / q.sum()
+            assert probability._kl(p, q) == kl_divergence(p, q)
+            assert probability._kl(p, p) == kl_divergence(Pmf(p), Pmf(p))
+
     def test_nonnegative_with_equality_iff_equal(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
