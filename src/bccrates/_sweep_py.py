@@ -7,9 +7,10 @@ formulas live only in :func:`_planes`, which evaluates every cell of a few
 cloud priors at once and gives the fields its caller asks for.  Each
 receiver's output law is formed one output letter at a time, as a plane per
 letter, with the entropy accumulated over the planes; sums over input and
-cloud letters run left to right.  :func:`sweep` folds one cost of each batch
-of planes into a per-budget maximum table; :func:`binary_cells` flattens the
-planes of a small binary grid.
+cloud letters run left to right.  :func:`cell_batches` gives the planes a
+batch of cloud priors at a time; :func:`sweep` folds one cost of each batch
+into a per-budget maximum table; :func:`binary_cells` flattens the planes of
+a small binary grid.
 """
 
 from __future__ import annotations
@@ -125,12 +126,18 @@ def sweep(w_y: np.ndarray, w_z: np.ndarray, prior: np.ndarray, rows: list,
     maximum.
     """
     table = np.full(n_rd, -np.inf)
-    batch = max(1, BATCH_CELLS // math.prod(len(r) for r in rows))
     cost = f"rd_{mode}"
-    for start in range(0, len(prior), batch):
-        cells = _planes(w_y, w_z, prior[start:start + batch], rows, ("rs", cost))
+    for cells in cell_batches(w_y, w_z, prior, rows, ("rs", cost)):
         fold_max(table, cells[cost], cells["rs"], rd_step)
     return table
+
+
+def cell_batches(w_y: np.ndarray, w_z: np.ndarray, prior: np.ndarray, rows: list, fields):
+    """The ``_planes`` ``fields`` of every cell, a batch of cloud priors at a
+    time: about ``BATCH_CELLS`` cells (or one prior's) a batch."""
+    batch = max(1, BATCH_CELLS // math.prod(len(r) for r in rows))
+    for start in range(0, len(prior), batch):
+        yield _planes(w_y, w_z, prior[start:start + batch], rows, fields)
 
 
 def binary_cells(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,

@@ -22,7 +22,7 @@ from ._csv import write_csv
 from .probability import Dmc, GuardExceeded
 
 FEASIBILITY_TOL = 1e-9
-CELL_GUARD = 2**22           # most cells one sweep or supporting-line table may evaluate
+CELL_GUARD = 2**22  # most cells a general-alphabet sweep, or entries a budget axis, may hold
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,9 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float
     :func:`secrecy_frontier`, ``"sim"`` for :func:`secrecy_frontier_sim`.
     Minimizing this over a slope grid upper-bounds that convexified frontier
     at ``r_d``; used as an independent cross-check of the primal sweep.  A
-    scalar ``mu`` gives a float; an array of slopes gives one value per slope,
-    all from one cell table.
+    scalar ``mu`` gives a float; an array of slopes gives one value per slope.
+    The cells are streamed a batch at a time, as the sweeps stream them, with
+    a running maximum per slope, so memory is one batch at any grid.
     """
     slopes = np.asarray(mu, dtype=float)
     if np.any(slopes < 0.0):
@@ -274,11 +275,12 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float
     grid = grid or GridSpec()
     if w_y.input_size != 2:
         raise ValueError("supporting-line evaluation is provided for binary inputs")
-    p = grid.prob_grid()
-    if (p.size) ** 3 > CELL_GUARD:
-        raise GuardExceeded("supporting-line cell grid exceeds guard; coarsen prob_step")
+    k = len(grid.prob_grid()) - 1
+    prior = _simplex_lattice(2, k)
     cost = f"rd_{mode}"
-    cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p, ("rs", cost))
-    rs, excess = cells["rs"], cells[cost] - r_d
-    values = np.array([np.max(rs - m * excess) for m in slopes.ravel()])
+    values = np.full(slopes.size, -np.inf)
+    for cells in _sweep_py.cell_batches(w_y.matrix, w_z.matrix, prior,
+                                        [prior, _simplex_lattice(2, k, 1)], ("rs", cost)):
+        rs, excess = cells["rs"], cells[cost] - r_d
+        np.maximum(values, [np.max(rs - m * excess) for m in slopes.ravel()], out=values)
     return float(values[0]) if slopes.ndim == 0 else values.reshape(slopes.shape)

@@ -7,12 +7,16 @@ blocklengths every figure of merit is computed by exact enumeration: output
 distributions, divergences, leakage, and threshold-decoder error rates.
 The exact error tables, the Monte Carlo error estimates and the sequence
 decoders apply one threshold rule to log-likelihood sums added in letter order.
+``_BccTables`` composes the decoders' laws once per call and gives their
+tests; ``decode_bob``/``decode_eve`` are its one-sequence case, and the
+Monte Carlo error estimates score a block of samples at a time, drawn in
+the per-sample order.
 
 A batch of trials is evaluated in blocks: each block draws its codebooks,
 one stream per trial, and every channel's rows are folded once per distinct
-word of the block, then gathered back.  The chain's composed laws and prior
-rows are formed once per call.  Codebook tables of a block fill at most
-``_TRIAL_BLOCK`` entries (or one trial), and nothing is kept between calls.
+word of the block, then gathered back.  Codebook tables of a block fill at
+most ``_TRIAL_BLOCK`` entries (or one trial), and nothing is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -32,17 +36,11 @@ CODEBOOK_GUARD = 2**22
 OUTPUT_ENUM_GUARD = 2**20
 LEAKAGE_GUARD = 2**22
 DECODE_GUARD = 2**22
-# Entries per array of an MC divergence block.  15,000 doubles stay under
+# Entries per array of a Monte Carlo block.  15,000 doubles stay under
 # 128 KiB, the default threshold above which malloc maps fresh pages for an
 # array, so a call's buffers do not each cost page faults.
 _MC_BLOCK = 15_000
 _TRIAL_BLOCK = 1 << 16       # codeword-table entries per block of trials (512 KB a table)
-
-
-def _rng_for(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def _inverse_cdf_sample(uniforms: np.ndarray, cdf: np.ndarray, symbols) -> np.ndarray:
@@ -137,17 +135,18 @@ def _log(probs: np.ndarray) -> np.ndarray:
 
 def _log_likelihoods(words: np.ndarray, matrix: np.ndarray, seq=None) -> np.ndarray:
     """sum_t log matrix[word_t, seq_t] for each word, added left to right in t
-    order; with ``seq`` None, a row over every output sequence, indexed as in
-    ``codeword_channel_rows``.  Both forms add the same terms in the same order,
-    so a table entry equals the value for its sequence bit for bit."""
+    order, at ``seq`` (n,) or each sequence of a stack (samples, n); with
+    ``seq`` None, a row over every output sequence, indexed as in
+    ``codeword_channel_rows``.  Every form adds the same terms in the same
+    order, so a table entry equals the value for its sequence bit for bit."""
     log_m = _log(matrix)
     if seq is None:
         return _DistinctWords(words).fold(log_m, np.add, 0.0)
-    return np.cumsum(log_m[words, seq[None, :]], axis=1)[:, -1]
+    return np.cumsum(log_m[words, seq[..., None, :]], axis=-1)[..., -1]
 
 
 def _prior_log_likelihoods(p: Pmf, n: int, seq=None) -> np.ndarray:
-    """The i.i.d. law p^n as the one word of a one-input channel, shape (1, ...)."""
+    """The i.i.d. law p^n as the one word of a one-input channel (a words axis of 1)."""
     return _log_likelihoods(np.zeros((1, n), dtype=np.int64), p.probs[None, :], seq)
 
 
@@ -207,7 +206,7 @@ def generate_super_codebook(p_v: Pmf, p_x_given_v: Dmc, n: int, m1: int, m2: int
         raise GuardExceeded(f"codebook size {m2}x{m1}x{n} exceeds guard {CODEBOOK_GUARD}")
     if p_v.size != p_x_given_v.input_size:
         raise ValueError("cloud prior does not match conditional layer input")
-    rng = _rng_for(seed)
+    rng = np.random.default_rng(seed)
     v_words = rng.choice(p_v.size, size=(m2, n), p=p_v.probs)
     uniforms = rng.random((m2, m1, n))
     x_words = _inverse_cdf_sample(uniforms, _cdf(p_x_given_v.matrix), v_words[:, None, :])
@@ -271,7 +270,7 @@ def mc_output_divergence(codebook: SuperCodebook, w_z: Dmc, samples: int,
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    rng = _rng_for(seed)
+    rng = np.random.default_rng(seed)
     n = codebook.n
     words = codebook.x_words.reshape(-1, n)
     count, (mx, mz) = words.shape[0], w_z.matrix.shape
@@ -349,34 +348,42 @@ def _mc_error(codebook: BccCodebook, matrix: np.ndarray, passing, samples: int,
     """Share of sampled (message, noise) pairs decoded wrongly.
 
     Each sample draws k, l, s, a uniformly, in that order, then the channel
-    output of their codeword; ``passing(output)`` gives the threshold tests of
-    the candidates, decoded as in ``_exact_error``.
+    noise of their codeword.  A block of samples is drawn, then
+    ``passing(outputs)`` gives its tests, (samples, candidates), decoded as
+    in ``_exact_errors``.  A block holds at most ``_MC_BLOCK`` entries an
+    array (or one sample); the largest gathers each sample's cloud words.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = _rng_for(seed)
-    cdf = _cdf(matrix)
-    codewords = math.prod(codebook.sizes)
+    rng = np.random.default_rng(seed)
+    cdf, sizes = _cdf(matrix), codebook.sizes
+    rows = min(samples, max(1, _MC_BLOCK // codebook.v_words.size))
+    msgs, noise = np.empty((rows, len(sizes)), dtype=np.int64), np.empty((rows, codebook.n))
     errors = 0
-    for _ in range(samples):
-        msg = tuple(int(rng.integers(size)) for size in codebook.sizes)
-        out = _inverse_cdf_sample(rng.random(codebook.n), cdf, codebook.x_words[msg])
-        tests = passing(out)
-        sent = int(np.ravel_multi_index(msg, codebook.sizes)) // (codewords // tests.size)
-        errors += int(_decode_table(tests)) != sent
+    for start in range(0, samples, rows):
+        count = min(rows, samples - start)
+        for i in range(count):
+            msgs[i] = [rng.integers(size) for size in sizes]
+            rng.random(out=noise[i])
+        msg = tuple(msgs[:count].T)
+        tests = passing(_inverse_cdf_sample(noise[:count], cdf, codebook.x_words[msg]))
+        sent = np.ravel_multi_index(msg, sizes) // (math.prod(sizes) // tests.shape[1])
+        errors += int(np.count_nonzero(_decode_table(tests, axis=1) != sent))
     return errors / samples
 
 
 def mc_bob_error(codebook: BccCodebook, alphas, samples: int, seed) -> float:
     """Monte Carlo receiver error estimate over messages and channel noise."""
+    tables, block = _BccTables(codebook.chain, codebook.n), _Block([codebook])
     return _mc_error(codebook, codebook.chain.w_y.matrix,
-                     lambda y: _bob_passing(codebook, alphas, y), samples, seed)
+                     lambda y: tables.bob_passing(block, alphas, y), samples, seed)
 
 
 def mc_eve_error(codebook: BccCodebook, alpha0: float, samples: int, seed) -> float:
     """Monte Carlo eavesdropper error estimate for the common message."""
+    tables, block = _BccTables(codebook.chain, codebook.n), _Block([codebook])
     return _mc_error(codebook, codebook.chain.w_z.matrix,
-                     lambda z: _eve_passing(codebook, alpha0, z), samples, seed)
+                     lambda z: tables.eve_passing(block, alpha0, z), samples, seed)
 
 
 @dataclass(frozen=True)
@@ -475,11 +482,18 @@ class BccCodebook:
     seed: object = None
 
     def __post_init__(self) -> None:
+        if self.u_words.ndim != 2 or self.v_words.ndim != 4 or self.x_words.ndim != 5:
+            raise ValueError("u_words must be (K, n), v_words (K, L, S, n) and "
+                             "x_words (K, L, S, A, n)")
         ku, n = self.u_words.shape
         if self.v_words.shape[0] != ku or self.v_words.shape[3] != n:
             raise ValueError("v_words shape inconsistent with u_words")
         if self.x_words.shape[:3] != self.v_words.shape[:3] or self.x_words.shape[4] != n:
             raise ValueError("x_words shape inconsistent with v_words")
+        for name, size in zip(("u_words", "v_words", "x_words"), self.chain.sizes):
+            words = getattr(self, name)
+            if words.min() < 0 or words.max() >= size:
+                raise ValueError(f"{name} letter outside its alphabet")
 
     @property
     def n(self) -> int:
@@ -504,7 +518,7 @@ def generate_bcc_codebook(chain: BccChain, sizes: tuple[int, int, int, int], n: 
         raise ValueError("sizes and blocklength must be at least 1")
     if size_k * size_l * size_s * size_a * n > CODEBOOK_GUARD:
         raise GuardExceeded("codebook size exceeds guard")
-    rng = _rng_for(seed)
+    rng = np.random.default_rng(seed)
     mu = chain.p_u.size
     u_words = rng.choice(mu, size=(size_k, n), p=chain.p_u.probs)
     uniforms_v = rng.random((size_k, size_l, size_s, n))
@@ -526,35 +540,6 @@ def _passes(log_p: np.ndarray, alpha: float, log_q) -> np.ndarray:
         return log_p >= alpha + log_q
 
 
-def _bob_tests(alphas, log_v: np.ndarray, log_u: np.ndarray, log_prior) -> np.ndarray:
-    """The two tests of ``decode_bob`` on cloud, common-layer and prior log-likelihoods."""
-    _, alpha1, alpha2 = alphas
-    return _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
-
-
-def _bob_passing(codebook: BccCodebook, alphas, y=None) -> np.ndarray:
-    """The tests of ``decode_bob`` for every flat (k, l, s) candidate at ``y``,
-    or, with ``y`` None, at every output sequence (candidates by sequences)."""
-    if y is None:
-        return _BccTables(codebook.chain, codebook.n).bob_passing(_Block([codebook]), alphas)[0]
-    chain = codebook.chain
-    n = codebook.n
-    _, size_l, size_s, _ = codebook.sizes
-    log_v = _log_likelihoods(codebook.v_words.reshape(-1, n), chain.p_y_given_v.matrix, y)
-    log_u = np.repeat(_log_likelihoods(codebook.u_words, chain.p_y_given_u.matrix, y),
-                      size_l * size_s, axis=0)
-    return _bob_tests(alphas, log_v, log_u, _prior_log_likelihoods(chain.p_y, n, y))
-
-
-def _eve_passing(codebook: BccCodebook, alpha0: float, z=None) -> np.ndarray:
-    """The test of ``decode_eve`` for every common word, as in ``_bob_passing``."""
-    if z is None:
-        return _BccTables(codebook.chain, codebook.n).eve_passing(_Block([codebook]), alpha0)[0]
-    chain = codebook.chain
-    log_u = _log_likelihoods(codebook.u_words, chain.p_z_given_u.matrix, z)
-    return _passes(log_u, alpha0, _prior_log_likelihoods(chain.p_z, codebook.n, z))
-
-
 def _unique_pass(passing: np.ndarray):
     """The one passing candidate, or None on erasure (none or several pass)."""
     hits = np.flatnonzero(passing)
@@ -569,7 +554,9 @@ def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float])
     decoder outputs the unique passing triple, erasing on none or several.
     The tests compare log-likelihood sums, so long blocks cannot underflow.
     """
-    hit = _unique_pass(_bob_passing(codebook, alphas, np.asarray(y_seq, dtype=np.int64)))
+    tables = _BccTables(codebook.chain, codebook.n)
+    hit = _unique_pass(tables.bob_passing(_Block([codebook]), alphas,
+                                          np.asarray(y_seq, dtype=np.int64)))
     if hit is None:
         return None
     return tuple(int(i) for i in np.unravel_index(hit, codebook.sizes[:3]))
@@ -577,7 +564,9 @@ def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float])
 
 def decode_eve(z_seq, codebook: BccCodebook, alpha0: float):
     """Threshold decoder for the common message only; None on erasure."""
-    return _unique_pass(_eve_passing(codebook, alpha0, np.asarray(z_seq, dtype=np.int64)))
+    tables = _BccTables(codebook.chain, codebook.n)
+    return _unique_pass(tables.eve_passing(_Block([codebook]), alpha0,
+                                           np.asarray(z_seq, dtype=np.int64)))
 
 
 def _decode_table(passing: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -610,34 +599,34 @@ def _leakages(cond: np.ndarray) -> list[float]:
 
 
 class _Block:
-    """Codebooks of one chain, sizes and n, stacked trial by trial; each
-    layer's distinct words are found once, when first read."""
+    """Codebooks of one chain, sizes and n, stacked trial by trial; the
+    satellites' distinct words are found once, when first read."""
 
     def __init__(self, books: list[BccCodebook]):
         self.books = books
         self.trials = len(books)
         self.sizes = books[0].sizes
 
-    def _layer(self, name: str) -> _DistinctWords:
-        return _DistinctWords(np.stack([getattr(book, name) for book in self.books]))
-
-    @cached_property
-    def u(self) -> _DistinctWords:
-        return self._layer("u_words")
-
-    @cached_property
-    def v(self) -> _DistinctWords:
-        return self._layer("v_words")
+    def words(self, layer: str) -> np.ndarray:
+        """Every codebook's words of one layer, flat in index order, (trials, words, n)."""
+        words = np.stack([getattr(book, layer) for book in self.books])
+        return words.reshape(self.trials, -1, words.shape[-1])
 
     @cached_property
     def x(self) -> _DistinctWords:
-        return self._layer("x_words")
+        return _DistinctWords(np.stack([book.x_words for book in self.books]))
 
 
 class _BccTables:
-    """Exact decoder and leakage tables of three-layer codebooks for one chain
-    and blocklength.  The composed laws, their logs and the prior rows are
-    formed when first needed and serve every block evaluated with them."""
+    """Decoder and leakage tables of three-layer codebooks for one chain and
+    blocklength.  The decoders' laws are composed once, and a prior row over
+    every output sequence once, for tables only; each serves every block.
+
+    The tests are given at every output sequence, (trials, candidates,
+    outputs), or, for a block's one codebook, at one sequence (n,) or a stack
+    (samples, n), giving (1, candidates) or (samples, candidates); each form
+    adds the sums of ``_log_likelihoods``, so they agree bit for bit.
+    """
 
     def __init__(self, chain: BccChain, n: int):
         self.chain, self.n = chain, n
@@ -645,26 +634,36 @@ class _BccTables:
     @cached_property
     def _bob_laws(self) -> tuple:
         chain = self.chain
-        return (_log(chain.p_y_given_v.matrix), _log(chain.p_y_given_u.matrix),
-                _prior_log_likelihoods(chain.p_y, self.n))
+        return chain.p_y_given_v.matrix, chain.p_y_given_u.matrix, chain.p_y
 
     @cached_property
     def _eve_laws(self) -> tuple:
-        return _log(self.chain.p_z_given_u.matrix), _prior_log_likelihoods(self.chain.p_z, self.n)
+        return self.chain.p_z_given_u.matrix, self.chain.p_z
 
-    def bob_passing(self, block: _Block, alphas) -> np.ndarray:
-        """``_bob_passing`` tables of every codebook, (trials, K L S, my^n)."""
-        log_y_v, log_y_u, log_prior = self._bob_laws
-        _, size_l, size_s, _ = block.sizes
-        log_v = block.v.fold(log_y_v, np.add, 0.0)
-        log_v = log_v.reshape(block.trials, -1, log_v.shape[-1])
-        log_u = np.repeat(block.u.fold(log_y_u, np.add, 0.0), size_l * size_s, axis=1)
-        return _bob_tests(alphas, log_v, log_u, log_prior)
+    @cached_property
+    def _bob_prior(self) -> np.ndarray:
+        return _prior_log_likelihoods(self._bob_laws[2], self.n)
 
-    def eve_passing(self, block: _Block, alpha0: float) -> np.ndarray:
-        """``_eve_passing`` tables of every codebook, (trials, K, mz^n)."""
-        log_z_u, log_prior = self._eve_laws
-        return _passes(block.u.fold(log_z_u, np.add, 0.0), alpha0, log_prior)
+    @cached_property
+    def _eve_prior(self) -> np.ndarray:
+        return _prior_log_likelihoods(self._eve_laws[1], self.n)
+
+    def bob_passing(self, block: _Block, alphas, y=None) -> np.ndarray:
+        """The two tests of ``decode_bob`` for every flat (k, l, s) candidate,
+        at every output sequence or at ``y``."""
+        p_y_v, p_y_u, p_y = self._bob_laws
+        _, alpha1, alpha2 = alphas
+        log_v = _log_likelihoods(block.words("v_words"), p_y_v, y)
+        log_u = np.repeat(_log_likelihoods(block.words("u_words"), p_y_u, y),
+                          block.sizes[1] * block.sizes[2], axis=1)
+        log_prior = self._bob_prior if y is None else _prior_log_likelihoods(p_y, self.n, y)
+        return _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
+
+    def eve_passing(self, block: _Block, alpha0: float, z=None) -> np.ndarray:
+        """The test of ``decode_eve`` for every common word, as in ``bob_passing``."""
+        p_z_u, p_z = self._eve_laws
+        log_prior = self._eve_prior if z is None else _prior_log_likelihoods(p_z, self.n, z)
+        return _passes(_log_likelihoods(block.words("u_words"), p_z_u, z), alpha0, log_prior)
 
     def conditional_laws(self, block: _Block, rows: np.ndarray | None = None) -> np.ndarray:
         """Eavesdropper block law given each confidential message, (trials, S,

@@ -244,6 +244,22 @@ class TestSupportingLine:
             scalar = supporting_line_value(w_y, w_z, float(mu), r_d, grid, mode=mode)
             assert isinstance(scalar, float) and scalar == want == value
 
+    def test_batches_match_one_table(self, monkeypatch):
+        # two cloud priors a batch, the last batch one prior
+        w_y, w_z, grid, r_d = bsc(0.11), bec(0.45), GridSpec(prob_step=0.05), 0.2
+        slopes = np.array([0.0, 0.3, 2.0])
+        monkeypatch.setattr(_sweep_py, "BATCH_CELLS", 2 * 21 * 21)
+        p = grid.prob_grid()
+        cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
+        want = [np.max(cells["rs"] - mu * (cells["rd_ds"] - r_d)) for mu in slopes]
+        assert supporting_line_value(w_y, w_z, slopes, r_d, grid).tolist() == want
+
+    def test_default_grid_returns_an_upper_bound(self):
+        # 201^3 cells, streamed a batch at a time
+        value = supporting_line_value(bsc(0.1), bsc(0.2), 1.0, 0.1)
+        assert isinstance(value, float)
+        assert value >= secrecy_frontier(bsc(0.1), bsc(0.2)).evaluate(0.1) - 1e-9
+
 
 class TestGeneralAlphabets:
     @staticmethod

@@ -203,6 +203,26 @@ class TestBccCodebook:
         std = math.sqrt(total * 0.1 * 0.9)
         assert abs(flips - total * 0.1) < 4 * std
 
+    @pytest.mark.parametrize("layer", ["u_words", "v_words", "x_words"])
+    @pytest.mark.parametrize("letter", [-1, 2, 5])
+    def test_letters_outside_the_alphabet_are_rejected(self, layer, letter):
+        # every alphabet is binary: a letter -1 would be read as the last
+        # letter, and 2 or 5 would fail deep in a fold
+        book = generate_bcc_codebook(fixture_chain(), (2, 2, 2, 2), 4, seed=3)
+        words = {name: getattr(book, name).copy() for name in ("u_words", "v_words", "x_words")}
+        words[layer].flat[-1] = letter
+        with pytest.raises(ValueError, match="outside its alphabet"):
+            BccCodebook(**words, chain=book.chain)
+
+    def test_layer_ranks_are_checked(self):
+        book = generate_bcc_codebook(fixture_chain(), (2, 2, 2, 2), 4, seed=3)
+        layers = {"u_words": book.u_words, "v_words": book.v_words, "x_words": book.x_words}
+        for name, bad in (("u_words", book.u_words[None]),
+                          ("v_words", book.v_words.reshape(2, 4, 4)),
+                          ("x_words", book.x_words[..., 0, :])):
+            with pytest.raises(ValueError):
+                BccCodebook(**{**layers, name: bad}, chain=book.chain)
+
 
 class TestDecoders:
     @staticmethod
@@ -416,12 +436,14 @@ class TestOneDecisionRule:
             alphas = (0.0, _tied_alpha(log_v, log_u, rng),
                       _tied_alpha(log_v, simulate._prior_log_likelihoods(chain.p_y, n), rng))
             alpha0 = _tied_alpha(log_pu, simulate._prior_log_likelihoods(chain.p_z, n), rng)
-            bob = simulate._decode_table(simulate._bob_passing(book, alphas))
+            bob = simulate._decode_table(
+                simulate._BccTables(chain, n).bob_passing(simulate._Block([book]), alphas)[0])
             for j, y in enumerate(itertools.product(range(chain.w_y.output_size), repeat=n)):
                 decoded = decode_bob(np.array(y), book, alphas)
                 flat = 0 if decoded is None else np.ravel_multi_index(decoded, sizes[:3])
                 assert bob[j] == flat, (c, y)
-            eve = simulate._decode_table(simulate._eve_passing(book, alpha0))
+            eve = simulate._decode_table(
+                simulate._BccTables(chain, n).eve_passing(simulate._Block([book]), alpha0)[0])
             for j, z in enumerate(itertools.product(range(chain.w_z.output_size), repeat=n)):
                 decoded = decode_eve(np.array(z), book, alpha0)
                 assert eve[j] == (0 if decoded is None else decoded), (c, z)
@@ -566,7 +588,7 @@ def _oracle_inverse_cdf_sample(uniforms, cdf_rows):
 def _oracle_mc_output_divergence(codebook, w_z, samples, seed):
     """The per-sample loop: one (samples, n) noise draw, then for each sample a
     gather-and-sum of log W over every word and a log-sum-exp."""
-    rng = simulate._rng_for(seed)
+    rng = np.random.default_rng(seed)
     n = codebook.n
     words = codebook.x_words.reshape(-1, n)
     p_x = Pmf(codebook.p_v.probs @ codebook.p_x_given_v.matrix)
@@ -871,6 +893,140 @@ class TestTrialBlocks:
         exact = simulate_bcc(fixture_chain(), (2, 2, 2, 2), 4, trials=2, master_seed=3,
                              mc_samples=7)
         assert "mc_samples" not in exact.metadata
+
+
+# The per-sample Monte Carlo error loop that blocks of samples replaced: each
+# sample's threshold tests from the chain's laws composed again for it.
+
+def _oracle_log_sums(words, matrix, seq):
+    return np.cumsum(simulate._log(matrix)[words, seq[None, :]], axis=1)[:, -1]
+
+
+def _oracle_bob_passing(book, alphas, y):
+    chain, n = book.chain, book.n
+    _, size_l, size_s, _ = book.sizes
+    log_v = _oracle_log_sums(book.v_words.reshape(-1, n), chain.p_y_given_v.matrix, y)
+    log_u = np.repeat(_oracle_log_sums(book.u_words, chain.p_y_given_u.matrix, y),
+                      size_l * size_s, axis=0)
+    log_prior = _oracle_log_sums(np.zeros((1, n), dtype=np.int64), chain.p_y.probs[None, :], y)
+    return (simulate._passes(log_v, alphas[1], log_u)
+            & simulate._passes(log_v, alphas[2], log_prior))
+
+
+def _oracle_eve_passing(book, alpha0, z):
+    chain, n = book.chain, book.n
+    log_u = _oracle_log_sums(book.u_words, chain.p_z_given_u.matrix, z)
+    log_prior = _oracle_log_sums(np.zeros((1, n), dtype=np.int64), chain.p_z.probs[None, :], z)
+    return simulate._passes(log_u, alpha0, log_prior)
+
+
+def _oracle_mc_error(book, matrix, passing, samples, seed):
+    rng = np.random.default_rng(seed)
+    cdf = simulate._cdf(matrix)
+    codewords = math.prod(book.sizes)
+    errors = 0
+    for _ in range(samples):
+        msg = tuple(int(rng.integers(size)) for size in book.sizes)
+        out = simulate._inverse_cdf_sample(rng.random(book.n), cdf, book.x_words[msg])
+        tests = passing(out)
+        sent = int(np.ravel_multi_index(msg, book.sizes)) // (codewords // tests.size)
+        errors += int(simulate._decode_table(tests)) != sent
+    return errors / samples
+
+
+def _oracle_mc_errors(book, alphas, samples, seed):
+    chain = book.chain
+    return (_oracle_mc_error(book, chain.w_y.matrix,
+                             lambda y: _oracle_bob_passing(book, alphas, y), samples, seed),
+            _oracle_mc_error(book, chain.w_z.matrix,
+                             lambda z: _oracle_eve_passing(book, alphas[0], z), samples, seed))
+
+
+def _mc_errors(book, alphas, samples, seed):
+    return (mc_bob_error(book, alphas, samples, seed=seed),
+            mc_eve_error(book, alphas[0], samples, seed=seed))
+
+
+MC_ERROR_CASES = [(kind, n) for kind in ("bsc", "bec", "ternary") for n in (1, 6, 20)] \
+    + [("one_output", 6), ("one_output_ternary", 40)]
+
+
+class TestMcErrorBlocks:
+    """Blocks of Monte Carlo error samples against the per-sample loop."""
+
+    @staticmethod
+    def _rows(book):
+        return max(1, simulate._MC_BLOCK // book.v_words.size)
+
+    @pytest.mark.parametrize("kind, n", MC_ERROR_CASES)
+    @pytest.mark.parametrize("size", ["one", "block", "ragged"])
+    def test_matches_per_sample_loop(self, kind, n, size):
+        chain = _block_chain(kind)
+        book = generate_bcc_codebook(chain, BLOCK_SIZES, n, seed=[n, 7])
+        alphas = decoding_thresholds(chain, n, 0.05)
+        samples = {"one": 1, "block": self._rows(book), "ragged": 2 * self._rows(book) + 3}[size]
+        assert _mc_errors(book, alphas, samples, n) == _oracle_mc_errors(book, alphas, samples, n)
+
+    @pytest.mark.parametrize("kind, n", MC_ERROR_CASES)
+    def test_one_sample_blocks_match_per_sample_loop(self, monkeypatch, kind, n):
+        chain = _block_chain(kind)
+        book = generate_bcc_codebook(chain, BLOCK_SIZES, n, seed=[n, 8])
+        alphas = decoding_thresholds(chain, n, 0.05)
+        want = _oracle_mc_errors(book, alphas, 41, n + 1)
+        for block in (1, book.v_words.size):
+            monkeypatch.setattr(simulate, "_MC_BLOCK", block)
+            assert self._rows(book) == 1
+            assert _mc_errors(book, alphas, 41, n + 1) == want
+
+    def test_tied_thresholds_match_per_sample_loop(self):
+        # thresholds at the tests' own log-ratios at one output, so the samples
+        # that draw it meet a tie
+        rng = np.random.default_rng(9)
+        for c in range(20):
+            chain = random_chain(rng, 3) if c % 2 else _block_chain("bec")
+            n = int(rng.integers(1, 5))
+            book = generate_bcc_codebook(chain, BLOCK_SIZES, n, seed=c)
+            y, z = (rng.integers(0, m, size=n) for m in chain.sizes[3:])
+            one = np.zeros((1, n), dtype=np.int64)
+            log_v = _oracle_log_sums(book.v_words.reshape(-1, n), chain.p_y_given_v.matrix, y)
+            log_u = _oracle_log_sums(book.u_words, chain.p_y_given_u.matrix, y)
+            log_z = _oracle_log_sums(book.u_words, chain.p_z_given_u.matrix, z)
+            with np.errstate(invalid="ignore"):
+                alphas = (log_z[0] - _oracle_log_sums(one, chain.p_z.probs[None, :], z)[0],
+                          log_v[-1] - log_u[-1],
+                          log_v[0] - _oracle_log_sums(one, chain.p_y.probs[None, :], y)[0])
+            alphas = tuple(float(a) if math.isfinite(a) else 0.0 for a in alphas)
+            assert _mc_errors(book, alphas, 150, c) == _oracle_mc_errors(book, alphas, 150, c), c
+
+    @pytest.mark.parametrize("kind", ["bsc", "bec", "ternary"])
+    @pytest.mark.parametrize("n", [5, 37])
+    def test_stacked_tests_match_one_sequence_tests(self, kind, n):
+        # each row's thresholds tie one of its own log-ratios, so a sum added
+        # in another order would flip a test
+        chain = _block_chain(kind)
+        book = generate_bcc_codebook(chain, BLOCK_SIZES, n, seed=3)
+        tables, block = simulate._BccTables(chain, n), simulate._Block([book])
+        rng = np.random.default_rng(4)
+        ys = rng.integers(0, chain.w_y.output_size, size=(30, n))
+        zs = rng.integers(0, chain.w_z.output_size, size=(30, n))
+        one = np.zeros((1, n), dtype=np.int64)
+        for i in range(30):
+            j = i % 12
+            log_v = _oracle_log_sums(book.v_words.reshape(-1, n), chain.p_y_given_v.matrix, ys[i])
+            log_u = _oracle_log_sums(book.u_words, chain.p_y_given_u.matrix, ys[i])
+            log_z = _oracle_log_sums(book.u_words, chain.p_z_given_u.matrix, zs[i])
+            with np.errstate(invalid="ignore"):
+                alphas = (log_z[j % 2] - _oracle_log_sums(one, chain.p_z.probs[None, :], zs[i])[0],
+                          log_v[j] - log_u[j // 6],
+                          log_v[j] - _oracle_log_sums(one, chain.p_y.probs[None, :], ys[i])[0])
+            alphas = tuple(float(a) if math.isfinite(a) else 0.0 for a in alphas)
+            bob = tables.bob_passing(block, alphas, ys)
+            eve = tables.eve_passing(block, alphas[0], zs)
+            assert bob.shape == (30, 12) and eve.shape == (30, 2)
+            assert np.array_equal(bob[i], _oracle_bob_passing(book, alphas, ys[i]))
+            assert np.array_equal(tables.bob_passing(block, alphas, ys[i]), bob[i][None])
+            assert np.array_equal(eve[i], _oracle_eve_passing(book, alphas[0], zs[i]))
+            assert np.array_equal(tables.eve_passing(block, alphas[0], zs[i]), eve[i][None])
 
 
 class TestDistinctWords:
