@@ -33,6 +33,7 @@ from .probability import GuardExceeded
 from .regions import (
     INFEASIBLE,
     RateQuad,
+    _min_dummy_method,
     check_rate_quad,
     is_degraded,
     is_more_capable,
@@ -210,15 +211,13 @@ def _cmd_check_split(args) -> int:
 
 
 def _cmd_check_min_randomness(args) -> int:
-    value = min_dummy_rate(parse_channel(args.py), parse_channel(args.pz),
-                           args.r0, args.rs, _grid_from_args(args))
-    # min_dummy_rate inverts the secrecy frontier at r_0 = 0 and otherwise
-    # searches two-point mixtures of its cell cloud
-    method = "frontier_inverse" if args.r0 == 0.0 else "pair_search"
+    w_y, grid = parse_channel(args.py), _grid_from_args(args)
+    value = min_dummy_rate(w_y, parse_channel(args.pz), args.r0, args.rs, grid)
+    method = _min_dummy_method(w_y, args.r0, grid)
     if value is INFEASIBLE:
-        _write_json({"feasible": False, "min_r_d_nats": None, "method": method}, args.out)
+        _write_json({"feasible": False, "min_r_d_nats": None, **method}, args.out)
         raise InfeasibleQuery("requested rates are infeasible on the search grid")
-    _write_json({"feasible": True, "min_r_d_nats": value, "method": method}, args.out)
+    _write_json({"feasible": True, "min_r_d_nats": value, **method}, args.out)
     return EXIT_OK
 
 
@@ -331,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     minr.add_argument("--rs", type=float, required=True)
     r0_note = "; ignored when --r0 > 0 (fixed 1,331-cell cloud, 11 mixing weights)"
     minr.add_argument("--grid-step", type=float, default=0.005,
-                      help="probability grid step of the r_0 = 0 frontier" + r0_note)
+                      help="probability grid step of the r_0 = 0 frontier; binary inputs "
+                           "evaluate its envelope on k^2 + 1 input laws, k = 1/step" + r0_note)
     minr.add_argument("--rd-step", type=float, default=None,
                       help="dummy-rate bin width of the r_0 = 0 frontier" + r0_note)
     minr.add_argument("--rd-max", type=float, default=None,

@@ -7,7 +7,9 @@ by two-point time sharing.  Every input alphabet takes the same sweep over
 a cloud prior and one conditional input row per cloud letter, each from a
 lattice on the simplex; for binary inputs that is the three-parameter search
 (cloud prior and the two conditional-input diagonal entries).  Inputs of three
-or more letters are held to a cell guard.
+or more letters are held to a cell guard.  For binary inputs the hulled
+``ds`` frontier also comes from a convex envelope over input laws
+(``_ds_envelope``), which :func:`~bccrates.regions.min_dummy_rate` inverts.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import numpy as np
 
 from . import _sweep_py
 from ._csv import write_csv
-from .probability import Dmc, GuardExceeded
+from .probability import Dmc, GuardExceeded, _xlogx
 
 FEASIBILITY_TOL = 1e-9
-CELL_GUARD = 2**22  # most cells a general-alphabet sweep, or entries a budget axis, may hold
+CELL_GUARD = 2**22  # most cells a general-alphabet sweep, input laws an envelope or entries
+                    # a budget axis may hold
 
 
 @dataclass(frozen=True)
@@ -112,19 +115,19 @@ class Frontier:
         write_csv(path, "r_d_nats,r_s_nats", self.points, self.provenance)
 
 
-def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
+def _staircase(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
+    """(x, largest y at or left of x) for each distinct x, in increasing x."""
     order = np.argsort(xs, kind="stable")
-    stair: list[tuple[float, float]] = []
-    best = -math.inf
-    for i in order:
-        x, y = float(xs[i]), float(ys[i])
-        best = max(best, y)
-        if stair and stair[-1][0] == x:
-            stair[-1] = (x, best)
-        else:
-            stair.append((x, best))
+    sx, sy = xs[order], np.maximum.accumulate(ys[order])
+    last = np.append(sx[1:] != sx[:-1], True)  # the end of each run of equal x
+    return list(zip(sx[last].tolist(), sy[last].tolist()))
+
+
+def _upper_hull(points) -> list[tuple[float, float]]:
+    """Upper convex hull vertices of ``points`` given in strictly increasing x
+    (monotone chain); points on a hull edge drop out."""
     hull: list[tuple[float, float]] = []
-    for x, y in stair:
+    for x, y in points:
         while len(hull) >= 2:
             x0, y0 = hull[-2]
             x1, y1 = hull[-1]
@@ -134,6 +137,10 @@ def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
                 break
         hull.append((x, y))
     return hull
+
+
+def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
+    return _upper_hull(_staircase(xs, ys))
 
 
 def upper_concave_hull(points) -> Frontier:
@@ -180,12 +187,26 @@ def _cost_cap(w_y: Dmc, w_z: Dmc) -> float:
     return min(math.log(mx), math.log(mz)) + math.log(mx)
 
 
-def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: bool,
-                    hull: bool) -> Frontier:
+def _budget_axis(w_y: Dmc, w_z: Dmc, grid: GridSpec) -> tuple[np.ndarray, float]:
+    """The budget axis of a frontier of the pair, and its step."""
     if w_y.input_size != w_z.input_size:
         raise ValueError("the two channels must share the input alphabet")
     rd_grid = grid.rd_axis(_cost_cap(w_y, w_z))
-    rd_step = float(rd_grid[1] - rd_grid[0]) if rd_grid.size > 1 else 1.0
+    return rd_grid, float(rd_grid[1] - rd_grid[0]) if rd_grid.size > 1 else 1.0
+
+
+def _budget_curve(rd_grid: np.ndarray, raw: np.ndarray, hull: bool) -> np.ndarray:
+    """Running maximum of per-budget maxima ``raw``, then (``hull``) the upper
+    concave hull sampled back on the budget axis ``rd_grid``."""
+    curve = np.maximum.accumulate(raw)
+    if hull:
+        curve = np.interp(rd_grid, *np.array(_hull_vertices(rd_grid, curve)).T)
+    return curve
+
+
+def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: bool,
+                    hull: bool) -> Frontier:
+    rd_grid, rd_step = _budget_axis(w_y, w_z, grid)
     p_grid = grid.prob_grid()
     m, k = w_y.input_size, len(p_grid) - 1
     n_cells = math.comb(k + m - 1, m - 1) ** (1 if v_equals_x else m + 1)
@@ -198,12 +219,7 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
     rows = ([np.eye(m)[v:v + 1] for v in range(m)] if v_equals_x
             else [prior] + [_simplex_lattice(m, k, v) for v in range(1, m)])
     raw = _sweep_py.sweep(w_y.matrix, w_z.matrix, prior, rows, rd_step, rd_grid.size, mode)
-    curve = np.maximum.accumulate(raw)
-    if hull:
-        vertices = _hull_vertices(rd_grid, curve)
-        vx = np.array([v[0] for v in vertices])
-        vy = np.array([v[1] for v in vertices])
-        curve = np.interp(rd_grid, vx, vy)
+    curve = _budget_curve(rd_grid, raw, hull)
     provenance = {
         "mode": mode,
         "v_equals_x": v_equals_x,
@@ -219,6 +235,71 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
     }
     points = tuple((float(x), float(y)) for x, y in zip(rd_grid, curve))
     return Frontier(points=points, provenance=provenance)
+
+
+def _envelope_points(grid: GridSpec) -> int:
+    """Size of the input-law lattice {m / k^2} of :func:`_ds_envelope`, with
+    k = round(1 / prob_step) as in :meth:`GridSpec.prob_grid`; held to the guard."""
+    k = len(grid.prob_grid()) - 1
+    if k * k + 1 > CELL_GUARD:
+        raise GuardExceeded(f"envelope lattice needs {k * k + 1} input laws, above guard "
+                            f"{CELL_GUARD}; coarsen prob_step")
+    return k * k + 1
+
+
+def _lower_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The lower convex envelope of the points (x, y), x strictly increasing,
+    at every x: the upper hull of (x, -y), negated."""
+    neg = -y
+    # a point strictly above the chord of its two neighbours is no vertex of
+    # the lower hull; dropping those first leaves the loop the convex stretches
+    cross = (x[1:-1] - x[:-2]) * (neg[2:] - neg[:-2]) - (x[2:] - x[:-2]) * (neg[1:-1] - neg[:-2])
+    keep = np.concatenate([[True], cross <= 0.0, [True]])
+    vx, vy = np.array(_upper_hull(zip(x[keep].tolist(), neg[keep].tolist()))).T
+    return -np.interp(x, vx, vy)
+
+
+def _ds_envelope(w_y: Dmc, w_z: Dmc, grid: GridSpec) -> Frontier:
+    """The hulled ``ds`` frontier of a binary-input pair from a convex envelope.
+
+    The cost I(X;Z) depends only on the input law x = P_X(0), and the best
+    confidential rate over prefixes V at x is psi(x) - env(x), where
+    psi = H(Y) - H(Z) and env is the lower convex envelope of psi; a binary V
+    splitting x between the envelope's vertices on either side attains it
+    (Csiszar-Korner).  x runs over the lattice m / k^2: a grid cell's input
+    law p a + (1 - p)(1 - b) and its split points a and 1 - b all lie on it,
+    so, up to rounding, each budget's value is at least that of every cell of
+    :func:`secrecy_frontier` at the same cost.  The rates are binned by cost
+    on the same budget axis, then take the same running maximum and hull.
+    """
+    if w_y.input_size != 2:
+        raise ValueError("the envelope frontier is provided for binary inputs")
+    rd_grid, rd_step = _budget_axis(w_y, w_z, grid)
+    count = _envelope_points(grid)
+    x = np.arange(count) / (count - 1)
+    y = 1.0 - x
+
+    def output_entropy(w):  # one output letter at a time, as the sweep's planes
+        return -sum(_xlogx(x * w[0, k] + y * w[1, k]) for k in range(w.shape[1]))
+
+    hz = output_entropy(w_z.matrix)
+    psi = output_entropy(w_y.matrix) - hz
+    z_rows = -_xlogx(w_z.matrix).sum(axis=1)
+    raw = np.full(rd_grid.size, -np.inf)
+    _sweep_py.fold_max(raw, hz - (x * z_rows[0] + y * z_rows[1]), psi - _lower_envelope(x, psi),
+                       rd_step)
+    curve = _budget_curve(rd_grid, raw, True)
+    provenance = {
+        "mode": "ds",
+        "method": "envelope",
+        "x_points": count,
+        "hull": True,
+        "rd_step": rd_step,
+        "rd_max": float(rd_grid[-1]),
+        "bin_fuzz_steps": _sweep_py.BIN_FUZZ,
+        "input_size": 2,
+    }
+    return Frontier(points=tuple(zip(rd_grid.tolist(), curve.tolist())), provenance=provenance)
 
 
 def secrecy_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,

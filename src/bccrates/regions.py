@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _sweep_py
 from .chain import BccChain, ChainInformations, informations
-from .frontier import GridSpec, secrecy_frontier, _simplex_lattice
+from .frontier import (GridSpec, _ds_envelope, _envelope_points, _simplex_lattice,
+                       secrecy_frontier)
 from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
@@ -428,31 +429,69 @@ def _pair_search(cells: dict, r_0: float, r_s: float) -> float:
     return best
 
 
+def _capacity_bound(w: Dmc) -> float:
+    """An upper bound on the capacity of ``w``: max_x D(W(.|x) || q) >= C for
+    every output law q (the duality bound), here the output law of the
+    uniform input; it is the capacity for symmetric channels such as BSC and
+    BEC."""
+    q = w.matrix.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # letters no input reaches
+        cross = np.where(w.matrix > 0.0, w.matrix * np.log(q), 0.0).sum(axis=1)
+    return float(np.max(_xlogx(w.matrix).sum(axis=1) - cross))
+
+
+def _min_dummy_method(w_y: Dmc, r_0: float, grid: GridSpec) -> dict:
+    """How :func:`min_dummy_rate` answers a query: its ``method``, and for the
+    envelope the count of input laws it evaluates (``x_points``)."""
+    if r_0 > 0.0:
+        return {"method": "pair_search"}
+    if w_y.input_size == 2:
+        return {"method": "envelope_inverse", "x_points": _envelope_points(grid)}
+    return {"method": "frontier_inverse"}
+
+
 def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
                    grid: GridSpec | None = None) -> float | Infeasible:
     """Smallest dummy-randomness budget supporting (common, confidential) rates.
 
-    With no common rate this inverts the (hulled) secrecy frontier on the full
-    probability grid.  With a positive common rate the search runs over
-    two-point time-sharing mixtures of a decimated cell cloud (the cloud
-    variable must then carry real information), minimizing the input cost
-    subject to the three rate constraints.  That search ignores ``grid``: it
-    always uses the same 1,331-cell cloud (11 points per cell coordinate) and
-    11 mixing weights.  It visits the cells in increasing cost and skips only
-    pairs that exact float bounds rule out (see ``_pair_search``), so its
-    answer is the minimum over every mixture.  Returns :data:`INFEASIBLE` when
-    no searched chain supports the request.
+    With no common rate this inverts the hulled ``ds`` frontier: the least
+    point of its budget axis (``rd_step``, ``rd_max``) whose value reaches
+    r_s.  For binary inputs the frontier comes from the convex envelope of
+    psi = H(Y) - H(Z) on the input laws m / k^2 (k = 1 / ``prob_step``; see
+    ``frontier._ds_envelope``).  That lattice holds the input law and the
+    split points of every cell of the grid frontier, so the envelope is at
+    least the grid frontier at every budget and its answer is never above
+    the grid's; it evaluates k^2 + 1 input laws instead of (k + 1)^3 cells.
+    Inputs of three or more letters invert :func:`secrecy_frontier` on the
+    probability grid.
+
+    With a positive common rate the search runs over two-point time-sharing
+    mixtures of a decimated cell cloud (the cloud variable must then carry
+    real information), minimizing the input cost subject to the three rate
+    constraints.  That search ignores ``grid``: it always uses the same
+    1,331-cell cloud (11 points per cell coordinate) and 11 mixing weights.
+    It visits the cells in increasing cost and skips only pairs that exact
+    float bounds rule out (see ``_pair_search``), so its answer is the
+    minimum over every mixture.  A common rate above both receivers'
+    capacity bound (``_capacity_bound``) is infeasible before any pair is
+    formed.  Returns :data:`INFEASIBLE` when no searched chain supports the
+    request.
     """
     if r_0 < 0.0 or r_s < 0.0 or math.isnan(r_0) or math.isnan(r_s):
         raise ValueError(f"rates must be nonnegative, got r_0={r_0!r}, r_s={r_s!r}")
     grid = grid or GridSpec()
-    if r_0 == 0.0:
-        front = secrecy_frontier(w_y, w_z, grid)
-        values = front.r_s
-        if r_s > values[-1] + SLACK_TOL:
+    method = _min_dummy_method(w_y, r_0, grid)["method"]
+    if method == "pair_search":
+        cells = _pair_search_cells(w_y, w_z, budget=1500)
+        # I(U;Y) <= C_Y and I(U;Z) <= C_Z bound the common rate of every mixture
+        if min(_capacity_bound(w_y), _capacity_bound(w_z)) + _ENTROPY_MARGIN < r_0 - SLACK_TOL:
             return INFEASIBLE
-        idx = int(np.argmax(values >= r_s - SLACK_TOL))
-        return float(front.r_d[idx])
-
-    best = _pair_search(_pair_search_cells(w_y, w_z, budget=1500), r_0, r_s)
-    return INFEASIBLE if math.isinf(best) else best
+        best = _pair_search(cells, r_0, r_s)
+        return INFEASIBLE if math.isinf(best) else best
+    front = (_ds_envelope(w_y, w_z, grid) if method == "envelope_inverse"
+             else secrecy_frontier(w_y, w_z, grid))
+    values = front.r_s
+    if r_s > values[-1] + SLACK_TOL:
+        return INFEASIBLE
+    idx = int(np.argmax(values >= r_s - SLACK_TOL))
+    return float(front.r_d[idx])

@@ -82,13 +82,17 @@ class _DistinctWords:
     than the largest letter, or its row of letters where b^n would overflow
     int64.  A fold is row-wise, so a gathered row is the same float as the
     word folded alone.  The distinct rows are gathered back only when at most
-    half the words are distinct; otherwise every word is folded in place.
+    half the words are distinct; otherwise (one word, say) every word is
+    folded in place.
     """
 
     def __init__(self, words: np.ndarray):
         n = words.shape[-1]
         self.shape = words.shape[:-1]
         self.words = words.reshape(-1, n)
+        self.first = self.inverse = None
+        if self.words.shape[0] == 1:  # nothing to share
+            return
         letters = int(self.words.max()) + 1
         if letters == 1 or n < 64 and letters**n <= np.iinfo(np.int64).max:
             keys = self.words @ letters ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -96,9 +100,8 @@ class _DistinctWords:
         else:
             _, first, inverse = np.unique(self.words, axis=0, return_index=True,
                                           return_inverse=True)
-        self.first, self.inverse = first, inverse.reshape(-1)
-        if 2 * first.size > self.words.shape[0]:
-            self.first = self.inverse = None
+        if 2 * first.size <= self.words.shape[0]:
+            self.first, self.inverse = first, inverse.reshape(-1)
 
     def fold(self, letter_rows: np.ndarray, combine, start: float) -> np.ndarray:
         """``_letter_fold`` rows of every word, shaped as the stack plus outputs.
@@ -137,11 +140,14 @@ def _log_likelihoods(words: np.ndarray, matrix: np.ndarray, seq=None) -> np.ndar
     """sum_t log matrix[word_t, seq_t] for each word, added left to right in t
     order, at ``seq`` (n,) or each sequence of a stack (samples, n); with
     ``seq`` None, a row over every output sequence, indexed as in
-    ``codeword_channel_rows``.  Every form adds the same terms in the same
-    order, so a table entry equals the value for its sequence bit for bit."""
+    ``codeword_channel_rows`` (``words`` may then be a ``_DistinctWords``).
+    Every form adds the same terms in the same order, so a table entry
+    equals the value for its sequence bit for bit."""
     log_m = _log(matrix)
     if seq is None:
-        return _DistinctWords(words).fold(log_m, np.add, 0.0)
+        if not isinstance(words, _DistinctWords):
+            words = _DistinctWords(words)
+        return words.fold(log_m, np.add, 0.0)
     return np.cumsum(log_m[words, seq[..., None, :]], axis=-1)[..., -1]
 
 
@@ -599,18 +605,28 @@ def _leakages(cond: np.ndarray) -> list[float]:
 
 
 class _Block:
-    """Codebooks of one chain, sizes and n, stacked trial by trial; the
-    satellites' distinct words are found once, when first read."""
+    """Codebooks of one chain, sizes and n, stacked trial by trial; each
+    layer's distinct words are found once, when first read."""
 
     def __init__(self, books: list[BccCodebook]):
         self.books = books
         self.trials = len(books)
         self.sizes = books[0].sizes
+        self._distinct: dict[str, _DistinctWords] = {}
 
     def words(self, layer: str) -> np.ndarray:
         """Every codebook's words of one layer, flat in index order, (trials, words, n)."""
         words = np.stack([getattr(book, layer) for book in self.books])
         return words.reshape(self.trials, -1, words.shape[-1])
+
+    def log_likelihoods(self, layer: str, matrix: np.ndarray, seq=None) -> np.ndarray:
+        """``_log_likelihoods`` of one layer's ``words``; a table (``seq`` None)
+        folds the layer's distinct words, shared by every table of the block."""
+        if seq is not None:
+            return _log_likelihoods(self.words(layer), matrix, seq)
+        if layer not in self._distinct:
+            self._distinct[layer] = _DistinctWords(self.words(layer))
+        return _log_likelihoods(self._distinct[layer], matrix)
 
     @cached_property
     def x(self) -> _DistinctWords:
@@ -653,8 +669,8 @@ class _BccTables:
         at every output sequence or at ``y``."""
         p_y_v, p_y_u, p_y = self._bob_laws
         _, alpha1, alpha2 = alphas
-        log_v = _log_likelihoods(block.words("v_words"), p_y_v, y)
-        log_u = np.repeat(_log_likelihoods(block.words("u_words"), p_y_u, y),
+        log_v = block.log_likelihoods("v_words", p_y_v, y)
+        log_u = np.repeat(block.log_likelihoods("u_words", p_y_u, y),
                           block.sizes[1] * block.sizes[2], axis=1)
         log_prior = self._bob_prior if y is None else _prior_log_likelihoods(p_y, self.n, y)
         return _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
@@ -663,7 +679,7 @@ class _BccTables:
         """The test of ``decode_eve`` for every common word, as in ``bob_passing``."""
         p_z_u, p_z = self._eve_laws
         log_prior = self._eve_prior if z is None else _prior_log_likelihoods(p_z, self.n, z)
-        return _passes(_log_likelihoods(block.words("u_words"), p_z_u, z), alpha0, log_prior)
+        return _passes(block.log_likelihoods("u_words", p_z_u, z), alpha0, log_prior)
 
     def conditional_laws(self, block: _Block, rows: np.ndarray | None = None) -> np.ndarray:
         """Eavesdropper block law given each confidential message, (trials, S,

@@ -85,3 +85,20 @@ def product_blocks(shape: tuple[int, ...], block: int):
     for start in range(0, count, block):
         yield np.stack(np.unravel_index(np.arange(start, min(count, start + block)), shape),
                        axis=1)
+
+
+def hull_chain(x, y, lower):
+    """Vertices (xs, ys) of the lower (or upper) hull of points in strictly
+    increasing x, by a monotone chain over every point."""
+    sign = 1.0 if lower else -1.0
+    hull = []
+    for point in zip(x.tolist(), (sign * y).tolist()):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (point[1] - y0) - (point[0] - x0) * (y1 - y0) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(point)
+    vx, vy = np.array(hull).T
+    return vx, sign * vy

@@ -448,15 +448,32 @@ class TestCliCheck:
         assert captured.out == ""
 
     @pytest.mark.parametrize("r0, rs, code, method", [
-        ("0", "0.1", 0, "frontier_inverse"), ("0", "0.5", 4, "frontier_inverse"),
+        ("0", "0.1", 0, "envelope_inverse"), ("0", "0.5", 4, "envelope_inverse"),
         ("0.05", "0.02", 0, "pair_search"), ("0.3", "0", 4, "pair_search")])
     def test_min_randomness_reports_method(self, r0, rs, code, method, capsys):
-        # r_0 = 0 inverts the secrecy frontier; r_0 > 0 searches mixtures
+        # r_0 = 0 inverts the envelope frontier of the binary pair; r_0 > 0
+        # searches mixtures
         assert main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",
                      "--r0", r0, "--rs", rs, "--grid-step", "0.02"]) == code
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == method
         assert payload["feasible"] is (code == 0)
+        # the envelope reports its input laws m / k^2, k = 1 / 0.02
+        assert payload.get("x_points") == (2501 if method == "envelope_inverse" else None)
+
+    @pytest.mark.parametrize("rs, code", [("0", 0), ("0.5", 4)])
+    def test_min_randomness_reports_grid_inverse_for_ternary(self, rs, code, capsys):
+        assert main(["check", "min-randomness", "--py", "identity:3", "--pz", "identity:3",
+                     "--r0", "0", "--rs", rs, "--grid-step", "0.5"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "frontier_inverse" and "x_points" not in payload
+        assert payload["feasible"] is (code == 0)
+
+    def test_min_randomness_envelope_guard_exit(self, capsys):
+        # k = 2,500 gives 6,250,001 input laws, above the cell guard
+        assert main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--r0", "0", "--rs", "0.1", "--grid-step", "0.0004"]) == 3
+        assert "envelope lattice" in capsys.readouterr().err
 
     def test_min_randomness_feasible(self, capsys):
         code = main(["check", "min-randomness", "--py", "bsc:0.1", "--pz", "bsc:0.2",

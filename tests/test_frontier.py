@@ -21,7 +21,7 @@ from bccrates._sweep_py import BIN_FUZZ, fold_max
 from bccrates.channels import bec, bsc
 from bccrates.probability import _xlogx
 
-from helpers import simplex_grid
+from helpers import hull_chain, simplex_grid
 
 LN2 = math.log(2.0)
 
@@ -705,3 +705,60 @@ class TestLetterPlanes:
         for key, value in want.items():
             np.testing.assert_allclose(cells[key], value.reshape(cells[key].shape),
                                        rtol=0.0, atol=1e-12, err_msg=key)
+
+
+def _random_binary_pair(rng):
+    """A binary-input pair with 2 to 4 outputs a receiver; a third of the
+    eavesdropper channels have a zero entry."""
+    w_y = Dmc(rng.dirichlet(np.ones(int(rng.integers(2, 5))), size=2))
+    w_z = rng.dirichlet(np.ones(int(rng.integers(2, 5))), size=2)
+    if rng.random() < 1 / 3:
+        w_z[0, -1] = 0.0
+    return w_y, Dmc(w_z / w_z.sum(axis=1, keepdims=True))
+
+
+ENVELOPE_PAIRS = [(bsc(0.1), bsc(0.2)), (bsc(0.11), bec(0.45))] + [
+    _random_binary_pair(np.random.default_rng([23, i])) for i in range(50)]
+
+
+class TestDsEnvelope:
+    """The envelope ``ds`` frontier that ``min_dummy_rate`` inverts at r_0 = 0."""
+
+    @pytest.mark.parametrize("step", [0.05, 0.02])
+    def test_dominates_the_grid_frontier(self, step):
+        grid = GridSpec(prob_step=step)
+        for w_y, w_z in ENVELOPE_PAIRS:
+            envelope = frontier._ds_envelope(w_y, w_z, grid)
+            swept = secrecy_frontier(w_y, w_z, grid)
+            assert envelope.r_d.tobytes() == swept.r_d.tobytes()
+            assert np.all(envelope.r_s >= swept.r_s - 1e-12)
+            # concave and nondecreasing, as a hulled frontier is
+            assert np.all(np.diff(envelope.r_s) >= -1e-12)
+            assert np.all(np.diff(envelope.r_s, 2) <= 1e-12)
+
+    def test_degraded_bsc_pair_reaches_its_capacity(self):
+        # psi is concave for a degraded pair, so its envelope is the chord and
+        # the top is h(0.2) - h(0.1) at the uniform input, cost ln 2 - h(0.2)
+        front = frontier._ds_envelope(bsc(0.1), bsc(0.2), GridSpec(prob_step=0.01))
+        assert front.r_s[-1] == pytest.approx(h(0.2) - h(0.1), abs=1e-12)
+        assert front.r_s[0] == 0.0
+        assert front.provenance["x_points"] == 10_001
+
+    @pytest.mark.parametrize("shape", ["random", "concave", "convex", "wave"])
+    def test_prefiltered_envelope_matches_plain_chain(self, shape):
+        x = np.arange(2001) / 2000
+        y = {"random": np.random.default_rng(4).normal(size=x.size),
+             "concave": -(x - 0.3) ** 2, "convex": (x - 0.3) ** 2,
+             "wave": np.sin(12.0 * x) + x}[shape]
+        plain = np.interp(x, *hull_chain(x, y, lower=True))   # no pre-filter
+        assert frontier._lower_envelope(x, y).tobytes() == plain.tobytes()
+
+    def test_lattice_guard(self):
+        assert frontier._envelope_points(GridSpec(prob_step=1 / 2047)) == 2047**2 + 1
+        with pytest.raises(GuardExceeded, match="envelope lattice"):
+            frontier._ds_envelope(bsc(0.1), bsc(0.2), GridSpec(prob_step=1 / 2048))
+
+    def test_binary_inputs_only(self):
+        w = Dmc.identity(3)
+        with pytest.raises(ValueError, match="binary inputs"):
+            frontier._ds_envelope(w, w, GridSpec(prob_step=0.5))

@@ -8,6 +8,7 @@ from bccrates import (
     INFEASIBLE,
     Dmc,
     GridSpec,
+    GuardExceeded,
     Pmf,
     RateQuad,
     check_deterministic_encoder,
@@ -18,12 +19,13 @@ from bccrates import (
     is_degraded,
     is_more_capable,
     min_dummy_rate,
+    secrecy_frontier,
     single_chain,
     split_rates,
 )
-from bccrates import _sweep_py, regions
+from bccrates import _sweep_py, frontier, regions
 from bccrates.channels import bec, bsc
-from helpers import product_blocks, random_chain, simplex_grid
+from helpers import hull_chain, product_blocks, random_chain, simplex_grid
 
 LN2 = math.log(2.0)
 
@@ -424,6 +426,139 @@ class TestMinDummyRate:
     def test_nan_or_negative_rate_rejected(self, r_0, r_s):
         with pytest.raises(ValueError):
             min_dummy_rate(bsc(0.1), bsc(0.2), r_0, r_s, self.GRID)
+
+
+def _oracle_min_dummy_grid(w_y, w_z, r_s, grid):
+    """min_dummy_rate at r_0 = 0 as it was for every alphabet before the
+    envelope: the least budget of the hulled grid frontier that reaches r_s."""
+    front = secrecy_frontier(w_y, w_z, grid)
+    if r_s > front.r_s[-1] + regions.SLACK_TOL:
+        return INFEASIBLE
+    return float(front.r_d[int(np.argmax(front.r_s >= r_s - regions.SLACK_TOL))])
+
+
+def _continuum_floor(w_y, w_z, n_x=100_001):
+    """The least input cost I(X;Z) of the continuum ds frontier at each r_s,
+    from n_x input laws: rs(x) = psi(x) - (lower envelope of psi)(x) with
+    psi = H(Y) - H(Z), then the upper concave hull over (cost, rs)."""
+    x = np.linspace(0.0, 1.0, n_x)
+
+    def entropy(w):
+        law = np.outer(x, w.matrix[0]) + np.outer(1.0 - x, w.matrix[1])
+        return -np.sum(np.where(law > 0.0, law * np.log(np.where(law > 0.0, law, 1.0)), 0.0),
+                       axis=1)
+
+    hz = entropy(w_z)
+    psi = entropy(w_y) - hz
+    rows = [-sum(p * math.log(p) for p in row if p > 0.0) for row in w_z.matrix]
+    cost = hz - (x * rows[0] + (1.0 - x) * rows[1])
+    rs = psi - np.interp(x, *hull_chain(x, psi, lower=True))
+    order = np.argsort(cost, kind="stable")
+    cost, rs = cost[order], np.maximum.accumulate(rs[order])
+    last = np.append(cost[1:] != cost[:-1], True)
+    vx, vy = hull_chain(cost[last], rs[last], lower=False)
+
+    def inverse(r_s):
+        if r_s <= vy[0]:
+            return float(vx[0])
+        i = int(np.argmax(vy >= r_s))
+        return float(vx[i - 1] + (r_s - vy[i - 1]) * (vx[i] - vx[i - 1]) / (vy[i] - vy[i - 1]))
+
+    return inverse
+
+
+def _random_bsc_pair(rng):
+    e1 = float(rng.uniform(0.01, 0.2))
+    return bsc(e1), bsc(min(e1 + float(rng.uniform(0.02, 0.3)), 0.5))
+
+
+class TestMinDummyEnvelope:
+    """r_0 = 0 on binary inputs inverts the envelope frontier; the grid
+    frontier's inverse is the oracle it may only improve on."""
+
+    PAIRS = [(bsc(0.1), bsc(0.2)), (bsc(0.11), bec(0.45)), (bec(0.2), bsc(0.1))] + [
+        _random_bsc_pair(np.random.default_rng([23, i])) for i in range(9)]
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_between_continuum_floor_and_grid_inverse(self, pair):
+        w_y, w_z = self.PAIRS[pair]
+        floor = _continuum_floor(w_y, w_z)
+        for step in (0.05, 0.02):
+            grid = GridSpec(prob_step=step)
+            top = frontier._ds_envelope(w_y, w_z, grid).r_s[-1]
+            values = []
+            for share in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
+                r_s = share * top
+                value = min_dummy_rate(w_y, w_z, 0.0, r_s, grid)
+                grid_value = _oracle_min_dummy_grid(w_y, w_z, r_s, grid)
+                assert value is not INFEASIBLE
+                if grid_value is not INFEASIBLE:
+                    assert value <= grid_value
+                assert value >= floor(r_s) - 1e-9
+                values.append(value)
+            assert values == sorted(values)
+
+    @pytest.mark.parametrize("pair", range(3))
+    def test_infeasible_exactly_above_the_envelope_top(self, pair):
+        w_y, w_z = self.PAIRS[pair]
+        grid = GridSpec(prob_step=0.02)
+        top = float(frontier._ds_envelope(w_y, w_z, grid).r_s[-1])
+        tol = regions.SLACK_TOL
+        assert min_dummy_rate(w_y, w_z, 0.0, top + 0.5 * tol, grid) is not INFEASIBLE
+        assert min_dummy_rate(w_y, w_z, 0.0, top + 2.0 * tol, grid) is INFEASIBLE
+
+    def test_grid_inverse_for_ternary_inputs(self):
+        rng = np.random.default_rng(5)
+        w_y = Dmc(rng.dirichlet(np.ones(3) * 5, size=3))
+        w_z = w_y.compose(Dmc(rng.dirichlet(np.ones(3) * 5, size=3)))
+        grid = GridSpec(prob_step=0.25)
+        top = secrecy_frontier(w_y, w_z, grid).r_s[-1]
+        for r_s in (0.0, 0.3 * top, 0.8 * top, top, top + 1e-6):
+            assert min_dummy_rate(w_y, w_z, 0.0, r_s, grid) == \
+                _oracle_min_dummy_grid(w_y, w_z, r_s, grid)
+        # a common rate needs the binary pair search, whatever the capacity bound says
+        with pytest.raises(ValueError, match="binary inputs"):
+            min_dummy_rate(w_y, w_z, 5.0, 0.0, grid)
+
+    def test_lattice_guard(self):
+        with pytest.raises(GuardExceeded, match="envelope lattice"):
+            min_dummy_rate(bsc(0.1), bsc(0.2), 0.0, 0.1, GridSpec(prob_step=1 / 2048))
+
+
+class TestCapacityBound:
+    @pytest.mark.parametrize("w, capacity", [
+        (bsc(0.2), LN2 - h(0.2)), (bsc(0.0), LN2), (bec(0.45), 0.55 * LN2),
+        (Dmc([[1.0, 0.0]]), 0.0)], ids=["bsc", "noiseless", "bec", "one-input"])
+    def test_symmetric_channels_are_tight(self, w, capacity):
+        assert capacity - 1e-15 <= regions._capacity_bound(w) <= capacity + 1e-12
+
+    def test_bounds_every_input_law(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            m_in, m_out = (int(v) for v in rng.integers(2, 5, size=2))
+            w = rng.dirichlet(np.ones(m_out), size=m_in)
+            w[0, 0] = 0.0 if rng.random() < 0.5 else w[0, 0]
+            w = Dmc(w / w.sum(axis=1, keepdims=True))
+            laws = rng.dirichlet(np.ones(m_in), size=200)
+            out = laws @ w.matrix
+            rows = -regions._xlogx(w.matrix).sum(axis=1)
+            info = -regions._xlogx(out).sum(axis=1) - laws @ rows
+            assert info.max() <= regions._capacity_bound(w) + 1e-12
+
+    @pytest.mark.parametrize("pair", [(bsc(0.1), bsc(0.2)), (bsc(0.11), bec(0.45)),
+                                      (bec(0.2), bsc(0.1))], ids=["bsc", "bsc/bec", "bec/bsc"])
+    def test_infeasible_common_rate_skips_the_search(self, pair, monkeypatch):
+        cap = min(regions._capacity_bound(w) for w in pair)
+        r_0 = cap + 3e-9
+        cells = regions._pair_search_cells(*pair, budget=1500)
+        assert math.isinf(regions._pair_search(cells, r_0, 0.0))
+
+        def no_search(*args):
+            raise AssertionError("the pair search ran")
+
+        monkeypatch.setattr(regions, "_pair_search", no_search)
+        assert min_dummy_rate(*pair, r_0, 0.0) is INFEASIBLE
+        assert min_dummy_rate(*pair, 0.3 + cap, 0.0) is INFEASIBLE
 
 
 def _oracle_pair_search(cells, r_0, r_s):

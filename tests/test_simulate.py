@@ -1064,3 +1064,38 @@ class TestDistinctWords:
             got = distinct.fold(rows, combine, start)
             assert got.shape == (4, 10, 2**5)
             assert np.array_equal(got.reshape(40, -1), want)
+
+    def test_one_word_folds_without_unique(self, monkeypatch):
+        # the prior row of a table is the fold of one all-zero word
+        probs = np.array([0.2, 0.5, 0.3])
+        want = simulate._letter_fold(np.zeros((1, 6), dtype=np.int64),
+                                     simulate._log(probs[None, :]), np.add, 0.0)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique ran on one word")
+
+        monkeypatch.setattr(simulate.np, "unique", no_unique)
+        distinct = simulate._DistinctWords(np.zeros((1, 6), dtype=np.int64))
+        assert distinct.first is None and distinct.inverse is None
+        assert np.array_equal(simulate._prior_log_likelihoods(Pmf(probs), 6), want)
+
+    def test_tables_share_each_layers_distinct_words(self, monkeypatch):
+        # both tables of a block read the u layer: its distinct words are
+        # found once, and the values are those of one table at a time
+        chain = _block_chain("bsc")
+        books = [generate_bcc_codebook(chain, BLOCK_SIZES, 5, seed=s) for s in range(3)]
+        tables = simulate._BccTables(chain, 5)
+        alphas = decoding_thresholds(chain, 5)
+        apart = tables.evaluate(simulate._Block(books), bob=alphas)[0], \
+            tables.evaluate(simulate._Block(books), eve=alphas[0])[1]
+        stacks, plain = [], simulate._DistinctWords.__init__
+
+        def counting(self, words):
+            stacks.append(words.shape)
+            plain(self, words)
+
+        monkeypatch.setattr(simulate._DistinctWords, "__init__", counting)
+        bob, eve, _ = tables.evaluate(simulate._Block(books), bob=alphas, eve=alphas[0])
+        assert stacks.count((3, BLOCK_SIZES[0], 5)) == 1
+        assert len(stacks) == 3         # the u, v and x layers
+        assert bob.tobytes() == apart[0].tobytes() and eve.tobytes() == apart[1].tobytes()
