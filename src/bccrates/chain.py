@@ -9,6 +9,7 @@ conditional laws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ class BccChain:
 
     ``enforce_cardinality=True`` applies the auxiliary-alphabet caps that are
     sufficient for the four-rate region search (|U| <= |X|+3 and a V alphabet
-    no larger than |U|*(|X|+1)).
+    no larger than |U|*(|X|+1)).  The derived laws (``p_v`` ... ``p_z_given_u``)
+    are composed on first read and kept: the chain is frozen and its arrays
+    are read-only, so a kept law cannot go stale.
     """
 
     p_u: Pmf
@@ -63,35 +66,35 @@ class BccChain:
             self.w_z.output_size,
         )
 
-    @property
+    @cached_property
     def p_v(self) -> Pmf:
         return self.p_v_given_u.output(self.p_u)
 
-    @property
+    @cached_property
     def p_x(self) -> Pmf:
         return self.p_x_given_v.output(self.p_v)
 
-    @property
+    @cached_property
     def p_y(self) -> Pmf:
         return self.w_y.output(self.p_x)
 
-    @property
+    @cached_property
     def p_z(self) -> Pmf:
         return self.w_z.output(self.p_x)
 
-    @property
+    @cached_property
     def p_y_given_v(self) -> Dmc:
         return self.p_x_given_v.compose(self.w_y)
 
-    @property
+    @cached_property
     def p_z_given_v(self) -> Dmc:
         return self.p_x_given_v.compose(self.w_z)
 
-    @property
+    @cached_property
     def p_y_given_u(self) -> Dmc:
         return self.p_v_given_u.compose(self.p_y_given_v)
 
-    @property
+    @cached_property
     def p_z_given_u(self) -> Dmc:
         return self.p_v_given_u.compose(self.p_z_given_v)
 

@@ -27,6 +27,12 @@ def _check_theta(theta: float, name: str = "theta") -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {theta!r}")
 
 
+def _check_bound_theta(theta: float, name: str = "theta") -> None:
+    # a bound term divides by theta
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {theta!r}")
+
+
 # np.power with a scalar exponent of one of these values returns the paired
 # function's result, which can differ in the last bit from its general power
 _SCALAR_POWERS = ((2.0, np.square), (-1.0, np.reciprocal), (0.5, np.sqrt))
@@ -245,8 +251,7 @@ def _evaluate(n: int, terms: _Terms, thetas) -> BoundReport:
     """The bound with term i at ``thetas[i]``."""
     _check_sizes(n, terms)
     for name, theta in zip(("theta", "theta_prime"), thetas):
-        if not 0.0 < theta <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {theta!r}")
+        _check_bound_theta(theta, name)
     exps = [_exponent_at(t, law) for (_, law), t in zip(terms, thetas)]
     return _report(n, terms, thetas, exps)
 
@@ -265,8 +270,8 @@ def _minimize(n: int, terms: _Terms, theta_grid) -> BoundReport:
     _check_sizes(n, terms)
     grid = theta_grid_default() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     if grid.size:
-        _check_theta(float(grid.min()))
-        _check_theta(float(grid.max()))
+        _check_bound_theta(float(grid.min()))
+        _check_bound_theta(float(grid.max()))
     thetas, exps = [], []
     for size, law in terms:
         exponent = dict(zip(grid.tolist(), _exponent_table(grid, *law).tolist()))
@@ -367,6 +372,8 @@ def decoding_thresholds(chain: BccChain, n: int, delta: float = 0.05) -> tuple[f
 
     Ordered as (common-at-eavesdropper, layer-at-receiver, base-at-receiver).
     """
+    if math.isnan(delta):
+        raise ValueError("delta must be a number, got nan")
     info = informations(chain)
     return (
         n * (info.i_uz - delta),

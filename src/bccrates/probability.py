@@ -32,8 +32,9 @@ def _as_prob_vector(probs, tol: float = NORMALIZATION_TOL) -> tuple[np.ndarray, 
     arr = np.array(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("probability vector must be one-dimensional and non-empty")
-    if np.any(arr < 0.0):
-        raise ValueError(f"negative probability entry (min={arr.min()!r})")
+    if not np.all(arr >= 0.0):   # false for nan as well as for a negative entry
+        bad = arr[~(arr >= 0.0)][0]
+        raise ValueError(f"probability entry {bad!r} is negative or not a number")
     total = float(arr.sum())
     if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total!r}, outside tolerance {tol}")

@@ -7,10 +7,10 @@ blocklengths every figure of merit is computed by exact enumeration: output
 distributions, divergences, leakage, and threshold-decoder error rates.
 The exact error tables, the Monte Carlo error estimates and the sequence
 decoders apply one threshold rule to log-likelihood sums added in letter order.
-``_BccTables`` composes the decoders' laws once per call and gives their
-tests; ``decode_bob``/``decode_eve`` are its one-sequence case, and the
-Monte Carlo error estimates score a block of samples at a time, drawn in
-the per-sample order.
+``_Block`` holds three-layer codebooks with their tests, read from the
+chain's laws (composed once per chain); ``decode_bob``/``decode_eve`` are
+the one-sequence case, and the Monte Carlo error estimates score a block of
+samples at a time, drawn in the per-sample order.
 
 A batch of trials is evaluated in blocks: each block draws its codebooks,
 one stream per trial, and every channel's rows are folded once per distinct
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -139,15 +138,13 @@ def _log(probs: np.ndarray) -> np.ndarray:
 def _log_likelihoods(words: np.ndarray, matrix: np.ndarray, seq=None) -> np.ndarray:
     """sum_t log matrix[word_t, seq_t] for each word, added left to right in t
     order, at ``seq`` (n,) or each sequence of a stack (samples, n); with
-    ``seq`` None, a row over every output sequence, indexed as in
-    ``codeword_channel_rows`` (``words`` may then be a ``_DistinctWords``).
-    Every form adds the same terms in the same order, so a table entry
-    equals the value for its sequence bit for bit."""
+    ``seq`` None, a row over every output sequence of each word (words, n),
+    indexed as in ``codeword_channel_rows``.  Every form adds the same terms
+    in the same order, so a table entry equals the value for its sequence
+    bit for bit."""
     log_m = _log(matrix)
     if seq is None:
-        if not isinstance(words, _DistinctWords):
-            words = _DistinctWords(words)
-        return words.fold(log_m, np.add, 0.0)
+        return _letter_fold(words, log_m, np.add, 0.0)
     return np.cumsum(log_m[words, seq[..., None, :]], axis=-1)[..., -1]
 
 
@@ -380,16 +377,16 @@ def _mc_error(codebook: BccCodebook, matrix: np.ndarray, passing, samples: int,
 
 def mc_bob_error(codebook: BccCodebook, alphas, samples: int, seed) -> float:
     """Monte Carlo receiver error estimate over messages and channel noise."""
-    tables, block = _BccTables(codebook.chain, codebook.n), _Block([codebook])
+    block = _Block([codebook])
     return _mc_error(codebook, codebook.chain.w_y.matrix,
-                     lambda y: tables.bob_passing(block, alphas, y), samples, seed)
+                     lambda y: block.bob_passing(alphas, y), samples, seed)
 
 
 def mc_eve_error(codebook: BccCodebook, alpha0: float, samples: int, seed) -> float:
     """Monte Carlo eavesdropper error estimate for the common message."""
-    tables, block = _BccTables(codebook.chain, codebook.n), _Block([codebook])
+    block = _Block([codebook])
     return _mc_error(codebook, codebook.chain.w_z.matrix,
-                     lambda z: tables.eve_passing(block, alpha0, z), samples, seed)
+                     lambda z: block.eve_passing(alpha0, z), samples, seed)
 
 
 @dataclass(frozen=True)
@@ -560,9 +557,7 @@ def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float])
     decoder outputs the unique passing triple, erasing on none or several.
     The tests compare log-likelihood sums, so long blocks cannot underflow.
     """
-    tables = _BccTables(codebook.chain, codebook.n)
-    hit = _unique_pass(tables.bob_passing(_Block([codebook]), alphas,
-                                          np.asarray(y_seq, dtype=np.int64)))
+    hit = _unique_pass(_Block([codebook]).bob_passing(alphas, np.asarray(y_seq, dtype=np.int64)))
     if hit is None:
         return None
     return tuple(int(i) for i in np.unravel_index(hit, codebook.sizes[:3]))
@@ -570,9 +565,7 @@ def decode_bob(y_seq, codebook: BccCodebook, alphas: tuple[float, float, float])
 
 def decode_eve(z_seq, codebook: BccCodebook, alpha0: float):
     """Threshold decoder for the common message only; None on erasure."""
-    tables = _BccTables(codebook.chain, codebook.n)
-    return _unique_pass(tables.eve_passing(_Block([codebook]), alpha0,
-                                           np.asarray(z_seq, dtype=np.int64)))
+    return _unique_pass(_Block([codebook]).eve_passing(alpha0, np.asarray(z_seq, dtype=np.int64)))
 
 
 def _decode_table(passing: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -594,7 +587,8 @@ def _exact_errors(passing: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows = rows.reshape(trials, -1, outputs)
     sent = np.repeat(np.arange(candidates), rows.shape[1] // candidates)
     rows *= _decode_table(passing, axis=1)[:, None, :] == sent[:, None]
-    return 1.0 - rows.sum(axis=2).mean(axis=1)
+    # the correct mass can round above 1; an error rate is never below 0
+    return np.maximum(1.0 - rows.sum(axis=2).mean(axis=1), 0.0)
 
 
 def _leakages(cond: np.ndarray) -> list[float]:
@@ -605,38 +599,10 @@ def _leakages(cond: np.ndarray) -> list[float]:
 
 
 class _Block:
-    """Codebooks of one chain, sizes and n, stacked trial by trial; each
-    layer's distinct words are found once, when first read."""
-
-    def __init__(self, books: list[BccCodebook]):
-        self.books = books
-        self.trials = len(books)
-        self.sizes = books[0].sizes
-        self._distinct: dict[str, _DistinctWords] = {}
-
-    def words(self, layer: str) -> np.ndarray:
-        """Every codebook's words of one layer, flat in index order, (trials, words, n)."""
-        words = np.stack([getattr(book, layer) for book in self.books])
-        return words.reshape(self.trials, -1, words.shape[-1])
-
-    def log_likelihoods(self, layer: str, matrix: np.ndarray, seq=None) -> np.ndarray:
-        """``_log_likelihoods`` of one layer's ``words``; a table (``seq`` None)
-        folds the layer's distinct words, shared by every table of the block."""
-        if seq is not None:
-            return _log_likelihoods(self.words(layer), matrix, seq)
-        if layer not in self._distinct:
-            self._distinct[layer] = _DistinctWords(self.words(layer))
-        return _log_likelihoods(self._distinct[layer], matrix)
-
-    @cached_property
-    def x(self) -> _DistinctWords:
-        return _DistinctWords(np.stack([book.x_words for book in self.books]))
-
-
-class _BccTables:
-    """Decoder and leakage tables of three-layer codebooks for one chain and
-    blocklength.  The decoders' laws are composed once, and a prior row over
-    every output sequence once, for tables only; each serves every block.
+    """Three-layer codebooks of one chain, sizes and n, stacked trial by
+    trial, with their decoder and leakage tables.  The laws are the chain's,
+    composed once per chain; each layer's distinct words are found once, when
+    first read, and serve every table of the block.
 
     The tests are given at every output sequence, (trials, candidates,
     outputs), or, for a block's one codebook, at one sequence (n,) or a stack
@@ -644,84 +610,86 @@ class _BccTables:
     adds the sums of ``_log_likelihoods``, so they agree bit for bit.
     """
 
-    def __init__(self, chain: BccChain, n: int):
-        self.chain, self.n = chain, n
+    def __init__(self, books: list[BccCodebook]):
+        self.books = books
+        self.trials = len(books)
+        self.chain, self.n, self.sizes = books[0].chain, books[0].n, books[0].sizes
+        self._distinct: dict[str, _DistinctWords] = {}
 
-    @cached_property
-    def _bob_laws(self) -> tuple:
-        chain = self.chain
-        return chain.p_y_given_v.matrix, chain.p_y_given_u.matrix, chain.p_y
+    def _words(self, layer: str) -> np.ndarray:
+        """Every codebook's words of one layer, flat in index order, (trials, words, n)."""
+        words = np.stack([getattr(book, layer) for book in self.books])
+        return words.reshape(self.trials, -1, self.n)
 
-    @cached_property
-    def _eve_laws(self) -> tuple:
-        return self.chain.p_z_given_u.matrix, self.chain.p_z
+    def _fold(self, layer: str, letter_rows: np.ndarray, combine, start: float) -> np.ndarray:
+        """``_DistinctWords.fold`` of one layer's words, (trials, words, outputs)."""
+        if layer not in self._distinct:
+            self._distinct[layer] = _DistinctWords(self._words(layer))
+        return self._distinct[layer].fold(letter_rows, combine, start)
 
-    @cached_property
-    def _bob_prior(self) -> np.ndarray:
-        return _prior_log_likelihoods(self._bob_laws[2], self.n)
+    def _log_likelihoods(self, layer: str, matrix: np.ndarray, seq) -> np.ndarray:
+        if seq is None:
+            return self._fold(layer, _log(matrix), np.add, 0.0)
+        return _log_likelihoods(self._words(layer), matrix, seq)
 
-    @cached_property
-    def _eve_prior(self) -> np.ndarray:
-        return _prior_log_likelihoods(self._eve_laws[1], self.n)
-
-    def bob_passing(self, block: _Block, alphas, y=None) -> np.ndarray:
+    def bob_passing(self, alphas, y=None) -> np.ndarray:
         """The two tests of ``decode_bob`` for every flat (k, l, s) candidate,
         at every output sequence or at ``y``."""
-        p_y_v, p_y_u, p_y = self._bob_laws
-        _, alpha1, alpha2 = alphas
-        log_v = block.log_likelihoods("v_words", p_y_v, y)
-        log_u = np.repeat(block.log_likelihoods("u_words", p_y_u, y),
-                          block.sizes[1] * block.sizes[2], axis=1)
-        log_prior = self._bob_prior if y is None else _prior_log_likelihoods(p_y, self.n, y)
+        chain, (_, alpha1, alpha2) = self.chain, alphas
+        log_v = self._log_likelihoods("v_words", chain.p_y_given_v.matrix, y)
+        log_u = np.repeat(self._log_likelihoods("u_words", chain.p_y_given_u.matrix, y),
+                          self.sizes[1] * self.sizes[2], axis=1)
+        log_prior = _prior_log_likelihoods(chain.p_y, self.n, y)
         return _passes(log_v, alpha1, log_u) & _passes(log_v, alpha2, log_prior)
 
-    def eve_passing(self, block: _Block, alpha0: float, z=None) -> np.ndarray:
+    def eve_passing(self, alpha0: float, z=None) -> np.ndarray:
         """The test of ``decode_eve`` for every common word, as in ``bob_passing``."""
-        p_z_u, p_z = self._eve_laws
-        log_prior = self._eve_prior if z is None else _prior_log_likelihoods(p_z, self.n, z)
-        return _passes(block.log_likelihoods("u_words", p_z_u, z), alpha0, log_prior)
+        chain = self.chain
+        return _passes(self._log_likelihoods("u_words", chain.p_z_given_u.matrix, z), alpha0,
+                       _prior_log_likelihoods(chain.p_z, self.n, z))
 
-    def conditional_laws(self, block: _Block, rows: np.ndarray | None = None) -> np.ndarray:
+    def conditional_laws(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Eavesdropper block law given each confidential message, (trials, S,
         mz^n); the law given s averages its codeword rows in (k, l, a) order.
-        ``rows`` are the eavesdropper rows of every codeword, (trials, K, L, S,
-        A, mz^n); without them each confidential index is folded on its own,
-        so only its rows are held."""
-        size_s = block.sizes[2]
-        if self.chain.w_z.output_size**self.n * size_s > LEAKAGE_GUARD:
+        ``rows`` are the eavesdropper rows of every flat codeword, (trials,
+        codewords, mz^n); without them each confidential index is folded on
+        its own, so only its rows are held."""
+        size_s, w_z = self.sizes[2], self.chain.w_z
+        if w_z.output_size**self.n * size_s > LEAKAGE_GUARD:
             raise GuardExceeded("leakage enumeration exceeds guard")
         if rows is not None:
+            rows = rows.reshape(self.trials, *self.sizes, -1)
             return np.moveaxis(rows, 3, 1).mean(axis=(2, 3, 4))
-        words = np.stack([book.x_words for book in block.books])
+        words = np.stack([book.x_words for book in self.books])
         return np.stack([_DistinctWords(words[:, :, :, s]).fold(
-            self.chain.w_z.matrix, np.multiply, 1.0).mean(axis=(1, 2, 3))
+            w_z.matrix, np.multiply, 1.0).mean(axis=(1, 2, 3))
             for s in range(size_s)], axis=1)
 
-    def evaluate(self, block: _Block, *, bob=None, eve=None, leak: bool = False):
+    def evaluate(self, *, bob=None, eve=None, leak: bool = False):
         """Exact receiver errors at thresholds ``bob``, eavesdropper errors at
-        threshold ``eve`` and leakages (``leak``) of every codebook of
-        ``block``; None for each one not asked.
+        threshold ``eve`` and leakages (``leak``) of every codebook; None for
+        each one not asked.
 
         Each channel's rows are folded once per distinct codeword of the
         block; the eavesdropper rows serve both its error and the leakage.
         """
         chain, n = self.chain, self.n
-        size_k, size_l, size_s, _ = block.sizes
+        size_k, size_l, size_s, _ = self.sizes
         bob_errors = eve_errors = leakages = None
         if bob is not None:
             if not _decode_enumerable(chain.w_y.output_size, n, size_k * size_l * size_s):
                 raise GuardExceeded("receiver error enumeration exceeds guard")
-            bob_errors = _exact_errors(self.bob_passing(block, bob),
-                                       block.x.fold(chain.w_y.matrix, np.multiply, 1.0))
+            bob_errors = _exact_errors(self.bob_passing(bob),
+                                       self._fold("x_words", chain.w_y.matrix, np.multiply, 1.0))
         if eve is not None:
             if not _decode_enumerable(chain.w_z.output_size, n, size_k):
                 raise GuardExceeded("eavesdropper error enumeration exceeds guard")
-            rows = block.x.fold(chain.w_z.matrix, np.multiply, 1.0)
+            rows = self._fold("x_words", chain.w_z.matrix, np.multiply, 1.0)
             if leak:   # before the error scales the rows in place
-                leakages = _leakages(self.conditional_laws(block, rows))
-            eve_errors = _exact_errors(self.eve_passing(block, eve), rows)
+                leakages = _leakages(self.conditional_laws(rows))
+            eve_errors = _exact_errors(self.eve_passing(eve), rows)
         elif leak:
-            leakages = _leakages(self.conditional_laws(block))
+            leakages = _leakages(self.conditional_laws())
         return bob_errors, eve_errors, leakages
 
 
@@ -731,25 +699,22 @@ def exact_bob_error(codebook: BccCodebook, alphas) -> float:
     Erasures decode to the first message triple, so they count as errors
     except when that triple was sent.
     """
-    tables = _BccTables(codebook.chain, codebook.n)
-    return float(tables.evaluate(_Block([codebook]), bob=alphas)[0][0])
+    return float(_Block([codebook]).evaluate(bob=alphas)[0][0])
 
 
 def exact_eve_error(codebook: BccCodebook, alpha0: float) -> float:
     """Average common-message decoding error at the eavesdropper, exact."""
-    tables = _BccTables(codebook.chain, codebook.n)
-    return float(tables.evaluate(_Block([codebook]), eve=alpha0)[1][0])
+    return float(_Block([codebook]).evaluate(eve=alpha0)[1][0])
 
 
 def conditional_output_distributions(codebook: BccCodebook) -> np.ndarray:
     """Eavesdropper block law given each confidential message, shape (S, mz^n)."""
-    return _BccTables(codebook.chain, codebook.n).conditional_laws(_Block([codebook]))[0]
+    return _Block([codebook]).conditional_laws()[0]
 
 
 def exact_leakage(codebook: BccCodebook) -> float:
     """Mutual information between the confidential message and the block output."""
-    tables = _BccTables(codebook.chain, codebook.n)
-    return tables.evaluate(_Block([codebook]), leak=True)[2][0]
+    return _Block([codebook]).evaluate(leak=True)[2][0]
 
 
 @dataclass(frozen=True)
@@ -802,13 +767,14 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
         raise ValueError("need at least one trial")
     if alphas is None:
         alphas = decoding_thresholds(chain, n, delta)
+    if np.isnan(alphas).any():    # every test would fail; +-inf thresholds are valid
+        raise ValueError(f"thresholds must be numbers, got {alphas!r}")
     size_k, size_l, size_s, _ = sizes
     exact_bob = _decode_enumerable(chain.w_y.output_size, n, size_k * size_l * size_s)
     exact_eve = _decode_enumerable(chain.w_z.output_size, n, size_k)
     if not (exact_bob and exact_eve) and not allow_mc:
         raise GuardExceeded(
             "error-rate enumeration exceeds guards; enable the Monte Carlo fallback")
-    tables = _BccTables(chain, n)
     entries = math.prod(sizes) * max(chain.w_y.output_size**n if exact_bob else 1,
                                      chain.w_z.output_size**n)
     bob = np.empty(trials)
@@ -817,9 +783,8 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
     for block in _trial_blocks(trials, entries):
         books = [generate_bcc_codebook(chain, sizes, n, seed=trial_seed(master_seed, t))
                  for t in block]
-        bob_exact, eve_exact, leak[block] = tables.evaluate(
-            _Block(books), bob=alphas if exact_bob else None,
-            eve=alphas[0] if exact_eve else None, leak=True)
+        bob_exact, eve_exact, leak[block] = _Block(books).evaluate(
+            bob=alphas if exact_bob else None, eve=alphas[0] if exact_eve else None, leak=True)
         bob[block] = bob_exact if exact_bob else [
             mc_bob_error(book, alphas, mc_samples, np.random.SeedSequence((master_seed, t, 1)))
             for t, book in zip(block, books)]

@@ -71,6 +71,26 @@ class TestChainConstruction:
                                    atol=1e-12)
         np.testing.assert_allclose(chain.p_x.probs, [0.5, 0.5], atol=1e-15)
 
+    def test_derived_laws_are_composed_once(self):
+        # each law is kept on first read and equals the law composed afresh
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            chain = random_chain(rng)
+            p_v = chain.p_v_given_u.output(chain.p_u)
+            p_x = chain.p_x_given_v.output(p_v)
+            p_y_given_v = chain.p_x_given_v.compose(chain.w_y)
+            p_z_given_v = chain.p_x_given_v.compose(chain.w_z)
+            fresh = {"p_v": p_v.probs, "p_x": p_x.probs,
+                     "p_y": chain.w_y.output(p_x).probs, "p_z": chain.w_z.output(p_x).probs,
+                     "p_y_given_v": p_y_given_v.matrix, "p_z_given_v": p_z_given_v.matrix,
+                     "p_y_given_u": chain.p_v_given_u.compose(p_y_given_v).matrix,
+                     "p_z_given_u": chain.p_v_given_u.compose(p_z_given_v).matrix}
+            for name, want in fresh.items():
+                law = getattr(chain, name)
+                assert getattr(chain, name) is law, name
+                got = law.probs if isinstance(law, Pmf) else law.matrix
+                assert np.array_equal(got, want), name
+
 
 class TestFigureChainInformations:
     def test_closed_forms(self):

@@ -71,6 +71,14 @@ class TestChannelSpecs:
         np.testing.assert_array_equal(parse_pmf("0.25,0.75").probs, [0.25, 0.75])
         assert isinstance(parse_pmf("0.5,0.5"), Pmf)
 
+    def test_nan_pmf_is_invalid_configuration(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["exponent", "--kind", "single", "--pz", "bsc:0.2", "--px", "nan,1",
+                     "--n", "4", "--out", str(out)])
+        assert code == 2
+        assert "not a number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["uniform:0", "point:2:5", "point:2:-1"])
     def test_bad_pmf_spec_is_invalid_configuration(self, spec, tmp_path, capsys):
         with pytest.raises(ValueError):
@@ -347,6 +355,17 @@ class TestCliSimulate:
         mean = out.read_text().splitlines()[-1].split(",")
         assert float(mean[1]) == pytest.approx(0.875, abs=1e-12)
 
+    @pytest.mark.parametrize("option", [["--delta", "nan"], ["--alphas", "nan,0,0"]])
+    def test_bcc_run_with_nan_threshold_is_invalid(self, option, tmp_path, capsys):
+        # a nan threshold fails every test, so every decoder would erase
+        out = tmp_path / "bcc.csv"
+        code = main(["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--sizes", "2,2,2,2", "--n", "4", "--trials", "2", *option,
+                     "--out", str(out)])
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bcc_run(self, tmp_path):
         out = tmp_path / "bcc.csv"
         code = main(["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2",
@@ -360,6 +379,13 @@ class TestCliSimulate:
 
 
 class TestCliCheck:
+    def test_membership_with_nan_layer_is_invalid(self, capsys):
+        code = main(["check", "membership", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--pvu", "row:nan,1", "--quad", "0,0,0,0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not a number" in captured.err
+
     def test_membership(self, capsys):
         code = main(["check", "membership", "--py", "bsc:0.1", "--pz", "bsc:0.2",
                      "--quad", "0.192745,0,0,0.175319"])

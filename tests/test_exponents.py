@@ -690,6 +690,16 @@ class TestDecoderBounds:
         assert a1 == pytest.approx(4 * (info.i_vy_given_u - 0.1), abs=1e-12)
         assert a2 == pytest.approx(4 * (info.i_vy - 0.1), abs=1e-12)
 
+    def test_nan_delta_is_rejected(self):
+        with pytest.raises(ValueError, match="delta"):
+            decoding_thresholds(self.fixture_chain(), 4, delta=math.nan)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5], [0.5, math.nan], [-0.5, 0.5]])
+    def test_theta_grid_outside_bound_domain(self, grid):
+        # a bound term divides by theta, so theta = 0 is no grid point
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            minimize_leakage_bound(20, 4, 4, self.fixture_chain(), theta_grid=grid)
+
     def test_leakage_bound_minimization(self):
         chain = self.fixture_chain()
         rep = minimize_leakage_bound(6, 4, 4, chain)

@@ -252,6 +252,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Pmf([-0.1, 1.1])
 
+    @pytest.mark.parametrize("entries", [[math.nan, 1.0], [0.5, math.nan, 0.5],
+                                         [math.inf, 1.0], [-math.inf, 1.0]])
+    def test_non_finite_entries(self, entries):
+        # nan fails every comparison, so a sum test alone would let it through
+        with pytest.raises(ValueError):
+            Pmf(entries)
+        with pytest.raises(ValueError):
+            Dmc([np.full(len(entries), 1.0 / len(entries)), entries])
+
     def test_bad_normalization(self):
         with pytest.raises(ValueError):
             Pmf([0.5, 0.6])

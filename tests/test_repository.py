@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import bccrates
-from bccrates import _sweep_py, chain, frontier, probability
+from bccrates import _sweep_py, chain, frontier, probability, simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,5 +40,7 @@ def test_retired_names_stay_gone():
     # one letter-plane sweep serves every input alphabet; the full-grid sweep
     # and its grid helpers live on as test oracles only
     for module, name in ((frontier, "_general_sweep"), (frontier, "_product_blocks"),
-                         (frontier, "_simplex_grid"), (_sweep_py, "sweep_binary")):
+                         (frontier, "_simplex_grid"), (_sweep_py, "sweep_binary"),
+                         # one block object evaluates three-layer codebooks
+                         (simulate, "_BccTables"), (simulate._Block, "x")):
         assert not hasattr(module, name), name

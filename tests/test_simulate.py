@@ -437,13 +437,13 @@ class TestOneDecisionRule:
                       _tied_alpha(log_v, simulate._prior_log_likelihoods(chain.p_y, n), rng))
             alpha0 = _tied_alpha(log_pu, simulate._prior_log_likelihoods(chain.p_z, n), rng)
             bob = simulate._decode_table(
-                simulate._BccTables(chain, n).bob_passing(simulate._Block([book]), alphas)[0])
+                simulate._Block([book]).bob_passing(alphas)[0])
             for j, y in enumerate(itertools.product(range(chain.w_y.output_size), repeat=n)):
                 decoded = decode_bob(np.array(y), book, alphas)
                 flat = 0 if decoded is None else np.ravel_multi_index(decoded, sizes[:3])
                 assert bob[j] == flat, (c, y)
             eve = simulate._decode_table(
-                simulate._BccTables(chain, n).eve_passing(simulate._Block([book]), alpha0)[0])
+                simulate._Block([book]).eve_passing(alpha0)[0])
             for j, z in enumerate(itertools.product(range(chain.w_z.output_size), repeat=n)):
                 decoded = decode_eve(np.array(z), book, alpha0)
                 assert eve[j] == (0 if decoded is None else decoded), (c, z)
@@ -505,6 +505,18 @@ class TestSimulateBcc:
         assert 0.0 <= rep1.mean_eve_error <= 1.0
         assert rep1.mean_leakage >= 0.0
         assert rep1.metadata["bob_method"] == "exact"
+
+    def test_one_candidate_error_rates_are_not_negative(self):
+        # every sequence decodes to the one candidate; the correct mass sums to
+        # 1 up to rounding, which once read as an error rate of -2.2e-16
+        rep = simulate_bcc(fixture_chain(), (1, 1, 1, 1), 4, trials=4, master_seed=0)
+        assert np.array_equal(rep.bob_errors, np.zeros(4))
+        assert np.array_equal(rep.eve_errors, np.zeros(4))
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            book = generate_bcc_codebook(random_chain(rng, 3), (1, 1, 1, 2), 3, seed=seed)
+            assert exact_bob_error(book, (0.0, -math.inf, -math.inf)) >= 0.0
+            assert exact_eve_error(book, -math.inf) >= 0.0
 
     def test_trials_are_order_free(self):
         chain = fixture_chain()
@@ -1005,7 +1017,7 @@ class TestMcErrorBlocks:
         # in another order would flip a test
         chain = _block_chain(kind)
         book = generate_bcc_codebook(chain, BLOCK_SIZES, n, seed=3)
-        tables, block = simulate._BccTables(chain, n), simulate._Block([book])
+        block = simulate._Block([book])
         rng = np.random.default_rng(4)
         ys = rng.integers(0, chain.w_y.output_size, size=(30, n))
         zs = rng.integers(0, chain.w_z.output_size, size=(30, n))
@@ -1020,13 +1032,13 @@ class TestMcErrorBlocks:
                           log_v[j] - log_u[j // 6],
                           log_v[j] - _oracle_log_sums(one, chain.p_y.probs[None, :], ys[i])[0])
             alphas = tuple(float(a) if math.isfinite(a) else 0.0 for a in alphas)
-            bob = tables.bob_passing(block, alphas, ys)
-            eve = tables.eve_passing(block, alphas[0], zs)
+            bob = block.bob_passing(alphas, ys)
+            eve = block.eve_passing(alphas[0], zs)
             assert bob.shape == (30, 12) and eve.shape == (30, 2)
             assert np.array_equal(bob[i], _oracle_bob_passing(book, alphas, ys[i]))
-            assert np.array_equal(tables.bob_passing(block, alphas, ys[i]), bob[i][None])
+            assert np.array_equal(block.bob_passing(alphas, ys[i]), bob[i][None])
             assert np.array_equal(eve[i], _oracle_eve_passing(book, alphas[0], zs[i]))
-            assert np.array_equal(tables.eve_passing(block, alphas[0], zs[i]), eve[i][None])
+            assert np.array_equal(block.eve_passing(alphas[0], zs[i]), eve[i][None])
 
 
 class TestDistinctWords:
@@ -1084,10 +1096,9 @@ class TestDistinctWords:
         # found once, and the values are those of one table at a time
         chain = _block_chain("bsc")
         books = [generate_bcc_codebook(chain, BLOCK_SIZES, 5, seed=s) for s in range(3)]
-        tables = simulate._BccTables(chain, 5)
         alphas = decoding_thresholds(chain, 5)
-        apart = tables.evaluate(simulate._Block(books), bob=alphas)[0], \
-            tables.evaluate(simulate._Block(books), eve=alphas[0])[1]
+        apart = simulate._Block(books).evaluate(bob=alphas)[0], \
+            simulate._Block(books).evaluate(eve=alphas[0])[1]
         stacks, plain = [], simulate._DistinctWords.__init__
 
         def counting(self, words):
@@ -1095,7 +1106,7 @@ class TestDistinctWords:
             plain(self, words)
 
         monkeypatch.setattr(simulate._DistinctWords, "__init__", counting)
-        bob, eve, _ = tables.evaluate(simulate._Block(books), bob=alphas, eve=alphas[0])
+        bob, eve, _ = simulate._Block(books).evaluate(bob=alphas, eve=alphas[0])
         assert stacks.count((3, BLOCK_SIZES[0], 5)) == 1
         assert len(stacks) == 3         # the u, v and x layers
         assert bob.tobytes() == apart[0].tobytes() and eve.tobytes() == apart[1].tobytes()
