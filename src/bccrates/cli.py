@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -71,6 +72,8 @@ def _quad_from_args(args) -> RateQuad:
     quad = tuple(float(v) for v in args.quad.split(","))
     if len(quad) != 4:
         raise ValueError("--quad expects r_d,r_0,r_1,r_s")
+    if not all(math.isfinite(v) for v in quad):  # the JSON verdict holds only finite slacks
+        raise ValueError(f"--quad rates must be finite, got {args.quad!r}")
     return RateQuad(*quad)
 
 

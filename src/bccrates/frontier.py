@@ -3,17 +3,21 @@
 For a channel pair (receiver, eavesdropper) the achievable set of
 (randomness budget, confidential rate) pairs is swept on a probability grid
 over the auxiliary layers, reduced to a per-budget maximum, and convexified
-by two-point time sharing.  Every input alphabet takes the same sweep over
-a cloud prior and one conditional input row per cloud letter, each from a
-lattice on the simplex; for binary inputs that is the three-parameter search
-(cloud prior and the two conditional-input diagonal entries).  Inputs of three
-or more letters are held to a cell guard.  For binary inputs the hulled
-``ds`` frontier also comes from a convex envelope over input laws
-(``_ds_envelope``), which :func:`~bccrates.regions.min_dummy_rate` inverts.
+by two-point time sharing.  For binary inputs with a free prefix, the ``ds``
+frontiers and the hulled ``sim`` frontier come from one lattice of input laws
+and prefix split points (:func:`_envelope_frontier`): ``ds`` from the convex
+envelope of psi = H(Y) - H(Z), hulled ``sim`` from an exact slope search.
+Every other frontier takes the grid sweep over a cloud prior and one
+conditional input row per cloud letter, each from a lattice on the simplex
+(:func:`_sweep_frontier`); for binary inputs that is the three-parameter
+search (cloud prior and the two conditional-input diagonal entries), which
+the tests keep as the oracle of the lattice.  Inputs of three or more
+letters are held to a cell guard, and the lattice to the same guard.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +30,8 @@ from .probability import Dmc, GuardExceeded, _xlogx
 FEASIBILITY_TOL = 1e-9
 CELL_GUARD = 2**22  # most cells a general-alphabet sweep, input laws an envelope or entries
                     # a budget axis may hold
+HULL_PASSES = 16    # vectorised chord passes of a hull before its survivors are chained
+SLOPE_TOL = 1e-13   # how far a slope query's point must beat its chord to be a vertex
 
 
 @dataclass(frozen=True)
@@ -115,32 +121,61 @@ class Frontier:
         write_csv(path, "r_d_nats,r_s_nats", self.points, self.provenance)
 
 
-def _staircase(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
-    """(x, largest y at or left of x) for each distinct x, in increasing x."""
-    order = np.argsort(xs, kind="stable")
-    sx, sy = xs[order], np.maximum.accumulate(ys[order])
-    last = np.append(sx[1:] != sx[:-1], True)  # the end of each run of equal x
-    return list(zip(sx[last].tolist(), sy[last].tolist()))
+def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the upper convex hull vertices of the points (x, y), x strictly
+    increasing; points on a hull edge drop out.
 
-
-def _upper_hull(points) -> list[tuple[float, float]]:
-    """Upper convex hull vertices of ``points`` given in strictly increasing x
-    (monotone chain); points on a hull edge drop out."""
-    hull: list[tuple[float, float]] = []
-    for x, y in points:
+    A point on or below the chord of its two neighbours is no vertex, so each
+    pass drops every such point at once, until a pass drops none.  A concave
+    run that ends below a jump loses one point a pass, so after
+    ``HULL_PASSES`` passes the survivors go through the monotone chain.
+    """
+    keep, xs, ys = np.arange(x.size), x, y
+    for _ in range(HULL_PASSES):
+        if xs.size < 3:
+            return keep
+        # the middle point stays while (x1 - x0)(y2 - y0) < (x2 - x0)(y1 - y0)
+        left = xs[1:-1] - xs[:-2]
+        left *= ys[2:] - ys[:-2]
+        right = xs[2:] - xs[:-2]
+        right *= ys[1:-1] - ys[:-2]
+        above = left < right
+        if above.all():
+            return keep
+        mask = np.concatenate(([True], above, [True]))
+        keep, xs, ys = keep[mask], xs[mask], ys[mask]
+    hull: list[tuple[float, float, int]] = []
+    for point in zip(xs.tolist(), ys.tolist(), keep.tolist()):
         while len(hull) >= 2:
-            x0, y0 = hull[-2]
-            x1, y1 = hull[-1]
-            if (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0) >= 0.0:
+            (x0, y0, _), (x1, y1, _) = hull[-2], hull[-1]
+            if (x1 - x0) * (point[1] - y0) >= (point[0] - x0) * (y1 - y0):
                 hull.pop()
             else:
                 break
-        hull.append((x, y))
-    return hull
+        hull.append(point)
+    return np.array([i for _, _, i in hull])
 
 
-def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
-    return _upper_hull(_staircase(xs, ys))
+def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (n, 2) vertices of the nondecreasing upper concave hull of the points:
+    the upper hull of the highest point at each x up to the first highest of
+    all, then level to the last x."""
+    order = np.argsort(xs, kind="stable")
+    sx, sy = xs[order], ys[order]
+    same = sx[1:] == sx[:-1]
+    if same.any():  # the last of equal x takes their highest y
+        if np.any(same[1:] & same[:-1]):  # three or more equal
+            sy = np.maximum.accumulate(sy)
+        else:
+            sy[1:] = np.where(same, np.maximum(sy[:-1], sy[1:]), sy[1:])
+        last = np.append(np.flatnonzero(~same), sx.size - 1)
+        sx, sy = sx[last], sy[last]
+    top = int(np.argmax(sy)) + 1
+    keep = _upper_hull(sx[:top], sy[:top])
+    if top < sx.size:
+        keep = np.append(keep, sx.size - 1)
+        sy[-1] = sy[top - 1]
+    return np.column_stack([sx[keep], sy[keep]])
 
 
 def upper_concave_hull(points) -> Frontier:
@@ -154,7 +189,7 @@ def upper_concave_hull(points) -> Frontier:
         raise ValueError("need at least one point")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
-    return Frontier(points=tuple(_hull_vertices(xs, ys)),
+    return Frontier(points=tuple(map(tuple, _hull_vertices(xs, ys).tolist())),
                     provenance={"kind": "upper_concave_hull", "input_points": len(pts)})
 
 
@@ -200,7 +235,7 @@ def _budget_curve(rd_grid: np.ndarray, raw: np.ndarray, hull: bool) -> np.ndarra
     concave hull sampled back on the budget axis ``rd_grid``."""
     curve = np.maximum.accumulate(raw)
     if hull:
-        curve = np.interp(rd_grid, *np.array(_hull_vertices(rd_grid, curve)).T)
+        curve = np.interp(rd_grid, *_hull_vertices(rd_grid, curve).T)
     return curve
 
 
@@ -238,7 +273,7 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
 
 
 def _envelope_points(grid: GridSpec) -> int:
-    """Size of the input-law lattice {m / k^2} of :func:`_ds_envelope`, with
+    """Size of the input-law lattice {m / k^2} of :func:`_envelope_frontier`, with
     k = round(1 / prob_step) as in :meth:`GridSpec.prob_grid`; held to the guard."""
     k = len(grid.prob_grid()) - 1
     if k * k + 1 > CELL_GUARD:
@@ -247,92 +282,181 @@ def _envelope_points(grid: GridSpec) -> int:
     return k * k + 1
 
 
-def _lower_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _lower_envelope(x: np.ndarray, y: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
     """The lower convex envelope of the points (x, y), x strictly increasing,
-    at every x: the upper hull of (x, -y), negated."""
-    neg = -y
-    # a point strictly above the chord of its two neighbours is no vertex of
-    # the lower hull; dropping those first leaves the loop the convex stretches
-    cross = (x[1:-1] - x[:-2]) * (neg[2:] - neg[:-2]) - (x[2:] - x[:-2]) * (neg[1:-1] - neg[:-2])
-    keep = np.concatenate([[True], cross <= 0.0, [True]])
-    vx, vy = np.array(_upper_hull(zip(x[keep].tolist(), neg[keep].tolist()))).T
-    return -np.interp(x, vx, vy)
+    at ``at`` (at every x by default): the upper hull of (x, -y)."""
+    keep = _upper_hull(x, -y)
+    return np.interp(x if at is None else at, x[keep], y[keep])
 
 
-def _ds_envelope(w_y: Dmc, w_z: Dmc, grid: GridSpec) -> Frontier:
-    """The hulled ``ds`` frontier of a binary-input pair from a convex envelope.
+def _sim_hull(x: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int, g: np.ndarray,
+              budgets: list[float]) -> tuple[list[tuple[float, float]], int]:
+    """Vertices of the upper concave hull of the lattice's ``sim`` points, exact
+    at every budget, and the number of slope queries it took.
 
-    The cost I(X;Z) depends only on the input law x = P_X(0), and the best
-    confidential rate over prefixes V at x is psi(x) - env(x), where
-    psi = H(Y) - H(Z) and env is the lower convex envelope of psi; a binary V
-    splitting x between the envelope's vertices on either side attains it
-    (Csiszar-Korner).  x runs over the lattice m / k^2: a grid cell's input
-    law p a + (1 - p)(1 - b) and its split points a and 1 - b all lie on it,
-    so, up to rounding, each budget's value is at least that of every cell of
-    :func:`secrecy_frontier` at the same cost.  The rates are binned by cost
-    on the same budget axis, then take the same running maximum and hull.
+    A query at slope mu maximises rate - mu * cost over every input law x and
+    split: max_x [psi - mu I(X;Z) - env(psi + mu g)](x), with env over the
+    split points x[::k] (``g`` there), whose vertices around the maximiser
+    give its split and so its point.  The search starts from the chord from
+    the origin to the top point (mu = 0).  A chord whose budget span
+    [left, right) holds a budget is queried at its slope: a point above it by
+    more than ``SLOPE_TOL`` is a vertex between its ends and splits it in two;
+    otherwise no point lies above the chord's line, so it is a hull edge.
+    Chords with no budget are never queried.
+    """
+    s, psi_s = x[::k], psi[::k]
+    queries = 0
+
+    def point(mu: float) -> tuple[float, float]:
+        nonlocal queries
+        queries += 1
+        f = psi_s + mu * g
+        keep = _upper_hull(s, -f)
+        j = int(np.argmax(psi - mu * cost - np.interp(x, s[keep], f[keep])))
+        b = int(np.searchsorted(s[keep], x[j]))
+        hi = keep[b]
+        if s[hi] == x[j]:  # no split: the prefix is constant
+            return float(cost[j] + g[hi]), float(psi[j] - psi_s[hi])
+        lo = keep[b - 1]
+        lam = (s[hi] - x[j]) / (s[hi] - s[lo])  # the weight of the lower split point
+        return (float(cost[j] + lam * g[lo] + (1.0 - lam) * g[hi]),
+                float(psi[j] - lam * psi_s[lo] - (1.0 - lam) * psi_s[hi]))
+
+    top = point(0.0)
+    if top[0] <= 0.0:
+        return [top], queries
+    vertices = [(0.0, 0.0), top]
+    chords = [(vertices[0], top)]
+    while chords:
+        left, right = chords.pop()
+        i = bisect.bisect_left(budgets, left[0])
+        if i == len(budgets) or budgets[i] >= right[0]:
+            continue
+        mu = (right[1] - left[1]) / (right[0] - left[0])
+        new = point(mu)
+        if left[0] < new[0] < right[0] and new[1] - left[1] - mu * (new[0] - left[0]) > SLOPE_TOL:
+            vertices.append(new)
+            chords += [(left, new), (new, right)]
+    return sorted(vertices), queries
+
+
+def _envelope_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, hull: bool) -> Frontier:
+    """The ``ds`` frontier (hulled or raw) or the hulled ``sim`` frontier of a
+    binary-input pair, from one lattice of input laws.
+
+    x = P_X(0) runs over m / k^2 (k = round(1 / prob_step)), and the two split
+    points of a binary prefix V over the sweep's rows i / k, every k-th x.  A
+    grid cell (p, a, b) has input law p a + (1 - p)(1 - b) and split points a
+    and 1 - b, all on the lattice, so each frontier here is at least the
+    sweep's at every budget.  A split of x into x_v with weights lam_v gives
+    the rate psi(x) - sum lam_v psi(x_v), psi = H(Y) - H(Z); ``ds`` charges
+    I(X;Z)(x), and ``sim`` I(X;Z)(x) + sum lam_v g(x_v), g = H(X) - I(X;Z).
+    The best ``ds`` rate at x is psi(x) - env(x), env the lower convex envelope
+    of psi over the split points (Csiszar-Korner).  The hulled ``ds`` frontier
+    is the upper concave hull of those (cost, rate) points read at each
+    budget, and the raw one bins them by cost as the sweep bins cells; the
+    hulled ``sim`` frontier comes from the slope search of :func:`_sim_hull`.
+    Costs within the bin fuzz of 0 count as 0, as in the sweep's bins.
     """
     if w_y.input_size != 2:
-        raise ValueError("the envelope frontier is provided for binary inputs")
+        raise ValueError("the lattice frontier is provided for binary inputs")
     rd_grid, rd_step = _budget_axis(w_y, w_z, grid)
     count = _envelope_points(grid)
+    k = math.isqrt(count - 1)
     x = np.arange(count) / (count - 1)
     y = 1.0 - x
 
     def output_entropy(w):  # one output letter at a time, as the sweep's planes
-        return -sum(_xlogx(x * w[0, k] + y * w[1, k]) for k in range(w.shape[1]))
+        return -sum(_xlogx(x * w[0, j] + y * w[1, j]) for j in range(w.shape[1]))
 
     hz = output_entropy(w_z.matrix)
     psi = output_entropy(w_y.matrix) - hz
     z_rows = -_xlogx(w_z.matrix).sum(axis=1)
-    raw = np.full(rd_grid.size, -np.inf)
-    _sweep_py.fold_max(raw, hz - (x * z_rows[0] + y * z_rows[1]), psi - _lower_envelope(x, psi),
-                       rd_step)
-    curve = _budget_curve(rd_grid, raw, True)
+    cost = hz - (x * z_rows[0] + y * z_rows[1])
+    cost[cost < _sweep_py.BIN_FUZZ * rd_step] = 0.0
     provenance = {
-        "mode": "ds",
+        "mode": mode,
+        "v_equals_x": False,
+        "hull": hull,
         "method": "envelope",
+        "prob_step": 1.0 / k,  # the step of GridSpec.prob_grid
         "x_points": count,
-        "hull": True,
+        "split_points": k + 1,
         "rd_step": rd_step,
         "rd_max": float(rd_grid[-1]),
         "bin_fuzz_steps": _sweep_py.BIN_FUZZ,
+        "feasibility_tol": FEASIBILITY_TOL,
+        "backend": "python",
         "input_size": 2,
+        "seed": None,
     }
+    if mode == "sim":
+        g = -(_xlogx(x[::k]) + _xlogx(y[::k])) - cost[::k]
+        vertices, queries = _sim_hull(x, psi, cost, k, g, rd_grid.tolist())
+        curve = np.interp(rd_grid, *np.array(vertices).T)
+        provenance.update(hull_vertices=len(vertices), slope_queries=queries,
+                          slope_tol=SLOPE_TOL)
+    else:
+        rate = psi - _lower_envelope(x[::k], psi[::k], x)
+        if hull:
+            vertices = _hull_vertices(cost, rate)
+            curve = np.interp(rd_grid, *vertices.T)
+            provenance["hull_vertices"] = len(vertices)
+        else:
+            raw = np.full(rd_grid.size, -np.inf)
+            _sweep_py.fold_max(raw, cost, rate, rd_step)
+            curve = _budget_curve(rd_grid, raw, False)
     return Frontier(points=tuple(zip(rd_grid.tolist(), curve.tolist())), provenance=provenance)
+
+
+def _frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None, mode: str, v_equals_x: bool,
+              hull: bool) -> Frontier:
+    """The lattice frontier where it applies (binary inputs with a free prefix:
+    ``ds``, and hulled ``sim``), else the grid sweep."""
+    grid = grid or GridSpec()
+    if w_y.input_size == 2 and not v_equals_x and (hull or mode == "ds"):
+        return _envelope_frontier(w_y, w_z, grid, mode, hull)
+    front = _sweep_frontier(w_y, w_z, grid, mode, v_equals_x, hull)
+    front.provenance["method"] = "grid"
+    return front
 
 
 def secrecy_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
                      v_equals_x: bool = False, hull: bool = True) -> Frontier:
     """Max confidential rate per budget, charging the channel-input cost.
 
-    The budget constraint per cell is the eavesdropper information of the
-    channel input; ``v_equals_x=True`` restricts the search to chains with no
-    prefix layer.  The hull is time sharing through the cloud variable U,
-    which the region admits when the common and private rates are zero.
+    The budget constraint is the eavesdropper information of the channel
+    input; ``v_equals_x=True`` restricts the search to chains with no prefix
+    layer.  The hull is time sharing through the cloud variable U, which the
+    region admits when the common and private rates are zero.
     ``hull=False`` skips time sharing and returns the raw (running-maximum)
-    sweep curve.
+    curve.  Binary inputs with a free prefix take the input-law lattice of
+    :func:`_envelope_frontier` (``"method": "envelope"``); the rest take the
+    grid sweep (``"method": "grid"``).
     """
-    return _sweep_frontier(w_y, w_z, grid or GridSpec(), "ds", v_equals_x, hull)
+    return _frontier(w_y, w_z, grid, "ds", v_equals_x, hull)
 
 
 def secrecy_frontier_sim(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
                          v_equals_x: bool = False, hull: bool = True) -> Frontier:
     """Inner-bound frontier when the prefix channel is synthesized from randomness.
 
-    Same sweep as :func:`secrecy_frontier`, but each cell's budget must cover
-    the cloud-layer information plus the conditional input entropy, the price
-    of simulating the prefix channel instead of coding through it.  The hull
-    is again time sharing through the cloud variable U, which the simulated
-    region admits as well, so both frontiers are compared convexified.
+    As :func:`secrecy_frontier`, but the budget must cover the cloud-layer
+    information plus the conditional input entropy, the price of simulating
+    the prefix channel instead of coding through it.  The hull is again time
+    sharing through the cloud variable U, which the simulated region admits as
+    well, so both frontiers are compared convexified.  For binary inputs with
+    a free prefix the hulled frontier is the exact hull of the lattice's
+    points by a slope search (:func:`_sim_hull`); the raw one stays the grid
+    sweep.
     """
-    return _sweep_frontier(w_y, w_z, grid or GridSpec(), "sim", v_equals_x, hull)
+    return _frontier(w_y, w_z, grid, "sim", v_equals_x, hull)
 
 
 def secrecy_capacity(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None) -> float:
-    """Best achievable confidential rate with an unconstrained budget (>= 0)."""
-    frontier = _sweep_frontier(w_y, w_z, grid or GridSpec(), "ds", False, False)
-    return max(0.0, float(frontier.r_s[-1]))
+    """Best achievable confidential rate with an unconstrained budget (>= 0):
+    the top of :func:`secrecy_frontier`."""
+    return max(0.0, float(secrecy_frontier(w_y, w_z, grid).r_s[-1]))
 
 
 def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float,

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import _sweep_py
 from .chain import BccChain, ChainInformations, informations
-from .frontier import (GridSpec, _ds_envelope, _envelope_points, _simplex_lattice,
-                       secrecy_frontier)
+from .frontier import GridSpec, _envelope_points, _simplex_lattice, secrecy_frontier
 from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
@@ -454,16 +453,15 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
                    grid: GridSpec | None = None) -> float | Infeasible:
     """Smallest dummy-randomness budget supporting (common, confidential) rates.
 
-    With no common rate this inverts the hulled ``ds`` frontier: the least
-    point of its budget axis (``rd_step``, ``rd_max``) whose value reaches
-    r_s.  For binary inputs the frontier comes from the convex envelope of
-    psi = H(Y) - H(Z) on the input laws m / k^2 (k = 1 / ``prob_step``; see
-    ``frontier._ds_envelope``).  That lattice holds the input law and the
-    split points of every cell of the grid frontier, so the envelope is at
-    least the grid frontier at every budget and its answer is never above
-    the grid's; it evaluates k^2 + 1 input laws instead of (k + 1)^3 cells.
-    Inputs of three or more letters invert :func:`secrecy_frontier` on the
-    probability grid.
+    With no common rate this inverts the hulled :func:`secrecy_frontier`:
+    the least point of its budget axis (``rd_step``, ``rd_max``) whose value
+    reaches r_s.  For binary inputs that frontier comes from the convex
+    envelope of psi = H(Y) - H(Z) on the input laws m / k^2
+    (k = 1 / ``prob_step``; see ``frontier._envelope_frontier``).  That
+    lattice holds the input law and the split points of every cell of the
+    grid frontier, so its answer is never above the grid's; it evaluates
+    k^2 + 1 input laws instead of (k + 1)^3 cells.  Inputs of three or more
+    letters invert the grid frontier.
 
     With a positive common rate the search runs over two-point time-sharing
     mixtures of a decimated cell cloud (the cloud variable must then carry
@@ -480,16 +478,14 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
     if r_0 < 0.0 or r_s < 0.0 or math.isnan(r_0) or math.isnan(r_s):
         raise ValueError(f"rates must be nonnegative, got r_0={r_0!r}, r_s={r_s!r}")
     grid = grid or GridSpec()
-    method = _min_dummy_method(w_y, r_0, grid)["method"]
-    if method == "pair_search":
+    if r_0 > 0.0:
         cells = _pair_search_cells(w_y, w_z, budget=1500)
         # I(U;Y) <= C_Y and I(U;Z) <= C_Z bound the common rate of every mixture
         if min(_capacity_bound(w_y), _capacity_bound(w_z)) + _ENTROPY_MARGIN < r_0 - SLACK_TOL:
             return INFEASIBLE
         best = _pair_search(cells, r_0, r_s)
         return INFEASIBLE if math.isinf(best) else best
-    front = (_ds_envelope(w_y, w_z, grid) if method == "envelope_inverse"
-             else secrecy_frontier(w_y, w_z, grid))
+    front = secrecy_frontier(w_y, w_z, grid)
     values = front.r_s
     if r_s > values[-1] + SLACK_TOL:
         return INFEASIBLE

@@ -765,6 +765,8 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not math.isfinite(delta):  # recorded in the metadata even when alphas are given
+        raise ValueError(f"delta must be finite, got {delta!r}")
     if alphas is None:
         alphas = decoding_thresholds(chain, n, delta)
     if np.isnan(alphas).any():    # every test would fail; +-inf thresholds are valid

@@ -14,6 +14,7 @@ from bccrates import (
     regions,
     superposition_resolvability_bound,
 )
+from bccrates import cli, frontier
 from bccrates.channels import (
     ChannelSpec,
     bec,
@@ -366,6 +367,29 @@ class TestCliSimulate:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    def test_bcc_run_with_non_finite_delta_is_invalid(self, delta, tmp_path, capsys):
+        # given thresholds leave delta unused, but the sidecar records it, and
+        # JSON has no non-finite numbers
+        out = tmp_path / "bcc.csv"
+        code = main(["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--sizes", "2,2,2,2", "--n", "4", "--trials", "2",
+                     "--alphas", "0,0,0", f"--delta={delta}", "--out", str(out)])
+        assert code == 2
+        assert "delta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bcc_sidecar_is_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON number {constant}")
+
+        out = tmp_path / "bcc.csv"
+        assert main(["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--sizes", "2,2,2,2", "--n", "4", "--trials", "2",
+                     "--alphas", "0,0,0", "--delta", "0.1", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "bcc.csv.meta.json").read_text(), parse_constant=reject)
+        assert meta["delta"] == 0.1 and meta["alphas"] == [0.0, 0.0, 0.0]
+
     def test_bcc_run(self, tmp_path):
         out = tmp_path / "bcc.csv"
         code = main(["simulate", "bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2",
@@ -385,6 +409,15 @@ class TestCliCheck:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "not a number" in captured.err
+
+    @pytest.mark.parametrize("quad", ["inf,0,0,0", "0,0,inf,0", "0,0,0,nan"])
+    def test_membership_with_non_finite_rate_is_invalid(self, quad, capsys):
+        # an infinite rate would print Infinity slacks, which JSON does not have
+        code = main(["check", "membership", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--quad", quad])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
 
     def test_membership(self, capsys):
         code = main(["check", "membership", "--py", "bsc:0.1", "--pz", "bsc:0.2",
@@ -531,11 +564,23 @@ class TestCliCheck:
                  "--pu", "0.4,0.6", "--pvu", "bsc:0.25", "--pxv", "bsc:0.1", "--n", "6",
                  "--size-a", "8", "--size-l", "4", "--theta-step", "0.05"],
      "296c3441d3b0f4dbb4c217e2c9c5d37027c35d5ec110b93771181a70cbca4eab"),
+    # the lattice frontiers of binary inputs with a free prefix
+    ("front_lattice", ["region", "--ds", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                       "--grid-step", "0.05"],
+     "12e84afe8191e3b6bf7401714f6300759d6d79dc50949218c1740c045de9952c"),
+    ("front_sim", ["region", "--sim", "--py", "bsc:0.11", "--pz", "bec:0.45",
+                   "--grid-step", "0.05"],
+     "8c1b23ece3f00d9a6a650f5f7e9db9048cd83506bcd5753999735ffcddbe05a0"),
 ])
 def test_csv_and_sidecar_bytes_golden(name, argv, digest, tmp_path, monkeypatch):
     # SHA-256 of the CSV bytes followed by the sidecar bytes; the sidecar
-    # echoes argv, so --out is relative to a fixed working directory
+    # echoes argv, so --out is relative to a fixed working directory.  The
+    # "front" digest is the grid sweep's, which stays the lattice's oracle
     monkeypatch.chdir(tmp_path)
+    if name == "front":
+        monkeypatch.setattr(cli, "secrecy_frontier",
+                            lambda w_y, w_z, grid, v_equals_x, hull:
+                            frontier._sweep_frontier(w_y, w_z, grid, "ds", v_equals_x, hull))
     assert main(argv + ["--out", f"{name}.csv"]) == 0
     data = (tmp_path / f"{name}.csv").read_bytes() \
         + (tmp_path / f"{name}.csv.meta.json").read_bytes()

@@ -544,12 +544,21 @@ def test_sweep_batches_fold_the_same_cells(monkeypatch, batch_cells):
         assert batched.tobytes() == _binary_sweep(*args).tobytes()
 
 
-def _frontier_digest(w_y, w_z, prob_step):
+def _grid_frontiers():
+    """``secrecy_frontier`` and ``secrecy_frontier_sim`` as the grid sweep gives
+    them on every input alphabet: the oracle of the lattice frontiers."""
+    def frontier_fn(mode):
+        return lambda w_y, w_z, grid, v_equals_x=False, hull=True: frontier._sweep_frontier(
+            w_y, w_z, grid, mode, v_equals_x, hull)
+    return frontier_fn("ds"), frontier_fn("sim")
+
+
+def _frontier_digest(w_y, w_z, prob_step, fns=(secrecy_frontier, secrecy_frontier_sim)):
     """SHA-256 over the little-endian float64 points of the eight frontiers of
     a pair: ds/sim x hull on/off x v_equals_x on/off."""
     digest = hashlib.sha256()
     grid = GridSpec(prob_step=prob_step)
-    for fn in (secrecy_frontier, secrecy_frontier_sim):
+    for fn in fns:
         for hull in (True, False):
             for v_equals_x in (True, False):
                 front = fn(w_y, w_z, grid, v_equals_x=v_equals_x, hull=hull)
@@ -557,7 +566,17 @@ def _frontier_digest(w_y, w_z, prob_step):
     return digest.hexdigest()
 
 
-# recorded from the sort-based fold and the two-cost sweep it replaced
+DIGEST_PAIRS = {
+    "bsc0.1/bsc0.2": (bsc(0.1), bsc(0.2), 0.05),
+    "bsc0.11/bec0.45": (bsc(0.11), bec(0.45), 0.05),
+    "identity/bsc0.2": (Dmc.identity(2), bsc(0.2), 0.05),
+    "ternary": (*TestGeneralAlphabets.ternary_pair(), 0.5),
+    "bsc0.1/bsc0.2@0.01": (bsc(0.1), bsc(0.2), 0.01),
+    "bsc0.11/bec0.45@0.01": (bsc(0.11), bec(0.45), 0.01),
+}
+
+# the grid sweep's frontiers, recorded from the sort-based fold and the
+# two-cost sweep it replaced
 FRONTIER_DIGESTS = {
     "bsc0.1/bsc0.2":
         "4b3bed61c143e900f4a419a0f082ee5fed5d7ecbb6f06aef6f7597947090d191",
@@ -578,15 +597,28 @@ FRONTIER_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(FRONTIER_DIGESTS))
 def test_frontier_bytes_golden(name):
-    pairs = {
-        "bsc0.1/bsc0.2": (bsc(0.1), bsc(0.2), 0.05),
-        "bsc0.11/bec0.45": (bsc(0.11), bec(0.45), 0.05),
-        "identity/bsc0.2": (Dmc.identity(2), bsc(0.2), 0.05),
-        "ternary": (*TestGeneralAlphabets.ternary_pair(), 0.5),
-        "bsc0.1/bsc0.2@0.01": (bsc(0.1), bsc(0.2), 0.01),
-        "bsc0.11/bec0.45@0.01": (bsc(0.11), bec(0.45), 0.01),
-    }
-    assert _frontier_digest(*pairs[name]) == FRONTIER_DIGESTS[name]
+    assert _frontier_digest(*DIGEST_PAIRS[name], _grid_frontiers()) == FRONTIER_DIGESTS[name]
+
+
+# the public frontiers, where binary pairs with a free prefix take the lattice
+# (ds hulled and raw, hulled sim) and the rest the grid sweep
+PUBLIC_DIGESTS = {
+    "bsc0.1/bsc0.2":
+        "c95946c8ccfde24da83b9f8a3ef2f859368dd4a72e23b601dd4afc1844823c25",
+    "bsc0.11/bec0.45":
+        "6135768ccf80e93b6618ca7ce07b883aa26e0c345ad8230bd2f239795a1bd8f9",
+    "identity/bsc0.2":
+        "02c0e7149f1b75ebe0ee09a8e30715cab95ad5139a286528f9840d3392d2f4fb",
+    "bsc0.1/bsc0.2@0.01":
+        "ebfc0078b295261872d37063965a0e5406b1ea03f0b148f363fabf7767b73913",
+    "bsc0.11/bec0.45@0.01":
+        "41ed6ac18cba9341103646138e5e77b4497ab4b04560f8f8db8b4fc973c6c68c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_DIGESTS))
+def test_public_frontier_bytes_golden(name):
+    assert _frontier_digest(*DIGEST_PAIRS[name]) == PUBLIC_DIGESTS[name]
 
 
 def _oracle_row_entropies(rows):
@@ -721,28 +753,86 @@ ENVELOPE_PAIRS = [(bsc(0.1), bsc(0.2)), (bsc(0.11), bec(0.45))] + [
     _random_binary_pair(np.random.default_rng([23, i])) for i in range(50)]
 
 
+def _concave_nondecreasing(r_s):
+    return np.all(np.diff(r_s) >= -1e-12) and np.all(np.diff(r_s, 2) <= 1e-12)
+
+
 class TestDsEnvelope:
-    """The envelope ``ds`` frontier that ``min_dummy_rate`` inverts at r_0 = 0."""
+    """The lattice frontiers of binary inputs (``ds`` hulled and raw, hulled
+    ``sim``) against the grid sweep they replace, which stays their oracle."""
 
     @pytest.mark.parametrize("step", [0.05, 0.02])
     def test_dominates_the_grid_frontier(self, step):
         grid = GridSpec(prob_step=step)
+        grid_ds, grid_sim = _grid_frontiers()
         for w_y, w_z in ENVELOPE_PAIRS:
-            envelope = frontier._ds_envelope(w_y, w_z, grid)
-            swept = secrecy_frontier(w_y, w_z, grid)
-            assert envelope.r_d.tobytes() == swept.r_d.tobytes()
-            assert np.all(envelope.r_s >= swept.r_s - 1e-12)
+            ds, raw_ds = (secrecy_frontier(w_y, w_z, grid, hull=h) for h in (True, False))
+            sim = secrecy_frontier_sim(w_y, w_z, grid)
+            swept = {(fn, h): fn(w_y, w_z, grid, hull=h)
+                     for fn in (grid_ds, grid_sim) for h in (True, False)}
+            for front in (ds, raw_ds, sim):
+                assert front.provenance["method"] == "envelope"
+                assert front.r_d.tobytes() == swept[grid_ds, True].r_d.tobytes()
+            assert np.all(ds.r_s >= swept[grid_ds, True].r_s - 1e-12)
+            assert np.all(raw_ds.r_s >= swept[grid_ds, False].r_s - 1e-12)
+            assert np.all(sim.r_s >= swept[grid_sim, True].r_s - 1e-12)
+            assert np.all(sim.r_s >= swept[grid_sim, False].r_s - 1e-12)
+            assert np.all(sim.r_s <= ds.r_s + 1e-12)
+            assert np.all(raw_ds.r_s <= ds.r_s + 1e-12)
             # concave and nondecreasing, as a hulled frontier is
-            assert np.all(np.diff(envelope.r_s) >= -1e-12)
-            assert np.all(np.diff(envelope.r_s, 2) <= 1e-12)
+            assert _concave_nondecreasing(ds.r_s) and _concave_nondecreasing(sim.r_s)
+            assert np.all(np.diff(raw_ds.r_s) >= 0.0)
 
     def test_degraded_bsc_pair_reaches_its_capacity(self):
         # psi is concave for a degraded pair, so its envelope is the chord and
         # the top is h(0.2) - h(0.1) at the uniform input, cost ln 2 - h(0.2)
-        front = frontier._ds_envelope(bsc(0.1), bsc(0.2), GridSpec(prob_step=0.01))
+        front = secrecy_frontier(bsc(0.1), bsc(0.2), GridSpec(prob_step=0.01))
         assert front.r_s[-1] == pytest.approx(h(0.2) - h(0.1), abs=1e-12)
         assert front.r_s[0] == 0.0
         assert front.provenance["x_points"] == 10_001
+        assert front.provenance["split_points"] == 101
+
+    @pytest.mark.parametrize("step", [0.01, 0.002])
+    def test_degraded_bsc_pair_has_no_gap(self, step):
+        # a degraded pair needs no prefix, so simulating one costs nothing:
+        # the continuum gap is 0, and both lattice frontiers meet
+        grid = GridSpec(prob_step=step)
+        ds = secrecy_frontier(bsc(0.1), bsc(0.2), grid)
+        sim = secrecy_frontier_sim(bsc(0.1), bsc(0.2), grid)
+        assert np.max(ds.r_s - sim.r_s) <= 1e-9
+        assert np.all(sim.r_s <= ds.r_s + 1e-12)
+
+    @pytest.mark.parametrize("pair, step, queries, vertices", [
+        ((bsc(0.1), bsc(0.2)), 0.01, 192, 173), ((bsc(0.11), bec(0.45)), 0.01, 6, 4),
+        ((bsc(0.1), bsc(0.2)), 0.05, 28, 25), ((bsc(0.11), bec(0.45)), 0.05, 2, 2)],
+        ids=["bsc-0.01", "bec-0.01", "bsc-0.05", "bec-0.05"])
+    def test_sim_slope_queries_are_pinned(self, pair, step, queries, vertices):
+        # the degraded pair's hull bends at every input law, so its budgets
+        # each take a few queries; the BEC pair's is a few straight edges
+        sim = secrecy_frontier_sim(*pair, GridSpec(prob_step=step))
+        assert sim.provenance["slope_queries"] == queries
+        assert sim.provenance["hull_vertices"] == vertices
+        assert sim.provenance["slope_tol"] == frontier.SLOPE_TOL
+
+    def test_grid_path_reports_its_method(self):
+        grid = GridSpec(prob_step=0.05)
+        assert secrecy_frontier_sim(bsc(0.1), bsc(0.2), grid,
+                                    hull=False).provenance["method"] == "grid"
+        assert secrecy_frontier(bsc(0.1), bsc(0.2), grid,
+                                v_equals_x=True).provenance["method"] == "grid"
+        w_y, w_z = TestGeneralAlphabets.ternary_pair()
+        assert secrecy_frontier(w_y, w_z, GridSpec(prob_step=0.5)).provenance["method"] == "grid"
+
+    def test_useless_eavesdropper(self):
+        # I(X;Z) = 0 at every input: both costs are 0 with no prefix, so both
+        # frontiers are the receiver's capacity at every budget
+        w_y, w_z = bsc(0.1), Dmc([[0.3, 0.7], [0.3, 0.7]])
+        grid = GridSpec(prob_step=0.05)
+        cap = LN2 - h(0.1)
+        for fn in (secrecy_frontier, secrecy_frontier_sim):
+            front = fn(w_y, w_z, grid)
+            np.testing.assert_allclose(front.r_s, cap, rtol=0.0, atol=1e-12)
+        assert secrecy_frontier_sim(w_y, w_z, grid).provenance["hull_vertices"] == 1
 
     @pytest.mark.parametrize("shape", ["random", "concave", "convex", "wave"])
     def test_prefiltered_envelope_matches_plain_chain(self, shape):
@@ -753,12 +843,34 @@ class TestDsEnvelope:
         plain = np.interp(x, *hull_chain(x, y, lower=True))   # no pre-filter
         assert frontier._lower_envelope(x, y).tobytes() == plain.tobytes()
 
+    @pytest.mark.parametrize("shape", ["random", "collinear", "steps", "arc-then-jump",
+                                       "arcs-then-jumps", "concave", "two-points"])
+    def test_vectorised_hull_matches_plain_chain(self, shape):
+        # the passes give the plain chain's vertices; an arc that ends below a
+        # jump loses one point a pass, so it reaches the chained fall-back
+        rng = np.random.default_rng(7)
+        x = np.arange(400) / 399
+        arc = np.sqrt(x)
+        y = {"random": rng.normal(size=x.size),
+             "collinear": 3.0 * np.arange(400.0) + 1.0,
+             "steps": np.floor(8.0 * x),
+             "arc-then-jump": np.where(x < 0.99, arc, 50.0),
+             "arcs-then-jumps": np.where(x < 0.5, arc, arc + 40.0) + 90.0 * (x == 1.0),
+             "concave": -(x - 0.3) ** 2,
+             "two-points": None}[shape]
+        if y is None:
+            x, y = x[:2], np.array([0.0, 1.0])
+        vx, vy = hull_chain(x, y, lower=False)
+        keep = frontier._upper_hull(x, y)
+        assert x[keep].tolist() == vx.tolist() and y[keep].tolist() == vy.tolist()
+
     def test_lattice_guard(self):
         assert frontier._envelope_points(GridSpec(prob_step=1 / 2047)) == 2047**2 + 1
-        with pytest.raises(GuardExceeded, match="envelope lattice"):
-            frontier._ds_envelope(bsc(0.1), bsc(0.2), GridSpec(prob_step=1 / 2048))
+        for fn in (secrecy_frontier, secrecy_frontier_sim):
+            with pytest.raises(GuardExceeded, match="envelope lattice"):
+                fn(bsc(0.1), bsc(0.2), GridSpec(prob_step=1 / 2048))
 
     def test_binary_inputs_only(self):
         w = Dmc.identity(3)
         with pytest.raises(ValueError, match="binary inputs"):
-            frontier._ds_envelope(w, w, GridSpec(prob_step=0.5))
+            frontier._envelope_frontier(w, w, GridSpec(prob_step=0.5), "ds", True)

@@ -431,7 +431,7 @@ class TestMinDummyRate:
 def _oracle_min_dummy_grid(w_y, w_z, r_s, grid):
     """min_dummy_rate at r_0 = 0 as it was for every alphabet before the
     envelope: the least budget of the hulled grid frontier that reaches r_s."""
-    front = secrecy_frontier(w_y, w_z, grid)
+    front = frontier._sweep_frontier(w_y, w_z, grid, "ds", False, True)
     if r_s > front.r_s[-1] + regions.SLACK_TOL:
         return INFEASIBLE
     return float(front.r_d[int(np.argmax(front.r_s >= r_s - regions.SLACK_TOL))])
@@ -485,7 +485,7 @@ class TestMinDummyEnvelope:
         floor = _continuum_floor(w_y, w_z)
         for step in (0.05, 0.02):
             grid = GridSpec(prob_step=step)
-            top = frontier._ds_envelope(w_y, w_z, grid).r_s[-1]
+            top = secrecy_frontier(w_y, w_z, grid).r_s[-1]
             values = []
             for share in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
                 r_s = share * top
@@ -502,7 +502,7 @@ class TestMinDummyEnvelope:
     def test_infeasible_exactly_above_the_envelope_top(self, pair):
         w_y, w_z = self.PAIRS[pair]
         grid = GridSpec(prob_step=0.02)
-        top = float(frontier._ds_envelope(w_y, w_z, grid).r_s[-1])
+        top = float(secrecy_frontier(w_y, w_z, grid).r_s[-1])
         tol = regions.SLACK_TOL
         assert min_dummy_rate(w_y, w_z, 0.0, top + 0.5 * tol, grid) is not INFEASIBLE
         assert min_dummy_rate(w_y, w_z, 0.0, top + 2.0 * tol, grid) is INFEASIBLE
