@@ -3,16 +3,18 @@
 For a channel pair (receiver, eavesdropper) the achievable set of
 (randomness budget, confidential rate) pairs is swept on a probability grid
 over the auxiliary layers, reduced to a per-budget maximum, and convexified
-by two-point time sharing.  For binary inputs with a free prefix, the ``ds``
-frontiers and the hulled ``sim`` frontier come from one lattice of input laws
-and prefix split points (:func:`_envelope_frontier`): ``ds`` from the convex
-envelope of psi = H(Y) - H(Z), hulled ``sim`` from an exact slope search.
-Every other frontier takes the grid sweep over a cloud prior and one
-conditional input row per cloud letter, each from a lattice on the simplex
-(:func:`_sweep_frontier`); for binary inputs that is the three-parameter
-search (cloud prior and the two conditional-input diagonal entries), which
-the tests keep as the oracle of the lattice.  Inputs of three or more
-letters are held to a cell guard, and the lattice to the same guard.
+by two-point time sharing.  For binary inputs with a free prefix, every
+frontier comes from one lattice of input laws and prefix split points
+(:func:`_envelope_frontier`): ``ds`` from the convex envelope of
+psi = H(Y) - H(Z), hulled ``sim`` from an exact slope search, and raw ``sim``
+from the grid's cells gathered off the lattice.  The rest (``v_equals_x``
+and inputs of three or more letters) take the grid sweep over a cloud prior
+and one conditional input row per cloud letter, each from a lattice on the
+simplex (:func:`_sweep_frontier`); for binary inputs that is the
+three-parameter search (cloud prior and the two conditional-input diagonal
+entries), which the tests keep as the oracle of the lattice.  Inputs of
+three or more letters are held to a cell guard, and the lattice to the same
+guard.
 """
 
 from __future__ import annotations
@@ -340,9 +342,35 @@ def _sim_hull(x: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int, g: np.nd
     return sorted(vertices), queries
 
 
+def _fold_sim_cells(raw: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int,
+                    g: np.ndarray, rd_step: float) -> int:
+    """Fold the grid's ``sim`` cells, gathered from the lattice, into the
+    per-budget maxima ``raw``; returns the number of cells folded.
+
+    Cell (i, j, c) has weight p = i / k on split point j / k and 1 - p on
+    c / k, input law m / k^2 with m = i j + (k - i) c, rate
+    psi[m] - p psi(j / k) - (1 - p) psi(c / k) and cost
+    cost[m] + p g[j] + (1 - p) g[c].  Relabelling V maps (i, j, c) to
+    (k - i, c, j), the same chain, so only i <= k / 2 is folded, one
+    (k + 1)^2 plane over (j, c) at a time.
+    """
+    psi_s, split = psi[::k], np.arange(k + 1)
+    for i in range(k // 2 + 1):
+        p = i * (1.0 / k)
+        m = i * split[:, None] + (k - i) * split
+        rate = psi[m]
+        rate -= (p * psi_s)[:, None]
+        rate -= (1.0 - p) * psi_s
+        rd = cost[m]
+        rd += (p * g)[:, None]
+        rd += (1.0 - p) * g
+        _sweep_py.fold_max(raw, rd, rate, rd_step)
+    return (k // 2 + 1) * (k + 1) ** 2
+
+
 def _envelope_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, hull: bool) -> Frontier:
-    """The ``ds`` frontier (hulled or raw) or the hulled ``sim`` frontier of a
-    binary-input pair, from one lattice of input laws.
+    """The ``ds`` or ``sim`` frontier (hulled or raw) of a binary-input pair,
+    from one lattice of input laws.
 
     x = P_X(0) runs over m / k^2 (k = round(1 / prob_step)), and the two split
     points of a binary prefix V over the sweep's rows i / k, every k-th x.  A
@@ -354,9 +382,12 @@ def _envelope_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, hull: bool
     The best ``ds`` rate at x is psi(x) - env(x), env the lower convex envelope
     of psi over the split points (Csiszar-Korner).  The hulled ``ds`` frontier
     is the upper concave hull of those (cost, rate) points read at each
-    budget, and the raw one bins them by cost as the sweep bins cells; the
-    hulled ``sim`` frontier comes from the slope search of :func:`_sim_hull`.
-    Costs within the bin fuzz of 0 count as 0, as in the sweep's bins.
+    budget, and the raw one bins them by cost as the sweep bins cells.  The
+    hulled ``sim`` frontier comes from the slope search of :func:`_sim_hull`;
+    the raw one folds the sweep's own cells, their rates and costs gathered
+    from the lattice's arrays (:func:`_fold_sim_cells`), so it is the
+    sweep's frontier up to rounding.  Costs within the bin fuzz of 0 count
+    as 0, as in the sweep's bins.
     """
     if w_y.input_size != 2:
         raise ValueError("the lattice frontier is provided for binary inputs")
@@ -390,31 +421,35 @@ def _envelope_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, hull: bool
         "input_size": 2,
         "seed": None,
     }
-    if mode == "sim":
-        g = -(_xlogx(x[::k]) + _xlogx(y[::k])) - cost[::k]
-        vertices, queries = _sim_hull(x, psi, cost, k, g, rd_grid.tolist())
-        curve = np.interp(rd_grid, *np.array(vertices).T)
-        provenance.update(hull_vertices=len(vertices), slope_queries=queries,
-                          slope_tol=SLOPE_TOL)
-    else:
+    raw = np.full(rd_grid.size, -np.inf)  # the per-budget maxima of a raw frontier
+    if mode == "ds":
         rate = psi - _lower_envelope(x[::k], psi[::k], x)
         if hull:
             vertices = _hull_vertices(cost, rate)
-            curve = np.interp(rd_grid, *vertices.T)
-            provenance["hull_vertices"] = len(vertices)
         else:
-            raw = np.full(rd_grid.size, -np.inf)
             _sweep_py.fold_max(raw, cost, rate, rd_step)
-            curve = _budget_curve(rd_grid, raw, False)
+    else:
+        g = -(_xlogx(x[::k]) + _xlogx(y[::k])) - cost[::k]
+        if hull:
+            found, queries = _sim_hull(x, psi, cost, k, g, rd_grid.tolist())
+            vertices = np.array(found)
+            provenance.update(slope_queries=queries, slope_tol=SLOPE_TOL)
+        else:
+            provenance["cells_folded"] = _fold_sim_cells(raw, psi, cost, k, g, rd_step)
+    if hull:
+        curve = np.interp(rd_grid, *vertices.T)
+        provenance["hull_vertices"] = len(vertices)
+    else:
+        curve = _budget_curve(rd_grid, raw, False)
     return Frontier(points=tuple(zip(rd_grid.tolist(), curve.tolist())), provenance=provenance)
 
 
 def _frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None, mode: str, v_equals_x: bool,
               hull: bool) -> Frontier:
-    """The lattice frontier where it applies (binary inputs with a free prefix:
-    ``ds``, and hulled ``sim``), else the grid sweep."""
+    """The lattice frontier where it applies (binary inputs with a free
+    prefix), else the grid sweep."""
     grid = grid or GridSpec()
-    if w_y.input_size == 2 and not v_equals_x and (hull or mode == "ds"):
+    if w_y.input_size == 2 and not v_equals_x:
         return _envelope_frontier(w_y, w_z, grid, mode, hull)
     front = _sweep_frontier(w_y, w_z, grid, mode, v_equals_x, hull)
     front.provenance["method"] = "grid"
@@ -447,8 +482,8 @@ def secrecy_frontier_sim(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
     sharing through the cloud variable U, which the simulated region admits as
     well, so both frontiers are compared convexified.  For binary inputs with
     a free prefix the hulled frontier is the exact hull of the lattice's
-    points by a slope search (:func:`_sim_hull`); the raw one stays the grid
-    sweep.
+    points by a slope search (:func:`_sim_hull`), and the raw one folds the
+    grid sweep's cells gathered from the lattice (:func:`_fold_sim_cells`).
     """
     return _frontier(w_y, w_z, grid, "sim", v_equals_x, hull)
 

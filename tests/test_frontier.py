@@ -601,7 +601,7 @@ def test_frontier_bytes_golden(name):
 
 
 # the public frontiers, where binary pairs with a free prefix take the lattice
-# (ds hulled and raw, hulled sim) and the rest the grid sweep
+# and the rest the grid sweep
 PUBLIC_DIGESTS = {
     "bsc0.1/bsc0.2":
         "c95946c8ccfde24da83b9f8a3ef2f859368dd4a72e23b601dd4afc1844823c25",
@@ -616,9 +616,41 @@ PUBLIC_DIGESTS = {
 }
 
 
+def _grid_raw_sim(w_y, w_z, grid, v_equals_x=False, hull=True):
+    """``secrecy_frontier_sim`` with its raw curve from the grid sweep."""
+    return (secrecy_frontier_sim if hull else _grid_frontiers()[1])(
+        w_y, w_z, grid, v_equals_x=v_equals_x, hull=hull)
+
+
 @pytest.mark.parametrize("name", sorted(PUBLIC_DIGESTS))
 def test_public_frontier_bytes_golden(name):
-    assert _frontier_digest(*DIGEST_PAIRS[name]) == PUBLIC_DIGESTS[name]
+    # recorded while raw sim was the grid sweep's, which stays its oracle: the
+    # other seven public frontiers are byte-identical to those recordings
+    fns = (secrecy_frontier, _grid_raw_sim)
+    assert _frontier_digest(*DIGEST_PAIRS[name], fns) == PUBLIC_DIGESTS[name]
+
+
+# the lattice's raw sim frontiers (free prefix) of the PUBLIC_DIGESTS pairs
+RAW_SIM_DIGESTS = {
+    "bsc0.1/bsc0.2":
+        "0850f2ae5a331357f755c50380c4431f22b1f7e4f13aeaf71f67622bdd425c1a",
+    "bsc0.11/bec0.45":
+        "a73f9cbcac596b87a8a618b0dda1bbe33f570ddd95bc67615b94fa89b8065b5a",
+    "identity/bsc0.2":
+        "75144d0113cceee316f8ee045bf9bf893954ff40372a8745700c2e737eedd2f0",
+    "bsc0.1/bsc0.2@0.01":
+        "ef660b373107e0ba365bb420517a71dec400bdc0fb718a569872e03f429df58e",
+    "bsc0.11/bec0.45@0.01":
+        "bdaf09c77d76fd954cb30e7f3ea284bb0396e2a906b7528f306f01e6ceb866f7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_SIM_DIGESTS))
+def test_raw_sim_frontier_bytes_golden(name):
+    w_y, w_z, step = DIGEST_PAIRS[name]
+    front = secrecy_frontier_sim(w_y, w_z, GridSpec(prob_step=step), hull=False)
+    digest = hashlib.sha256(np.asarray(front.points, dtype="<f8").tobytes()).hexdigest()
+    assert digest == RAW_SIM_DIGESTS[name]
 
 
 def _oracle_row_entropies(rows):
@@ -758,8 +790,8 @@ def _concave_nondecreasing(r_s):
 
 
 class TestDsEnvelope:
-    """The lattice frontiers of binary inputs (``ds`` hulled and raw, hulled
-    ``sim``) against the grid sweep they replace, which stays their oracle."""
+    """The lattice frontiers of binary inputs (``ds`` and ``sim``, hulled and
+    raw) against the grid sweep they replace, which stays their oracle."""
 
     @pytest.mark.parametrize("step", [0.05, 0.02])
     def test_dominates_the_grid_frontier(self, step):
@@ -770,18 +802,39 @@ class TestDsEnvelope:
             sim = secrecy_frontier_sim(w_y, w_z, grid)
             swept = {(fn, h): fn(w_y, w_z, grid, hull=h)
                      for fn in (grid_ds, grid_sim) for h in (True, False)}
-            for front in (ds, raw_ds, sim):
+            raw_sim = secrecy_frontier_sim(w_y, w_z, grid, hull=False)
+            for front in (ds, raw_ds, sim, raw_sim):
                 assert front.provenance["method"] == "envelope"
                 assert front.r_d.tobytes() == swept[grid_ds, True].r_d.tobytes()
             assert np.all(ds.r_s >= swept[grid_ds, True].r_s - 1e-12)
             assert np.all(raw_ds.r_s >= swept[grid_ds, False].r_s - 1e-12)
             assert np.all(sim.r_s >= swept[grid_sim, True].r_s - 1e-12)
             assert np.all(sim.r_s >= swept[grid_sim, False].r_s - 1e-12)
+            # raw sim folds the sweep's own cells: within rounding of it, both ways
+            np.testing.assert_allclose(raw_sim.r_s, swept[grid_sim, False].r_s,
+                                       rtol=0.0, atol=1e-12)
             assert np.all(sim.r_s <= ds.r_s + 1e-12)
             assert np.all(raw_ds.r_s <= ds.r_s + 1e-12)
+            assert np.all(raw_sim.r_s <= sim.r_s + 1e-12)
+            assert np.all(raw_sim.r_s <= raw_ds.r_s + 1e-12)
             # concave and nondecreasing, as a hulled frontier is
             assert _concave_nondecreasing(ds.r_s) and _concave_nondecreasing(sim.r_s)
-            assert np.all(np.diff(raw_ds.r_s) >= 0.0)
+            assert np.all(np.diff(raw_ds.r_s) >= 0.0) and np.all(np.diff(raw_sim.r_s) >= 0.0)
+
+    @pytest.mark.parametrize("pair", [(bsc(0.1), bsc(0.2)), (bsc(0.11), bec(0.45))],
+                             ids=["bsc", "bsc/bec"])
+    def test_raw_sim_is_the_grid_sweep_at_the_benchmark_step(self, pair):
+        grid = GridSpec(prob_step=0.01)
+        raw_sim = secrecy_frontier_sim(*pair, grid, hull=False)
+        swept = frontier._sweep_frontier(*pair, grid, "sim", False, False)
+        assert raw_sim.r_d.tobytes() == swept.r_d.tobytes()
+        np.testing.assert_allclose(raw_sim.r_s, swept.r_s, rtol=0.0, atol=1e-12)
+        assert np.all(raw_sim.r_s <= secrecy_frontier_sim(*pair, grid).r_s + 1e-12)
+        assert np.all(raw_sim.r_s <= secrecy_frontier(*pair, grid, hull=False).r_s + 1e-12)
+        # one (k + 1)^2 plane of cells per weight i / k with i <= k / 2
+        assert raw_sim.provenance["cells_folded"] == 51 * 101**2
+        assert raw_sim.provenance["x_points"] == 10_001
+        assert raw_sim.provenance["split_points"] == 101
 
     def test_degraded_bsc_pair_reaches_its_capacity(self):
         # psi is concave for a degraded pair, so its envelope is the chord and
@@ -817,9 +870,11 @@ class TestDsEnvelope:
     def test_grid_path_reports_its_method(self):
         grid = GridSpec(prob_step=0.05)
         assert secrecy_frontier_sim(bsc(0.1), bsc(0.2), grid,
-                                    hull=False).provenance["method"] == "grid"
-        assert secrecy_frontier(bsc(0.1), bsc(0.2), grid,
-                                v_equals_x=True).provenance["method"] == "grid"
+                                    hull=False).provenance["method"] == "envelope"
+        for fn in (secrecy_frontier, secrecy_frontier_sim):
+            for hull in (True, False):
+                assert fn(bsc(0.1), bsc(0.2), grid, v_equals_x=True,
+                          hull=hull).provenance["method"] == "grid"
         w_y, w_z = TestGeneralAlphabets.ternary_pair()
         assert secrecy_frontier(w_y, w_z, GridSpec(prob_step=0.5)).provenance["method"] == "grid"
 
@@ -867,8 +922,9 @@ class TestDsEnvelope:
     def test_lattice_guard(self):
         assert frontier._envelope_points(GridSpec(prob_step=1 / 2047)) == 2047**2 + 1
         for fn in (secrecy_frontier, secrecy_frontier_sim):
-            with pytest.raises(GuardExceeded, match="envelope lattice"):
-                fn(bsc(0.1), bsc(0.2), GridSpec(prob_step=1 / 2048))
+            for hull in (True, False):
+                with pytest.raises(GuardExceeded, match="envelope lattice"):
+                    fn(bsc(0.1), bsc(0.2), GridSpec(prob_step=1 / 2048), hull=hull)
 
     def test_binary_inputs_only(self):
         w = Dmc.identity(3)
