@@ -7,10 +7,10 @@ formulas live only in :func:`_planes`, which evaluates every cell of a few
 cloud priors at once and gives the fields its caller asks for.  Each
 receiver's output law is formed one output letter at a time, as a plane per
 letter, with the entropy accumulated over the planes; sums over input and
-cloud letters run left to right.  :func:`cell_batches` gives the planes a
-batch of cloud priors at a time; :func:`sweep` folds one cost of each batch
-into a per-budget maximum table; :func:`binary_cells` flattens the planes of
-a small binary grid.
+cloud letters run left to right.  :func:`sweep` evaluates the planes a batch
+of cloud priors at a time and folds one cost of each batch into a per-budget
+maximum table; :func:`binary_cells` flattens the planes of a small binary
+grid.
 """
 
 from __future__ import annotations
@@ -122,22 +122,17 @@ def sweep(w_y: np.ndarray, w_z: np.ndarray, prior: np.ndarray, rows: list,
     ``mode`` picks the cost: ``"ds"`` charges the eavesdropper information of
     the channel input, ``"sim"`` the cloud-layer information plus the
     conditional input entropy (the cost of simulating the prefix channel).
-    Entries with no feasible cell stay at ``-inf``; callers apply the running
-    maximum.
+    The cells are evaluated a batch of cloud priors at a time, about
+    ``BATCH_CELLS`` cells (or one prior's) a batch.  Entries with no feasible
+    cell stay at ``-inf``; callers apply the running maximum.
     """
     table = np.full(n_rd, -np.inf)
     cost = f"rd_{mode}"
-    for cells in cell_batches(w_y, w_z, prior, rows, ("rs", cost)):
-        fold_max(table, cells[cost], cells["rs"], rd_step)
-    return table
-
-
-def cell_batches(w_y: np.ndarray, w_z: np.ndarray, prior: np.ndarray, rows: list, fields):
-    """The ``_planes`` ``fields`` of every cell, a batch of cloud priors at a
-    time: about ``BATCH_CELLS`` cells (or one prior's) a batch."""
     batch = max(1, BATCH_CELLS // math.prod(len(r) for r in rows))
     for start in range(0, len(prior), batch):
-        yield _planes(w_y, w_z, prior[start:start + batch], rows, fields)
+        cells = _planes(w_y, w_z, prior[start:start + batch], rows, ("rs", cost))
+        fold_max(table, cells[cost], cells["rs"], rd_step)
+    return table
 
 
 def binary_cells(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
@@ -145,8 +140,8 @@ def binary_cells(w_y: np.ndarray, w_z: np.ndarray, p_grid: np.ndarray,
     """The ``fields`` of every binary cell (p, a, b) (all by default), flattened
     in lexicographic (p, a, b) order; the output laws keep their last axis.
 
-    Materializes every cell, so only suitable for small grids (diagnostics,
-    supporting-line evaluations, pair searches).
+    Materializes every cell, so only suitable for small grids (pair searches,
+    diagnostics and test oracles).
     """
     prior = np.stack([p_grid, 1.0 - p_grid], axis=1)
     rows = [np.stack([a_grid, 1.0 - a_grid], axis=1), np.stack([1.0 - b_grid, b_grid], axis=1)]

@@ -1,20 +1,20 @@
 """Secrecy-rate frontiers over a dummy-randomness budget.
 
 For a channel pair (receiver, eavesdropper) the achievable set of
-(randomness budget, confidential rate) pairs is swept on a probability grid
-over the auxiliary layers, reduced to a per-budget maximum, and convexified
-by two-point time sharing.  For binary inputs with a free prefix, every
-frontier comes from one lattice of input laws and prefix split points
-(:func:`_envelope_frontier`): ``ds`` from the convex envelope of
-psi = H(Y) - H(Z), hulled ``sim`` from an exact slope search, and raw ``sim``
-from the grid's cells gathered off the lattice.  The rest (``v_equals_x``
-and inputs of three or more letters) take the grid sweep over a cloud prior
-and one conditional input row per cloud letter, each from a lattice on the
-simplex (:func:`_sweep_frontier`); for binary inputs that is the
-three-parameter search (cloud prior and the two conditional-input diagonal
-entries), which the tests keep as the oracle of the lattice.  Inputs of
-three or more letters are held to a cell guard, and the lattice to the same
-guard.
+(randomness budget, confidential rate) pairs is reduced to a per-budget
+maximum and convexified by two-point time sharing.  For binary inputs with
+a free prefix, every frontier query is answered from one lattice of input
+laws and prefix split points (:func:`_lattice`): ``ds`` from the convex
+envelope of psi = H(Y) - H(Z), hulled ``sim`` from an exact slope search
+(:func:`_sim_point`), raw ``sim`` from the grid's cells gathered off the
+lattice, and the supporting lines that certify those frontiers from the same
+points.  The rest (``v_equals_x`` and inputs of three or more letters) take
+the grid sweep over a cloud prior and one conditional input row per cloud
+letter, each from a lattice on the simplex (:func:`_sweep_frontier`); for
+binary inputs that is the three-parameter search (cloud prior and the two
+conditional-input diagonal entries), which the tests keep as the oracle of
+the lattice.  Inputs of three or more letters are held to a cell guard, and
+the lattice to the same guard.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,26 +43,20 @@ class GridSpec:
 
     ``prob_step`` is the step for every searched probability parameter;
     ``rd_step``/``rd_max`` control the budget axis (defaults: ``prob_step``
-    and a channel-derived cap).  ``mu_*`` give the slope grid
-    (:meth:`mu_values`) for supporting-line dual checks; they do not shape a
-    frontier.  Every value must be finite.
+    and a channel-derived cap).  Every value must be finite.
     """
 
     prob_step: float = 0.005
-    mu_max: float = 20.0
-    mu_step: float = 0.05
     rd_step: float | None = None
     rd_max: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prob_step <= 0.5:
             raise ValueError(f"prob_step must lie in (0, 0.5], got {self.prob_step!r}")
-        for name in ("mu_max", "mu_step", "rd_step", "rd_max"):
+        for name in ("rd_step", "rd_max"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.mu_max < 0.0 or self.mu_step <= 0.0:
-            raise ValueError("mu grid must have nonnegative span and positive step")
         if self.rd_step is not None and self.rd_step <= 0.0:
             raise ValueError("rd_step must be positive")
         if self.rd_max is not None and self.rd_max < 0.0:
@@ -70,10 +65,6 @@ class GridSpec:
     def prob_grid(self) -> np.ndarray:
         n = max(1, round(1.0 / self.prob_step))
         return np.linspace(0.0, 1.0, n + 1)
-
-    def mu_values(self) -> np.ndarray:
-        count = int(math.floor(self.mu_max / self.mu_step + 1e-9)) + 1
-        return np.arange(count) * self.mu_step
 
     def rd_axis(self, cost_cap: float) -> np.ndarray:
         step = self.prob_step if self.rd_step is None else self.rd_step
@@ -206,7 +197,7 @@ def _simplex_lattice(m: int, k: int, first: int = 0) -> np.ndarray:
     """
     values = np.arange(k + 1) * (1.0 / k)  # prob_grid's floats, without linspace's cost
     values[-1] = 1.0
-    if m == 2:  # every binary sweep builds these: skip the general construction's cost
+    if m == 2:  # binary grids skip the general construction's cost
         lattice = np.empty((k + 1, 2))
         lattice[:, first], lattice[:, 1 - first] = values, 1.0 - values
         return lattice
@@ -275,7 +266,7 @@ def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: b
 
 
 def _envelope_points(grid: GridSpec) -> int:
-    """Size of the input-law lattice {m / k^2} of :func:`_envelope_frontier`, with
+    """Size of the input-law lattice {m / k^2} of :func:`_lattice`, with
     k = round(1 / prob_step) as in :meth:`GridSpec.prob_grid`; held to the guard."""
     k = len(grid.prob_grid()) - 1
     if k * k + 1 > CELL_GUARD:
@@ -291,40 +282,90 @@ def _lower_envelope(x: np.ndarray, y: np.ndarray, at: np.ndarray | None = None) 
     return np.interp(x if at is None else at, x[keep], y[keep])
 
 
-def _sim_hull(x: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int, g: np.ndarray,
-              budgets: list[float]) -> tuple[list[tuple[float, float]], int]:
-    """Vertices of the upper concave hull of the lattice's ``sim`` points, exact
-    at every budget, and the number of slope queries it took.
+class _Lattice(NamedTuple):
+    """The input-law lattice of a binary-input pair (see :func:`_lattice`)."""
 
-    A query at slope mu maximises rate - mu * cost over every input law x and
-    split: max_x [psi - mu I(X;Z) - env(psi + mu g)](x), with env over the
-    split points x[::k] (``g`` there), whose vertices around the maximiser
-    give its split and so its point.  The search starts from the chord from
-    the origin to the top point (mu = 0).  A chord whose budget span
-    [left, right) holds a budget is queried at its slope: a point above it by
-    more than ``SLOPE_TOL`` is a vertex between its ends and splits it in two;
-    otherwise no point lies above the chord's line, so it is a hull edge.
-    Chords with no budget are never queried.
+    x: np.ndarray     # input laws P_X(0) = m / k^2; every k-th one is a split point
+    psi: np.ndarray   # H(Y) - H(Z) at each x
+    cost: np.ndarray  # I(X;Z) at each x, 0 within the bin fuzz of 0
+    g: np.ndarray     # H(X) - I(X;Z) at the split points x[::k]
+    k: int
+
+    def ds_rate(self) -> np.ndarray:
+        """The best ``ds`` rate at each x: psi minus its lower convex envelope
+        over the split points (Csiszar-Korner)."""
+        return self.psi - _lower_envelope(self.x[::self.k], self.psi[::self.k], self.x)
+
+
+def _lattice(w_y: Dmc, w_z: Dmc, grid: GridSpec, rd_step: float) -> _Lattice:
+    """The lattice that answers every binary frontier query at ``grid``.
+
+    x = P_X(0) runs over m / k^2 (k = round(1 / prob_step)), and the two split
+    points of a binary prefix V over the sweep's rows i / k, every k-th x.  A
+    grid cell (p, a, b) has input law p a + (1 - p)(1 - b) and split points a
+    and 1 - b, all on the lattice.  A split of x into x_v with weights lam_v
+    gives the rate psi(x) - sum lam_v psi(x_v), psi = H(Y) - H(Z); ``ds``
+    charges I(X;Z)(x), and ``sim`` I(X;Z)(x) + sum lam_v g(x_v),
+    g = H(X) - I(X;Z).  Costs within the bin fuzz of 0 (in steps of
+    ``rd_step``) count as 0, as in the sweep's bins.  The lattice is held to
+    the guard.
     """
+    if w_y.input_size != 2:
+        raise ValueError("the input-law lattice is provided for binary inputs")
+    count = _envelope_points(grid)
+    k = math.isqrt(count - 1)
+    x = np.arange(count) / (count - 1)
+    y = 1.0 - x
+
+    def output_entropy(w):  # one output letter at a time, as the sweep's planes
+        return -sum(_xlogx(x * w[0, j] + y * w[1, j]) for j in range(w.shape[1]))
+
+    hz = output_entropy(w_z.matrix)
+    psi = output_entropy(w_y.matrix) - hz
+    z_rows = -_xlogx(w_z.matrix).sum(axis=1)
+    cost = hz - (x * z_rows[0] + y * z_rows[1])
+    cost[cost < _sweep_py.BIN_FUZZ * rd_step] = 0.0
+    g = -(_xlogx(x[::k]) + _xlogx(y[::k])) - cost[::k]
+    return _Lattice(x, psi, cost, g, k)
+
+
+def _sim_point(lattice: _Lattice, mu: float) -> tuple[float, float]:
+    """The ``sim`` slope query: the (cost, rate) of a lattice point that
+    maximises rate - mu * cost.
+
+    That maximum is max_x [psi - mu I(X;Z) - env(psi + mu g)](x), with env
+    the lower convex envelope over the split points x[::k] (``g`` there),
+    whose vertices around the maximiser give its split and so its point.
+    """
+    x, psi, cost, g, k = lattice
     s, psi_s = x[::k], psi[::k]
-    queries = 0
+    f = psi_s + mu * g
+    keep = _upper_hull(s, -f)
+    j = int(np.argmax(psi - mu * cost - np.interp(x, s[keep], f[keep])))
+    b = int(np.searchsorted(s[keep], x[j]))
+    hi = keep[b]
+    if s[hi] == x[j]:  # no split: the prefix is constant
+        return float(cost[j] + g[hi]), float(psi[j] - psi_s[hi])
+    lo = keep[b - 1]
+    lam = (s[hi] - x[j]) / (s[hi] - s[lo])  # the weight of the lower split point
+    return (float(cost[j] + lam * g[lo] + (1.0 - lam) * g[hi]),
+            float(psi[j] - lam * psi_s[lo] - (1.0 - lam) * psi_s[hi]))
 
-    def point(mu: float) -> tuple[float, float]:
-        nonlocal queries
-        queries += 1
-        f = psi_s + mu * g
-        keep = _upper_hull(s, -f)
-        j = int(np.argmax(psi - mu * cost - np.interp(x, s[keep], f[keep])))
-        b = int(np.searchsorted(s[keep], x[j]))
-        hi = keep[b]
-        if s[hi] == x[j]:  # no split: the prefix is constant
-            return float(cost[j] + g[hi]), float(psi[j] - psi_s[hi])
-        lo = keep[b - 1]
-        lam = (s[hi] - x[j]) / (s[hi] - s[lo])  # the weight of the lower split point
-        return (float(cost[j] + lam * g[lo] + (1.0 - lam) * g[hi]),
-                float(psi[j] - lam * psi_s[lo] - (1.0 - lam) * psi_s[hi]))
 
-    top = point(0.0)
+def _sim_hull(lattice: _Lattice, budgets: list[float]) -> tuple[list[tuple[float, float]], int]:
+    """Vertices of the upper concave hull of the lattice's ``sim`` points, exact
+    at every budget, and the number of slope queries (:func:`_sim_point`) it
+    took.
+
+    The search starts from the chord from the origin to the top point
+    (mu = 0).  A chord whose budget span [left, right) holds a budget is
+    queried at its slope: a point above it by more than ``SLOPE_TOL`` is a
+    vertex between its ends and splits it in two; otherwise no point lies
+    above the chord's line, so it is a hull edge.  Chords with no budget are
+    never queried.
+    """
+    top = _sim_point(lattice, 0.0)
+    queries = 1
     if top[0] <= 0.0:
         return [top], queries
     vertices = [(0.0, 0.0), top]
@@ -335,15 +376,15 @@ def _sim_hull(x: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int, g: np.nd
         if i == len(budgets) or budgets[i] >= right[0]:
             continue
         mu = (right[1] - left[1]) / (right[0] - left[0])
-        new = point(mu)
+        new = _sim_point(lattice, mu)
+        queries += 1
         if left[0] < new[0] < right[0] and new[1] - left[1] - mu * (new[0] - left[0]) > SLOPE_TOL:
             vertices.append(new)
             chords += [(left, new), (new, right)]
     return sorted(vertices), queries
 
 
-def _fold_sim_cells(raw: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int,
-                    g: np.ndarray, rd_step: float) -> int:
+def _fold_sim_cells(raw: np.ndarray, lattice: _Lattice, rd_step: float) -> int:
     """Fold the grid's ``sim`` cells, gathered from the lattice, into the
     per-budget maxima ``raw``; returns the number of cells folded.
 
@@ -354,6 +395,7 @@ def _fold_sim_cells(raw: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int,
     (k - i, c, j), the same chain, so only i <= k / 2 is folded, one
     (k + 1)^2 plane over (j, c) at a time.
     """
+    _, psi, cost, g, k = lattice
     psi_s, split = psi[::k], np.arange(k + 1)
     for i in range(k // 2 + 1):
         p = i * (1.0 / k)
@@ -370,49 +412,27 @@ def _fold_sim_cells(raw: np.ndarray, psi: np.ndarray, cost: np.ndarray, k: int,
 
 def _envelope_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, hull: bool) -> Frontier:
     """The ``ds`` or ``sim`` frontier (hulled or raw) of a binary-input pair,
-    from one lattice of input laws.
+    from the input-law lattice of :func:`_lattice`.
 
-    x = P_X(0) runs over m / k^2 (k = round(1 / prob_step)), and the two split
-    points of a binary prefix V over the sweep's rows i / k, every k-th x.  A
-    grid cell (p, a, b) has input law p a + (1 - p)(1 - b) and split points a
-    and 1 - b, all on the lattice, so each frontier here is at least the
-    sweep's at every budget.  A split of x into x_v with weights lam_v gives
-    the rate psi(x) - sum lam_v psi(x_v), psi = H(Y) - H(Z); ``ds`` charges
-    I(X;Z)(x), and ``sim`` I(X;Z)(x) + sum lam_v g(x_v), g = H(X) - I(X;Z).
-    The best ``ds`` rate at x is psi(x) - env(x), env the lower convex envelope
-    of psi over the split points (Csiszar-Korner).  The hulled ``ds`` frontier
-    is the upper concave hull of those (cost, rate) points read at each
-    budget, and the raw one bins them by cost as the sweep bins cells.  The
-    hulled ``sim`` frontier comes from the slope search of :func:`_sim_hull`;
-    the raw one folds the sweep's own cells, their rates and costs gathered
-    from the lattice's arrays (:func:`_fold_sim_cells`), so it is the
-    sweep's frontier up to rounding.  Costs within the bin fuzz of 0 count
-    as 0, as in the sweep's bins.
+    Every grid cell is a lattice point, so each frontier here is at least the
+    sweep's at every budget.  The hulled ``ds`` frontier is the upper concave
+    hull of the (cost, best rate) points of :meth:`_Lattice.ds_rate` read at
+    each budget, and the raw one bins them by cost as the sweep bins cells.
+    The hulled ``sim`` frontier comes from the slope search of
+    :func:`_sim_hull`; the raw one folds the sweep's own cells, their rates
+    and costs gathered from the lattice's arrays (:func:`_fold_sim_cells`),
+    so it is the sweep's frontier up to rounding.
     """
-    if w_y.input_size != 2:
-        raise ValueError("the lattice frontier is provided for binary inputs")
     rd_grid, rd_step = _budget_axis(w_y, w_z, grid)
-    count = _envelope_points(grid)
-    k = math.isqrt(count - 1)
-    x = np.arange(count) / (count - 1)
-    y = 1.0 - x
-
-    def output_entropy(w):  # one output letter at a time, as the sweep's planes
-        return -sum(_xlogx(x * w[0, j] + y * w[1, j]) for j in range(w.shape[1]))
-
-    hz = output_entropy(w_z.matrix)
-    psi = output_entropy(w_y.matrix) - hz
-    z_rows = -_xlogx(w_z.matrix).sum(axis=1)
-    cost = hz - (x * z_rows[0] + y * z_rows[1])
-    cost[cost < _sweep_py.BIN_FUZZ * rd_step] = 0.0
+    lattice = _lattice(w_y, w_z, grid, rd_step)
     provenance = {
         "mode": mode,
         "v_equals_x": False,
         "hull": hull,
         "method": "envelope",
-        "prob_step": 1.0 / k,  # the step of GridSpec.prob_grid
-        "x_points": count,
-        "split_points": k + 1,
+        "prob_step": 1.0 / lattice.k,  # the step of GridSpec.prob_grid
+        "x_points": lattice.x.size,
+        "split_points": lattice.k + 1,
         "rd_step": rd_step,
         "rd_max": float(rd_grid[-1]),
         "bin_fuzz_steps": _sweep_py.BIN_FUZZ,
@@ -423,19 +443,17 @@ def _envelope_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, hull: bool
     }
     raw = np.full(rd_grid.size, -np.inf)  # the per-budget maxima of a raw frontier
     if mode == "ds":
-        rate = psi - _lower_envelope(x[::k], psi[::k], x)
+        rate = lattice.ds_rate()
         if hull:
-            vertices = _hull_vertices(cost, rate)
+            vertices = _hull_vertices(lattice.cost, rate)
         else:
-            _sweep_py.fold_max(raw, cost, rate, rd_step)
+            _sweep_py.fold_max(raw, lattice.cost, rate, rd_step)
+    elif hull:
+        found, queries = _sim_hull(lattice, rd_grid.tolist())
+        vertices = np.array(found)
+        provenance.update(slope_queries=queries, slope_tol=SLOPE_TOL)
     else:
-        g = -(_xlogx(x[::k]) + _xlogx(y[::k])) - cost[::k]
-        if hull:
-            found, queries = _sim_hull(x, psi, cost, k, g, rd_grid.tolist())
-            vertices = np.array(found)
-            provenance.update(slope_queries=queries, slope_tol=SLOPE_TOL)
-        else:
-            provenance["cells_folded"] = _fold_sim_cells(raw, psi, cost, k, g, rd_step)
+        provenance["cells_folded"] = _fold_sim_cells(raw, lattice, rd_step)
     if hull:
         curve = np.interp(rd_grid, *vertices.T)
         provenance["hull_vertices"] = len(vertices)
@@ -497,30 +515,37 @@ def secrecy_capacity(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None) -> float:
 def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float,
                           grid: GridSpec | None = None,
                           mode: str = "ds") -> float | np.ndarray:
-    """Max over cells of rs - mu * (cost - r_d): supporting-line evaluations.
+    """Max over the lattice's points of rs - mu * (cost - r_d): supporting lines
+    of the frontier the package returns.
 
-    ``mode`` picks the cost as in the sweeps: ``"ds"`` for
+    ``mode`` picks the cost as in the frontiers: ``"ds"`` for
     :func:`secrecy_frontier`, ``"sim"`` for :func:`secrecy_frontier_sim`.
-    Minimizing this over a slope grid upper-bounds that convexified frontier
-    at ``r_d``; used as an independent cross-check of the primal sweep.  A
-    scalar ``mu`` gives a float; an array of slopes gives one value per slope.
-    The cells are streamed a batch at a time, as the sweeps stream them, with
-    a running maximum per slope, so memory is one batch at any grid.
+    The points are those of the input-law lattice at ``grid``
+    (:func:`_lattice`): for ``ds`` the max over x of
+    psi - env psi - mu (I(X;Z) - r_d), for ``sim`` the hull search's slope
+    query (:func:`_sim_point`).  Every slope mu >= 0 gives an upper bound on
+    the hulled frontier at ``r_d``, and the slopes of its hull's edges (with 0)
+    give the frontier itself, so their minimum certifies it.  A scalar ``mu``
+    gives a float; an array of slopes gives one value per slope.  Binary
+    inputs only.
     """
     slopes = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(slopes)):
+        raise ValueError("supporting-line slope must be finite")
     if np.any(slopes < 0.0):
         raise ValueError("supporting-line slope must be nonnegative")
+    if not math.isfinite(r_d):
+        raise ValueError(f"r_d must be finite, got {r_d!r}")
     if mode not in ("ds", "sim"):
         raise ValueError(f"mode must be 'ds' or 'sim', got {mode!r}")
     grid = grid or GridSpec()
-    if w_y.input_size != 2:
-        raise ValueError("supporting-line evaluation is provided for binary inputs")
-    k = len(grid.prob_grid()) - 1
-    prior = _simplex_lattice(2, k)
-    cost = f"rd_{mode}"
-    values = np.full(slopes.size, -np.inf)
-    for cells in _sweep_py.cell_batches(w_y.matrix, w_z.matrix, prior,
-                                        [prior, _simplex_lattice(2, k, 1)], ("rs", cost)):
-        rs, excess = cells["rs"], cells[cost] - r_d
-        np.maximum(values, [np.max(rs - m * excess) for m in slopes.ravel()], out=values)
+    lattice = _lattice(w_y, w_z, grid, _budget_axis(w_y, w_z, grid)[1])
+    mus = slopes.ravel().tolist()
+    if mode == "ds":
+        rate, excess = lattice.ds_rate(), lattice.cost - r_d
+        values = [np.max(rate - m * excess) for m in mus]
+    else:
+        points = [_sim_point(lattice, m) for m in mus]
+        values = [rate - m * (cost - r_d) for m, (cost, rate) in zip(mus, points)]
+    values = np.array(values, dtype=float)
     return float(values[0]) if slopes.ndim == 0 else values.reshape(slopes.shape)

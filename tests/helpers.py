@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from bccrates import BccChain, Dmc, Pmf
+from bccrates import BccChain, Dmc, GridSpec, Pmf, _sweep_py, frontier
 from bccrates.probability import _xlogx
 
 CHAIN_AXES = "uvxyz"
@@ -102,3 +102,26 @@ def hull_chain(x, y, lower):
         hull.append(point)
     vx, vy = np.array(hull).T
     return vx, sign * vy
+
+
+def grid_supporting_line_value(w_y: Dmc, w_z: Dmc, mu, r_d: float, grid: GridSpec | None = None,
+                               mode: str = "ds"):
+    """Max over the grid sweep's binary cells of rs - mu * (cost - r_d), one
+    value per slope of an array (a float for a scalar slope): the supporting
+    lines of the grid frontier, kept as the oracle of the lattice's
+    ``supporting_line_value``.  The cells are streamed a batch of cloud priors
+    at a time, as the sweep streams them, with a running maximum per slope."""
+    slopes = np.asarray(mu, dtype=float)
+    grid = grid or GridSpec()
+    k = len(grid.prob_grid()) - 1
+    prior = frontier._simplex_lattice(2, k)
+    rows = [prior, frontier._simplex_lattice(2, k, 1)]
+    cost = f"rd_{mode}"
+    values = np.full(slopes.size, -np.inf)
+    batch = max(1, _sweep_py.BATCH_CELLS // (k + 1) ** 2)
+    for start in range(0, k + 1, batch):
+        cells = _sweep_py._planes(w_y.matrix, w_z.matrix, prior[start:start + batch], rows,
+                                  ("rs", cost))
+        rs, excess = cells["rs"], cells[cost] - r_d
+        np.maximum(values, [np.max(rs - m * excess) for m in slopes.ravel()], out=values)
+    return float(values[0]) if slopes.ndim == 0 else values.reshape(slopes.shape)

@@ -10,6 +10,7 @@ from bccrates import (
     Frontier,
     GridSpec,
     GuardExceeded,
+    min_dummy_rate,
     secrecy_capacity,
     secrecy_frontier,
     secrecy_frontier_sim,
@@ -21,7 +22,7 @@ from bccrates._sweep_py import BIN_FUZZ, fold_max
 from bccrates.channels import bec, bsc
 from bccrates.probability import _xlogx
 
-from helpers import hull_chain, simplex_grid
+from helpers import grid_supporting_line_value, hull_chain, simplex_grid
 
 LN2 = math.log(2.0)
 
@@ -59,10 +60,8 @@ class TestGridSpec:
             GridSpec(prob_step=0.0)
         with pytest.raises(ValueError):
             GridSpec(prob_step=0.7)
-        with pytest.raises(ValueError):
-            GridSpec(mu_step=-1.0)
 
-    @pytest.mark.parametrize("name", ["mu_max", "mu_step", "rd_step", "rd_max"])
+    @pytest.mark.parametrize("name", ["rd_step", "rd_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -81,10 +80,6 @@ class TestGridSpec:
         grid = GridSpec(prob_step=0.02).prob_grid()
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert len(grid) == 51
-
-    def test_mu_values(self):
-        mus = GridSpec(mu_max=0.2, mu_step=0.05).mu_values()
-        np.testing.assert_allclose(mus, [0.0, 0.05, 0.1, 0.15, 0.2], atol=1e-12)
 
 
 class TestUpperConcaveHull:
@@ -192,27 +187,27 @@ class TestSecrecyCapacity:
 
 class TestSupportingLine:
     def test_dual_upper_bounds_and_approximates_primal(self):
-        # slopes above 2 never support this pair's frontier, so a short mu
-        # grid keeps the scan cheap
-        grid = GridSpec(prob_step=0.02, mu_max=2.0, mu_step=0.05)
+        # slopes above 2 never support this pair's frontier, so a short slope
+        # array keeps the scan cheap
+        grid = GridSpec(prob_step=0.02)
         front = secrecy_frontier(bsc(0.1), bsc(0.2), grid)
         for rd in (0.05, 0.1, 0.192745, 0.4):
-            dual = supporting_line_value(bsc(0.1), bsc(0.2), grid.mu_values(), rd, grid).min()
+            dual = supporting_line_value(bsc(0.1), bsc(0.2), np.arange(41) * 0.05, rd, grid).min()
             primal = front.evaluate(rd)
             assert dual >= primal - 1e-9
             assert dual - primal < 0.01
 
-    @pytest.mark.parametrize("w_y,w_z,mu_max,mu_step", [
-        (bsc(0.1), bsc(0.2), 2.0, 0.1),
+    @pytest.mark.parametrize("w_y,w_z,slopes", [
+        (bsc(0.1), bsc(0.2), np.arange(21) * 0.1),
         # this pair's frontiers rise by about 0.015 nats per nat of budget
-        (bsc(0.11), bec(0.45), 0.05, 0.0025),
+        (bsc(0.11), bec(0.45), np.arange(21) * 0.0025),
     ], ids=["bsc0.1/bsc0.2", "bsc0.11/bec0.45"])
-    def test_sim_dual_upper_bounds_sim_primal(self, w_y, w_z, mu_max, mu_step):
-        grid = GridSpec(prob_step=0.02, mu_max=mu_max, mu_step=mu_step)
+    def test_sim_dual_upper_bounds_sim_primal(self, w_y, w_z, slopes):
+        grid = GridSpec(prob_step=0.02)
         sim = secrecy_frontier_sim(w_y, w_z, grid)
         ds = secrecy_frontier(w_y, w_z, grid)
         for rd in (0.05, 0.1, 0.192745, 0.381):
-            dual = supporting_line_value(w_y, w_z, grid.mu_values(), rd, grid, mode="sim").min()
+            dual = supporting_line_value(w_y, w_z, slopes, rd, grid, mode="sim").min()
             assert dual >= sim.evaluate(rd) - 1e-9
             assert dual - sim.evaluate(rd) < 0.01
         # where simulating the prefix costs more, the sim dual falls below
@@ -230,35 +225,100 @@ class TestSupportingLine:
         with pytest.raises(ValueError):
             supporting_line_value(bsc(0.1), bsc(0.2), np.array([0.0, 0.5, -0.5]), 0.1)
 
+    @pytest.mark.parametrize("mu,r_d,match", [
+        (math.nan, 0.1, "slope must be finite"),
+        (np.array([0.0, math.inf]), 0.1, "slope must be finite"),
+        (0.5, math.nan, "r_d must be finite"),
+    ], ids=["nan-slope", "inf-slope", "nan-budget"])
+    def test_non_finite_input_rejected(self, mu, r_d, match):
+        # a NaN would pass through the maximum, and an infinite slope gives
+        # 0 * inf at the pure input laws, where cost and r_d - cost are 0
+        grid = GridSpec(prob_step=0.1)
+        for mode in ("ds", "sim"):
+            with pytest.raises(ValueError, match=match):
+                supporting_line_value(bsc(0.1), bsc(0.2), mu, r_d, grid, mode=mode)
+
     @pytest.mark.parametrize("mode", ["ds", "sim"])
     def test_slope_array_matches_one_slope_per_table(self, mode):
-        # each value is the float of one cell table per slope, as scalar calls give
+        # each value of the grid oracle is the float of one cell table per
+        # slope, as scalar calls give
         w_y, w_z, grid, r_d = bsc(0.11), bec(0.45), GridSpec(prob_step=0.1), 0.2
         slopes = np.array([0.0, 0.05, 0.3, 1.0, 7.5])
-        values = supporting_line_value(w_y, w_z, slopes, r_d, grid, mode=mode)
+        values = grid_supporting_line_value(w_y, w_z, slopes, r_d, grid, mode=mode)
         assert values.shape == slopes.shape
         p = grid.prob_grid()
         for mu, value in zip(slopes, values):
             cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
             want = float(np.max(cells["rs"] - float(mu) * (cells[f"rd_{mode}"] - r_d)))
-            scalar = supporting_line_value(w_y, w_z, float(mu), r_d, grid, mode=mode)
+            scalar = grid_supporting_line_value(w_y, w_z, float(mu), r_d, grid, mode=mode)
             assert isinstance(scalar, float) and scalar == want == value
 
-    def test_batches_match_one_table(self, monkeypatch):
-        # two cloud priors a batch, the last batch one prior
+    @pytest.mark.parametrize("mode", ["ds", "sim"])
+    def test_scalar_matches_array_entry(self, mode):
         w_y, w_z, grid, r_d = bsc(0.11), bec(0.45), GridSpec(prob_step=0.05), 0.2
-        slopes = np.array([0.0, 0.3, 2.0])
-        monkeypatch.setattr(_sweep_py, "BATCH_CELLS", 2 * 21 * 21)
-        p = grid.prob_grid()
-        cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
-        want = [np.max(cells["rs"] - mu * (cells["rd_ds"] - r_d)) for mu in slopes]
-        assert supporting_line_value(w_y, w_z, slopes, r_d, grid).tolist() == want
+        slopes = np.array([[0.0, 0.05, 0.3], [1.0, 7.5, 0.3]])
+        values = supporting_line_value(w_y, w_z, slopes, r_d, grid, mode=mode)
+        assert values.shape == slopes.shape
+        for mu, value in zip(slopes.ravel(), values.ravel()):
+            scalar = supporting_line_value(w_y, w_z, float(mu), r_d, grid, mode=mode)
+            assert isinstance(scalar, float) and scalar == value
+
+    @pytest.mark.parametrize("step", [0.05, 0.02])
+    def test_lattice_dual_certifies_the_frontier(self, step):
+        # the slopes of the lattice hull's own edges (and 0) give the hulled
+        # frontier at every budget; any slope gives at least the frontier
+        # and at least the grid's supporting line
+        grid = GridSpec(prob_step=step)
+        others = np.array([0.01, 0.1, 1.0, 10.0])
+        for w_y, w_z in ENVELOPE_PAIRS:
+            rd_grid, rd_step = frontier._budget_axis(w_y, w_z, grid)
+            lattice = frontier._lattice(w_y, w_z, grid, rd_step)
+            hulls = {"ds": frontier._hull_vertices(lattice.cost, lattice.ds_rate()),
+                     "sim": np.array(frontier._sim_hull(lattice, rd_grid.tolist())[0])}
+            fronts = {"ds": secrecy_frontier(w_y, w_z, grid),
+                      "sim": secrecy_frontier_sim(w_y, w_z, grid)}
+            for mode, hull in hulls.items():
+                vx, vy = hull.T
+                edges = np.diff(vy) / np.diff(vx)
+                front = fronts[mode]
+                for r_d, value in zip(front.r_d.tolist(), front.r_s.tolist()):
+                    i = int(np.searchsorted(vx, r_d))  # the edges on either side of r_d
+                    own = np.append(edges[max(0, i - 1):i + 1], 0.0)
+                    dual = supporting_line_value(w_y, w_z, own, r_d, grid, mode=mode)
+                    assert abs(dual.min() - value) <= 1e-9
+                    assert np.all(dual >= value - 1e-12)
+                slopes = np.append(edges[:3], others)
+                for r_d in front.r_d[[1, front.r_d.size // 3, -1]].tolist():
+                    dual = supporting_line_value(w_y, w_z, slopes, r_d, grid, mode=mode)
+                    assert np.all(dual >= front.evaluate(r_d) - 1e-12)
+                grid_dual = grid_supporting_line_value(w_y, w_z, slopes, r_d, grid, mode)
+                assert np.all(dual >= grid_dual - 1e-12)  # at the last budget
 
     def test_default_grid_returns_an_upper_bound(self):
-        # 201^3 cells, streamed a batch at a time
+        # the default grid's 40,001 input laws
         value = supporting_line_value(bsc(0.1), bsc(0.2), 1.0, 0.1)
         assert isinstance(value, float)
         assert value >= secrecy_frontier(bsc(0.1), bsc(0.2)).evaluate(0.1) - 1e-9
+
+    def test_binary_package_path_evaluates_no_grid_cell(self, monkeypatch):
+        # only v_equals_x, inputs of three or more letters and the r_0 > 0
+        # pair search evaluate grid cells
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a grid cell was evaluated")
+
+        w_y, w_z, grid = bsc(0.11), bec(0.45), GridSpec(prob_step=0.05)
+        monkeypatch.setattr(_sweep_py, "_planes", no_cells)
+        for fn in (secrecy_frontier, secrecy_frontier_sim):
+            for hull in (True, False):
+                fn(w_y, w_z, grid, hull=hull)
+        assert secrecy_capacity(w_y, w_z, grid) > 0.0
+        assert min_dummy_rate(w_y, w_z, 0.0, 0.001, grid) > 0.0
+        for mode in ("ds", "sim"):
+            supporting_line_value(w_y, w_z, np.array([0.0, 0.5]), 0.1, grid, mode=mode)
+        with pytest.raises(AssertionError, match="grid cell"):
+            secrecy_frontier(w_y, w_z, grid, v_equals_x=True)
+        with pytest.raises(AssertionError, match="grid cell"):
+            min_dummy_rate(w_y, w_z, 0.01, 0.001, grid)
 
 
 class TestGeneralAlphabets:

@@ -33,8 +33,10 @@ def test_retired_names_stay_gone():
         assert [name for name in RETIRED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(bccrates.Pmf, "entropy")
     assert not hasattr(bccrates.Dmc, "row")
-    # size guards are module constants, not per-call knobs
-    assert "cell_guard" not in [f.name for f in dataclasses.fields(bccrates.GridSpec)]
+    # size guards are module constants, not per-call knobs, and supporting
+    # lines take the slopes of the lattice hull's edges, not a slope grid
+    fields = [f.name for f in dataclasses.fields(bccrates.GridSpec)]
+    assert [name for name in ("cell_guard", "mu_max", "mu_step") if name in fields] == []
     for check in (bccrates.is_more_capable, bccrates.is_degraded):
         assert "guard" not in inspect.signature(check).parameters
     # one letter-plane sweep serves every input alphabet; the full-grid sweep
@@ -42,5 +44,7 @@ def test_retired_names_stay_gone():
     for module, name in ((frontier, "_general_sweep"), (frontier, "_product_blocks"),
                          (frontier, "_simplex_grid"), (_sweep_py, "sweep_binary"),
                          # one block object evaluates three-layer codebooks
-                         (simulate, "_BccTables"), (simulate._Block, "x")):
+                         (simulate, "_BccTables"), (simulate._Block, "x"),
+                         # the sweep batches its own cells; no slope grid
+                         (_sweep_py, "cell_batches"), (bccrates.GridSpec, "mu_values")):
         assert not hasattr(module, name), name
