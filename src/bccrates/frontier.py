@@ -2,19 +2,17 @@
 
 For a channel pair (receiver, eavesdropper) the achievable set of
 (randomness budget, confidential rate) pairs is reduced to a per-budget
-maximum and convexified by two-point time sharing.  For binary inputs with
-a free prefix, every frontier query is answered from one lattice of input
-laws and prefix split points (:func:`_lattice`): ``ds`` from the convex
-envelope of psi = H(Y) - H(Z), hulled ``sim`` from an exact slope search
-(:func:`_sim_point`), raw ``sim`` from the grid's cells gathered off the
-lattice, and the supporting lines that certify those frontiers from the same
-points.  The rest (``v_equals_x`` and inputs of three or more letters) take
-the grid sweep over a cloud prior and one conditional input row per cloud
-letter, each from a lattice on the simplex (:func:`_sweep_frontier`); for
-binary inputs that is the three-parameter search (cloud prior and the two
-conditional-input diagonal entries), which the tests keep as the oracle of
-the lattice.  Inputs of three or more letters are held to a cell guard, and
-the lattice to the same guard.
+maximum and convexified by two-point time sharing.  A chain's cell is a
+prior on V with one conditional input row per letter of V (Csiszar-Korner),
+so its input law and its rows all lie on one simplex lattice
+(:func:`_lattice`), whose tables H(Y), H(Z) and I(X;Z) come from one
+per-law evaluator (:func:`_per_law`).  Binary inputs with a free prefix
+answer ``ds`` from the convex envelope of psi = H(Y) - H(Z) and hulled
+``sim`` from an exact slope search (:func:`_sim_point`); every other
+frontier (raw binary ``sim``, inputs of three or more letters, V = X)
+folds the cells gathered from the lattice's tables (:func:`_gather`).  Cell
+counts and lattice sizes are held to a guard before anything of their size
+is allocated.
 """
 
 from __future__ import annotations
@@ -26,15 +24,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _sweep_py
 from ._csv import write_csv
 from .probability import Dmc, GuardExceeded, _xlogx
 
 FEASIBILITY_TOL = 1e-9
-CELL_GUARD = 2**22  # most cells a general-alphabet sweep, input laws an envelope or entries
-                    # a budget axis may hold
+CELL_GUARD = 2**22  # most cells a gather, input laws a lattice or entries a budget axis may hold
 HULL_PASSES = 16    # vectorised chord passes of a hull before its survivors are chained
 SLOPE_TOL = 1e-13   # how far a slope query's point must beat its chord to be a vertex
+BIN_FUZZ = 1e-9     # in units of rd_step; absorbs float noise at exact bin edges
+BATCH_CELLS = 1 << 13  # cells gathered per batch of priors: 64 KiB temporaries
+
+
+def _guarded(count: int, need: str) -> int:
+    """``count``, or :class:`GuardExceeded` (``need`` names what needs it) if
+    it is above ``CELL_GUARD``; checked before anything that size is made."""
+    if count > CELL_GUARD:
+        raise GuardExceeded(f"{need.format(count)}, above guard {CELL_GUARD}; coarsen prob_step")
+    return count
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,13 @@ class GridSpec:
         if self.rd_max is not None and self.rd_max < 0.0:
             raise ValueError("rd_max must be nonnegative")
 
+    @property
+    def k(self) -> int:
+        """Grid points per unit probability: every grid is the multiples of 1/k."""
+        return max(1, round(1.0 / self.prob_step))
+
     def prob_grid(self) -> np.ndarray:
-        n = max(1, round(1.0 / self.prob_step))
-        return np.linspace(0.0, 1.0, n + 1)
+        return np.linspace(0.0, 1.0, self.k + 1)
 
     def rd_axis(self, cost_cap: float) -> np.ndarray:
         step = self.prob_step if self.rd_step is None else self.rd_step
@@ -186,93 +196,67 @@ def upper_concave_hull(points) -> Frontier:
                     provenance={"kind": "upper_concave_hull", "input_points": len(pts)})
 
 
-def _simplex_lattice(m: int, k: int, first: int = 0) -> np.ndarray:
-    """Every probability vector of length ``m`` on the 1/k lattice, one per row.
-
-    Coordinates ``first``, ``first`` + 1, ... (cyclically) take the values
-    i * (1/k) of :meth:`GridSpec.prob_grid`, each sweeping upward in
-    lexicographic order; the last one, ``first`` - 1, is the remainder 1 minus
-    the grid value of the others' total count (exactly 0 where they take the
-    whole mass).  For m = 2 that is (prob_grid, 1 - prob_grid) or its mirror.
-    """
-    values = np.arange(k + 1) * (1.0 / k)  # prob_grid's floats, without linspace's cost
-    values[-1] = 1.0
+def _simplex_counts(m: int, k: int) -> np.ndarray:
+    """Every vector of ``m`` nonnegative counts summing to ``k``, one per row:
+    the first m - 1 in lexicographic order, the last the remainder."""
     if m == 2:  # binary grids skip the general construction's cost
-        lattice = np.empty((k + 1, 2))
-        lattice[:, first], lattice[:, 1 - first] = values, 1.0 - values
-        return lattice
+        count = np.arange(k + 1)
+        return np.array((count, k - count)).T
     counts, left = np.zeros((1, 0), dtype=np.int64), np.array([k])
     for _ in range(m - 1):  # every count from 0 to what the coordinates so far leave
         reps = left + 1
         parent = np.repeat(np.arange(len(left)), reps)
         count = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
         counts, left = np.column_stack([counts[parent], count]), left[parent] - count
-    return np.roll(np.column_stack([values[counts], 1.0 - values[k - left]]), first, axis=1)
+    return np.column_stack([counts, left])
 
 
-def _cost_cap(w_y: Dmc, w_z: Dmc) -> float:
-    mx, mz = w_y.input_size, w_z.output_size
-    return min(math.log(mx), math.log(mz)) + math.log(mx)
+def _grid_shares(counts: np.ndarray, k: int) -> np.ndarray:
+    """The probability vectors of count vectors summing to ``k``: each count i
+    but the last gives the value i * (1/k) of :meth:`GridSpec.prob_grid`, and
+    the last is the remainder 1 minus the grid value of the others' total
+    (exactly 0 where they take the whole mass)."""
+    values = np.arange(k + 1) * (1.0 / k)  # prob_grid's floats, without linspace's cost
+    values[-1] = 1.0
+    shares = values[counts]
+    shares[:, -1] = 1.0 - values[k - counts[:, -1]]
+    return shares
+
+
+def _simplex_lattice(m: int, k: int) -> np.ndarray:
+    """Every probability vector of length ``m`` on the 1/k lattice, one per row
+    (:func:`_grid_shares` of :func:`_simplex_counts`); for m = 2 that is
+    (prob_grid, 1 - prob_grid)."""
+    return _grid_shares(_simplex_counts(m, k), k)
 
 
 def _budget_axis(w_y: Dmc, w_z: Dmc, grid: GridSpec) -> tuple[np.ndarray, float]:
-    """The budget axis of a frontier of the pair, and its step."""
+    """The budget axis of a frontier of the pair, and its step: by default up
+    to min(log |X|, log |Z|) + log |X|."""
     if w_y.input_size != w_z.input_size:
         raise ValueError("the two channels must share the input alphabet")
-    rd_grid = grid.rd_axis(_cost_cap(w_y, w_z))
+    mx, mz = w_y.input_size, w_z.output_size
+    rd_grid = grid.rd_axis(min(math.log(mx), math.log(mz)) + math.log(mx))
     return rd_grid, float(rd_grid[1] - rd_grid[0]) if rd_grid.size > 1 else 1.0
 
 
-def _budget_curve(rd_grid: np.ndarray, raw: np.ndarray, hull: bool) -> np.ndarray:
-    """Running maximum of per-budget maxima ``raw``, then (``hull``) the upper
-    concave hull sampled back on the budget axis ``rd_grid``."""
-    curve = np.maximum.accumulate(raw)
-    if hull:
-        curve = np.interp(rd_grid, *_hull_vertices(rd_grid, curve).T)
-    return curve
+def fold_max(table: np.ndarray, rd: np.ndarray, rs: np.ndarray, rd_step: float) -> None:
+    """table[g] = max(table[g], rs) over cells binned at g = ceil(rd/rd_step).
+
+    Bins below 0 count as bin 0; bins past the end of the table are dropped.
+    """
+    g = np.ceil(rd.ravel() / rd_step - BIN_FUZZ).astype(np.int64)
+    np.clip(g, 0, table.size, out=g)
+    spill = np.append(table, -np.inf)  # the last slot takes the dropped bins
+    np.maximum.at(spill, g, rs.ravel())
+    table[:] = spill[:-1]
 
 
-def _sweep_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, v_equals_x: bool,
-                    hull: bool) -> Frontier:
-    rd_grid, rd_step = _budget_axis(w_y, w_z, grid)
-    p_grid = grid.prob_grid()
-    m, k = w_y.input_size, len(p_grid) - 1
-    n_cells = math.comb(k + m - 1, m - 1) ** (1 if v_equals_x else m + 1)
-    if m > 2 and n_cells > CELL_GUARD:
-        raise GuardExceeded(f"general-alphabet sweep needs {n_cells} cells, above guard "
-                            f"{CELL_GUARD}; coarsen prob_step")
-    # a cloud prior times one grid of conditional input rows per cloud letter;
-    # with V = X each row is the point mass on its letter
-    prior = _simplex_lattice(m, k)
-    rows = ([np.eye(m)[v:v + 1] for v in range(m)] if v_equals_x
-            else [prior] + [_simplex_lattice(m, k, v) for v in range(1, m)])
-    raw = _sweep_py.sweep(w_y.matrix, w_z.matrix, prior, rows, rd_step, rd_grid.size, mode)
-    curve = _budget_curve(rd_grid, raw, hull)
-    provenance = {
-        "mode": mode,
-        "v_equals_x": v_equals_x,
-        "hull": hull,
-        "prob_step": float(p_grid[1] - p_grid[0]) if p_grid.size > 1 else 1.0,
-        "rd_step": rd_step,
-        "rd_max": float(rd_grid[-1]),
-        "bin_fuzz_steps": _sweep_py.BIN_FUZZ,
-        "feasibility_tol": FEASIBILITY_TOL,
-        "backend": "python",
-        "input_size": w_y.input_size,
-        "seed": None,
-    }
-    points = tuple((float(x), float(y)) for x, y in zip(rd_grid, curve))
-    return Frontier(points=points, provenance=provenance)
-
-
-def _envelope_points(grid: GridSpec) -> int:
-    """Size of the input-law lattice {m / k^2} of :func:`_lattice`, with
-    k = round(1 / prob_step) as in :meth:`GridSpec.prob_grid`; held to the guard."""
-    k = len(grid.prob_grid()) - 1
-    if k * k + 1 > CELL_GUARD:
-        raise GuardExceeded(f"envelope lattice needs {k * k + 1} input laws, above guard "
-                            f"{CELL_GUARD}; coarsen prob_step")
-    return k * k + 1
+def _envelope_points(grid: GridSpec, m: int = 2, r: int | None = None) -> int:
+    """Index size (k r + 1)^(m - 1) of the lattice of :func:`_lattice` at
+    ``grid`` (rows on the 1/r lattice, by default r = k), held to the guard;
+    for binary inputs with a free prefix, its k^2 + 1 input laws."""
+    return _guarded((grid.k * (r or grid.k) + 1) ** (m - 1), "envelope lattice needs {} input laws")
 
 
 def _lower_envelope(x: np.ndarray, y: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
@@ -282,51 +266,129 @@ def _lower_envelope(x: np.ndarray, y: np.ndarray, at: np.ndarray | None = None) 
     return np.interp(x if at is None else at, x[keep], y[keep])
 
 
-class _Lattice(NamedTuple):
-    """The input-law lattice of a binary-input pair (see :func:`_lattice`)."""
+def _per_law(w_y: Dmc, w_z: Dmc, laws: list[np.ndarray], planes: bool = False) -> tuple:
+    """H(Y), H(Z) and I(X;Z) at the input laws whose letter shares are the
+    arrays ``laws``, one per input letter, and (if ``planes``) the output laws
+    of Y and Z, letters on a last axis.  Each output law is formed one letter
+    (plane) at a time, and every sum over input letters runs left to right."""
+    def receiver(w):
+        law = (sum((share * w[x, j] for x, share in enumerate(laws[1:], 1)), laws[0] * w[0, j])
+               for j in range(w.shape[1]))
+        if planes:
+            law = list(law)
+        return -sum(_xlogx(plane) for plane in law), np.stack(law, axis=-1) if planes else None
 
-    x: np.ndarray     # input laws P_X(0) = m / k^2; every k-th one is a split point
-    psi: np.ndarray   # H(Y) - H(Z) at each x
-    cost: np.ndarray  # I(X;Z) at each x, 0 within the bin fuzz of 0
-    g: np.ndarray     # H(X) - I(X;Z) at the split points x[::k]
+    (hy, p_y), (hz, p_z) = receiver(w_y.matrix), receiver(w_z.matrix)
+    z_rows = -_xlogx(w_z.matrix).sum(axis=1)
+    cost = hz - sum((share * z_rows[x] for x, share in enumerate(laws[1:], 1)),
+                    laws[0] * z_rows[0])
+    return hy, hz, cost, p_y, p_z
+
+
+class _Lattice(NamedTuple):
+    """The tables of the input-law lattice of a pair (see :func:`_lattice`),
+    each law at the index of its first m - 1 counts in base k r + 1 (for
+    binary inputs, the count of letter 0)."""
+
+    x: np.ndarray      # P_X(0) at each index; for binary inputs every k-th one is a split point
+    psi: np.ndarray    # H(Y) - H(Z)
+    cost: np.ndarray   # I(X;Z), 0 within the bin fuzz of 0
+    g: np.ndarray      # H(X) - I(X;Z) at each row
+    steps: np.ndarray  # row c's index is k * steps[c]; a cell's law is at sum_v i_v steps[c_v]
     k: int
+    outputs: tuple | None = None  # H(Y), H(Z) and the output laws of Y and Z
 
     def ds_rate(self) -> np.ndarray:
-        """The best ``ds`` rate at each x: psi minus its lower convex envelope
-        over the split points (Csiszar-Korner)."""
+        """The best ``ds`` rate at each x of a binary-input lattice: psi minus
+        its lower convex envelope over the split points (Csiszar-Korner)."""
         return self.psi - _lower_envelope(self.x[::self.k], self.psi[::self.k], self.x)
 
 
-def _lattice(w_y: Dmc, w_z: Dmc, grid: GridSpec, rd_step: float) -> _Lattice:
-    """The lattice that answers every binary frontier query at ``grid``.
+def _lattice(w_y: Dmc, w_z: Dmc, k: int, r: int, rd_step: float,
+             outputs: bool = False) -> _Lattice:
+    """The input laws of every cell of priors on the 1/k lattice and rows on
+    the 1/r lattice, with their tables.
 
-    x = P_X(0) runs over m / k^2 (k = round(1 / prob_step)), and the two split
-    points of a binary prefix V over the sweep's rows i / k, every k-th x.  A
-    grid cell (p, a, b) has input law p a + (1 - p)(1 - b) and split points a
-    and 1 - b, all on the lattice.  A split of x into x_v with weights lam_v
-    gives the rate psi(x) - sum lam_v psi(x_v), psi = H(Y) - H(Z); ``ds``
-    charges I(X;Z)(x), and ``sim`` I(X;Z)(x) + sum lam_v g(x_v),
-    g = H(X) - I(X;Z).  Costs within the bin fuzz of 0 (in steps of
-    ``rd_step``) count as 0, as in the sweep's bins.  The lattice is held to
-    the guard.
+    A cell is a prior on V with counts i_v (summing to k) and one conditional
+    input row per letter v with counts c_v (summing to r).  Its input law has
+    counts sum_v i_v c_v, summing to k r, and the row of v is the law with
+    counts k c_v: both on the lattice.  Splitting x into rows x_v with
+    weights p_v gives the rate psi(x) - sum p_v psi(x_v); ``ds`` charges
+    I(X;Z)(x), and ``sim`` I(X;Z)(x) + sum p_v g(x_v), g = H(X) - I(X;Z).
+    r = k gives every cell of a free prefix, r = 1 the point masses of
+    V = X.  Costs within the bin fuzz of 0 (in steps of ``rd_step``) count
+    as 0, as in the bins of :func:`fold_max`.  With ``outputs`` the lattice
+    also keeps each law's output entropies and laws.  Callers hold its size
+    to the guard (:func:`_envelope_points`).
     """
-    if w_y.input_size != 2:
-        raise ValueError("the input-law lattice is provided for binary inputs")
-    count = _envelope_points(grid)
-    k = math.isqrt(count - 1)
-    x = np.arange(count) / (count - 1)
-    y = 1.0 - x
+    m, total = w_y.input_size, k * r
+    side = total + 1
+    stride = side ** np.arange(m - 2, -1, -1)
+    if m == 2:  # letter shares c / (k r); a binary law's index is its count of letter 0
+        x = np.arange(side) / total
+        laws, at = [x, 1.0 - x], None
+    else:  # the last share is 1 minus the others' total
+        counts = _simplex_counts(m, total)
+        laws = [*(counts[:, :-1].T / total), 1.0 - (total - counts[:, -1]) / total]
+        at = counts[:, :-1] @ stride
 
-    def output_entropy(w):  # one output letter at a time, as the sweep's planes
-        return -sum(_xlogx(x * w[0, j] + y * w[1, j]) for j in range(w.shape[1]))
+    def place(table):  # each law at its index; the indices no law takes hold NaN
+        if at is None:
+            return table
+        out = np.full((side ** (m - 1),) + table.shape[1:], np.nan)
+        out[at] = table
+        return out
 
-    hz = output_entropy(w_z.matrix)
-    psi = output_entropy(w_y.matrix) - hz
-    z_rows = -_xlogx(w_z.matrix).sum(axis=1)
-    cost = hz - (x * z_rows[0] + y * z_rows[1])
-    cost[cost < _sweep_py.BIN_FUZZ * rd_step] = 0.0
-    g = -(_xlogx(x[::k]) + _xlogx(y[::k])) - cost[::k]
-    return _Lattice(x, psi, cost, g, k)
+    hy, hz, cost, p_y, p_z = _per_law(w_y, w_z, laws, outputs)
+    cost[cost < BIN_FUZZ * rd_step] = 0.0
+    x, psi, cost = place(laws[0]), place(hy - hz), place(cost)
+    steps = _simplex_counts(m, r)[:, :-1] @ stride
+    split = [place(law)[k * steps] for law in laws]  # the rows' laws
+    g = -sum(map(_xlogx, split[1:]), _xlogx(split[0])) - cost[k * steps]
+    return _Lattice(x, psi, cost, g, steps, k, outputs and tuple(map(place, (hy, hz, p_y, p_z))))
+
+
+def _gather(lattice: _Lattice, priors: np.ndarray, picks: list[np.ndarray],
+            fields: tuple[str, ...]):
+    """Yield the ``fields`` of every cell of the prior counts ``priors`` (one
+    per row) and the rows ``picks[v]`` of each letter v, gathered from the
+    lattice on the axes (prior, row of v = 0, row of v = 1, ...), a batch of
+    priors (about ``BATCH_CELLS`` cells, or one prior's) at a time.
+
+    A cell's input law x is at index sum_v i_v steps[c_v].  ``rs`` is
+    psi(x) - sum_v p_v psi(row_v) and ``ivy`` the same of H(Y); ``rd_ds`` is
+    I(X;Z)(x) and ``rd_sim`` that plus sum_v p_v g(row_v); ``hy``, ``hz``,
+    ``p_y`` and ``p_z`` are read at x.  Sums over v run left to right.
+    """
+    k, m = lattice.k, len(picks)
+    hy, hz, p_y, p_z = lattice.outputs or (None,) * 4
+
+    def on_axes(rows):  # a row table at the picks of each v, on the axis of v
+        return [rows[c].reshape((-1,) + (1,) * (m - 1 - v)) for v, c in enumerate(picks)]
+
+    at_laws = {"rs": lattice.psi, "ivy": hy, "rd_ds": lattice.cost, "rd_sim": lattice.cost,
+               "hy": hy, "hz": hz, "p_y": p_y, "p_z": p_z}
+    # the fields that add (or subtract) sum_v p_v of a table at the rows; g is one already
+    row_tables = {"rs": (lattice.psi, np.subtract), "ivy": (hy, np.subtract),
+                  "rd_sim": (lattice.g, np.add)}
+    splits = {key: (on_axes(table if key == "rd_sim" else table[k * lattice.steps]), op)
+              for key, (table, op) in row_tables.items() if key in fields}
+    steps = on_axes(lattice.steps)
+    # the counts and shares of v, on the prior axis
+    counts = [c.reshape((-1,) + (1,) * m) for c in priors.T]
+    shares = [p.reshape((-1,) + (1,) * m) for p in _grid_shares(priors, k).T]
+    batch = max(1, BATCH_CELLS // math.prod(len(c) for c in picks))
+    for start in range(0, len(priors), batch):
+        at = slice(start, start + batch)
+        law = sum((i[at] * c for i, c in zip(counts[1:], steps[1:])), counts[0][at] * steps[0])
+        cells = {}
+        for key in fields:
+            cells[key] = out = at_laws[key][law]
+            if key in splits:
+                rows, op = splits[key]
+                for p, at_rows in zip(shares, rows):
+                    op(out, p[at] * at_rows, out=out)
+        yield cells
 
 
 def _sim_point(lattice: _Lattice, mu: float) -> tuple[float, float]:
@@ -337,7 +399,7 @@ def _sim_point(lattice: _Lattice, mu: float) -> tuple[float, float]:
     the lower convex envelope over the split points x[::k] (``g`` there),
     whose vertices around the maximiser give its split and so its point.
     """
-    x, psi, cost, g, k = lattice
+    x, psi, cost, g, k = lattice.x, lattice.psi, lattice.cost, lattice.g, lattice.k
     s, psi_s = x[::k], psi[::k]
     f = psi_s + mu * g
     keep = _upper_hull(s, -f)
@@ -384,94 +446,86 @@ def _sim_hull(lattice: _Lattice, budgets: list[float]) -> tuple[list[tuple[float
     return sorted(vertices), queries
 
 
-def _fold_sim_cells(raw: np.ndarray, lattice: _Lattice, rd_step: float) -> int:
-    """Fold the grid's ``sim`` cells, gathered from the lattice, into the
-    per-budget maxima ``raw``; returns the number of cells folded.
+def _frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None, mode: str, v_equals_x: bool,
+              hull: bool) -> Frontier:
+    """The ``ds`` or ``sim`` frontier (hulled or raw) of the pair at ``grid``,
+    from the lattice of :func:`_lattice`.
 
-    Cell (i, j, c) has weight p = i / k on split point j / k and 1 - p on
-    c / k, input law m / k^2 with m = i j + (k - i) c, rate
-    psi[m] - p psi(j / k) - (1 - p) psi(c / k) and cost
-    cost[m] + p g[j] + (1 - p) g[c].  Relabelling V maps (i, j, c) to
-    (k - i, c, j), the same chain, so only i <= k / 2 is folded, one
-    (k + 1)^2 plane over (j, c) at a time.
+    Binary inputs with a free prefix take the envelope (``"method":
+    "envelope"``): hulled ``ds`` is the upper concave hull of the (cost, best
+    rate) points of :meth:`_Lattice.ds_rate`, raw ``ds`` bins them by cost,
+    and hulled ``sim`` comes from the slope search of :func:`_sim_hull`.
+    Every other frontier folds the cells gathered from the lattice
+    (:func:`_gather`) by cost, then takes the running maximum (and hull).
+    With a free prefix (raw binary ``sim``, and ``"gather"`` for larger
+    alphabets) those are every cell with one row per letter of V on the 1/k
+    lattice and a prior with non-decreasing counts: relabelling V permutes a
+    cell's prior and rows alike and gives the same chain, so these reach
+    every cell's rate and cost.  With V = X (``"prior_laws"``) each prior
+    takes one cell, the row of letter v the point mass on v.  The lattice,
+    and for three or more input letters the cells, are held to the guard
+    before either is made.
     """
-    _, psi, cost, g, k = lattice
-    psi_s, split = psi[::k], np.arange(k + 1)
-    for i in range(k // 2 + 1):
-        p = i * (1.0 / k)
-        m = i * split[:, None] + (k - i) * split
-        rate = psi[m]
-        rate -= (p * psi_s)[:, None]
-        rate -= (1.0 - p) * psi_s
-        rd = cost[m]
-        rd += (p * g)[:, None]
-        rd += (1.0 - p) * g
-        _sweep_py.fold_max(raw, rd, rate, rd_step)
-    return (k // 2 + 1) * (k + 1) ** 2
-
-
-def _envelope_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec, mode: str, hull: bool) -> Frontier:
-    """The ``ds`` or ``sim`` frontier (hulled or raw) of a binary-input pair,
-    from the input-law lattice of :func:`_lattice`.
-
-    Every grid cell is a lattice point, so each frontier here is at least the
-    sweep's at every budget.  The hulled ``ds`` frontier is the upper concave
-    hull of the (cost, best rate) points of :meth:`_Lattice.ds_rate` read at
-    each budget, and the raw one bins them by cost as the sweep bins cells.
-    The hulled ``sim`` frontier comes from the slope search of
-    :func:`_sim_hull`; the raw one folds the sweep's own cells, their rates
-    and costs gathered from the lattice's arrays (:func:`_fold_sim_cells`),
-    so it is the sweep's frontier up to rounding.
-    """
+    grid = grid or GridSpec()
     rd_grid, rd_step = _budget_axis(w_y, w_z, grid)
-    lattice = _lattice(w_y, w_z, grid, rd_step)
+    m, k = w_y.input_size, grid.k
+    envelope = m == 2 and not v_equals_x
+    r = 1 if v_equals_x else k  # the rows: the point masses, or the 1/k lattice
+    _envelope_points(grid, m, r)
+    n_rows = math.comb(r + m - 1, m - 1)
+    cells = None
+    if v_equals_x:  # the point mass on v is row m - 1 - v of the 1/1 lattice
+        priors, picks = _simplex_counts(m, k), [np.array([m - 1 - v]) for v in range(m)]
+        cells = len(priors)
+    elif not envelope or (mode == "sim" and not hull):
+        _guarded(n_rows**m, "gather needs {} cells a prior")
+        priors = _simplex_counts(m, k)
+        priors = priors[np.all(np.diff(priors, axis=1) >= 0, axis=1)]
+        cells = len(priors) * n_rows**m
+        if not envelope:
+            _guarded(cells, "gather needs {} cells")
+        picks = [np.arange(n_rows)] * m
+    lattice = _lattice(w_y, w_z, k, r, rd_step)
     provenance = {
         "mode": mode,
-        "v_equals_x": False,
+        "v_equals_x": v_equals_x,
         "hull": hull,
-        "method": "envelope",
-        "prob_step": 1.0 / lattice.k,  # the step of GridSpec.prob_grid
-        "x_points": lattice.x.size,
-        "split_points": lattice.k + 1,
+        "method": "envelope" if envelope else "prior_laws" if v_equals_x else "gather",
+        "prob_step": 1.0 / k,  # the step of GridSpec.prob_grid
+        "x_points": math.comb(k * r + m - 1, m - 1),
+        "split_points": n_rows,
         "rd_step": rd_step,
         "rd_max": float(rd_grid[-1]),
-        "bin_fuzz_steps": _sweep_py.BIN_FUZZ,
+        "bin_fuzz_steps": BIN_FUZZ,
         "feasibility_tol": FEASIBILITY_TOL,
         "backend": "python",
-        "input_size": 2,
+        "input_size": m,
         "seed": None,
     }
     raw = np.full(rd_grid.size, -np.inf)  # the per-budget maxima of a raw frontier
-    if mode == "ds":
+    vertices = None
+    if cells is not None:
+        for gathered in _gather(lattice, priors, picks, ("rs", f"rd_{mode}")):
+            fold_max(raw, gathered[f"rd_{mode}"], gathered["rs"], rd_step)
+        provenance["cells_folded"] = cells
+    elif mode == "ds":
         rate = lattice.ds_rate()
         if hull:
             vertices = _hull_vertices(lattice.cost, rate)
         else:
-            _sweep_py.fold_max(raw, lattice.cost, rate, rd_step)
-    elif hull:
+            fold_max(raw, lattice.cost, rate, rd_step)
+    else:
         found, queries = _sim_hull(lattice, rd_grid.tolist())
         vertices = np.array(found)
         provenance.update(slope_queries=queries, slope_tol=SLOPE_TOL)
-    else:
-        provenance["cells_folded"] = _fold_sim_cells(raw, lattice, rd_step)
-    if hull:
+    if vertices is None:  # the running maximum, and its hull over the budget axis
+        curve = np.maximum.accumulate(raw)
+        if hull:
+            vertices = _hull_vertices(rd_grid, curve)
+    if vertices is not None:
         curve = np.interp(rd_grid, *vertices.T)
         provenance["hull_vertices"] = len(vertices)
-    else:
-        curve = _budget_curve(rd_grid, raw, False)
     return Frontier(points=tuple(zip(rd_grid.tolist(), curve.tolist())), provenance=provenance)
-
-
-def _frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None, mode: str, v_equals_x: bool,
-              hull: bool) -> Frontier:
-    """The lattice frontier where it applies (binary inputs with a free
-    prefix), else the grid sweep."""
-    grid = grid or GridSpec()
-    if w_y.input_size == 2 and not v_equals_x:
-        return _envelope_frontier(w_y, w_z, grid, mode, hull)
-    front = _sweep_frontier(w_y, w_z, grid, mode, v_equals_x, hull)
-    front.provenance["method"] = "grid"
-    return front
 
 
 def secrecy_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
@@ -483,9 +537,10 @@ def secrecy_frontier(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
     layer.  The hull is time sharing through the cloud variable U, which the
     region admits when the common and private rates are zero.
     ``hull=False`` skips time sharing and returns the raw (running-maximum)
-    curve.  Binary inputs with a free prefix take the input-law lattice of
-    :func:`_envelope_frontier` (``"method": "envelope"``); the rest take the
-    grid sweep (``"method": "grid"``).
+    curve.  Binary inputs with a free prefix take the envelope of the
+    input-law lattice (``"method": "envelope"``), larger input alphabets the
+    cells gathered from it (``"gather"``), and V = X its tables at the prior
+    laws (``"prior_laws"``); see :func:`_frontier`.
     """
     return _frontier(w_y, w_z, grid, "ds", v_equals_x, hull)
 
@@ -501,7 +556,7 @@ def secrecy_frontier_sim(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None, *,
     well, so both frontiers are compared convexified.  For binary inputs with
     a free prefix the hulled frontier is the exact hull of the lattice's
     points by a slope search (:func:`_sim_hull`), and the raw one folds the
-    grid sweep's cells gathered from the lattice (:func:`_fold_sim_cells`).
+    cells gathered from the lattice (:func:`_gather`).
     """
     return _frontier(w_y, w_z, grid, "sim", v_equals_x, hull)
 
@@ -538,8 +593,11 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float
         raise ValueError(f"r_d must be finite, got {r_d!r}")
     if mode not in ("ds", "sim"):
         raise ValueError(f"mode must be 'ds' or 'sim', got {mode!r}")
+    if w_y.input_size != 2:
+        raise ValueError("supporting lines are provided for binary inputs")
     grid = grid or GridSpec()
-    lattice = _lattice(w_y, w_z, grid, _budget_axis(w_y, w_z, grid)[1])
+    _envelope_points(grid)
+    lattice = _lattice(w_y, w_z, grid.k, grid.k, _budget_axis(w_y, w_z, grid)[1])
     mus = slopes.ravel().tolist()
     if mode == "ds":
         rate, excess = lattice.ds_rate(), lattice.cost - r_d

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _sweep_py
 from .chain import BccChain, ChainInformations, informations
-from .frontier import GridSpec, _envelope_points, _simplex_lattice, secrecy_frontier
+from .frontier import (GridSpec, _envelope_points, _gather, _lattice, _simplex_counts,
+                       _simplex_lattice, secrecy_frontier)
 from .probability import Dmc, GuardExceeded, _xlogx
 
 SLACK_TOL = 1e-9
@@ -294,14 +294,22 @@ def is_degraded(w_y: Dmc, w_z: Dmc, grid_step: float = 0.05) -> DegradednessVerd
 
 
 def _pair_search_cells(w_y: Dmc, w_z: Dmc, budget: int) -> dict:
-    """Decimated cell cloud with per-cell output laws, for two-point mixing."""
+    """Decimated cell cloud with per-cell output laws, for two-point mixing.
+
+    The cells (p, a, b) = (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1)) on the 1/n grid,
+    in lexicographic order, gathered from the input-law lattice at k = n
+    (``frontier._gather``, in one batch): the largest n with (n + 1)^3 cells
+    within ``budget``.
+    """
     if w_y.input_size != 2:
         raise ValueError("the pair search over time-sharing mixtures needs binary inputs")
     n = 1
     while (n + 2) ** 3 <= budget:
         n += 1
-    p = np.linspace(0.0, 1.0, n + 1)
-    return _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p, _PAIR_FIELDS)
+    lattice = _lattice(w_y, w_z, n, n, 0.0, outputs=True)
+    rows = np.arange(n + 1)  # row j has P_X(0) = j / n, so b = c / n is row n - c
+    (cells,) = _gather(lattice, _simplex_counts(2, n), [rows, rows[::-1]], _PAIR_FIELDS)
+    return {key: value.reshape(-1, *value.shape[3:]) for key, value in cells.items()}
 
 
 _PAIR_FIELDS = ("rs", "rd_ds", "ivy", "p_y", "p_z", "hy", "hz")
@@ -457,17 +465,18 @@ def min_dummy_rate(w_y: Dmc, w_z: Dmc, r_0: float, r_s: float,
     the least point of its budget axis (``rd_step``, ``rd_max``) whose value
     reaches r_s.  For binary inputs that frontier comes from the convex
     envelope of psi = H(Y) - H(Z) on the input laws m / k^2
-    (k = 1 / ``prob_step``; see ``frontier._envelope_frontier``).  That
-    lattice holds the input law and the split points of every cell of the
-    grid frontier, so its answer is never above the grid's; it evaluates
-    k^2 + 1 input laws instead of (k + 1)^3 cells.  Inputs of three or more
-    letters invert the grid frontier.
+    (k = 1 / ``prob_step``; see ``frontier._frontier``).  That lattice holds
+    the input law and the split points of every cell of the grid frontier,
+    so its answer is never above the grid's; it evaluates k^2 + 1 input laws
+    instead of (k + 1)^3 cells.  Inputs of three or more letters invert the
+    frontier of the cells gathered from the same lattice.
 
     With a positive common rate the search runs over two-point time-sharing
     mixtures of a decimated cell cloud (the cloud variable must then carry
     real information), minimizing the input cost subject to the three rate
     constraints.  That search ignores ``grid``: it always uses the same
-    1,331-cell cloud (11 points per cell coordinate) and 11 mixing weights.
+    1,331-cell cloud (11 points per cell coordinate), gathered from the
+    input-law lattice at k = 10, and 11 mixing weights.
     It visits the cells in increasing cost and skips only pairs that exact
     float bounds rule out (see ``_pair_search``), so its answer is the
     minimum over every mixture.  A common rate above both receivers'

@@ -14,7 +14,7 @@ from bccrates import (
     regions,
     superposition_resolvability_bound,
 )
-from bccrates import cli, frontier
+from bccrates import cli
 from bccrates.channels import (
     ChannelSpec,
     bec,
@@ -25,6 +25,7 @@ from bccrates.channels import (
 )
 from bccrates.cli import main
 
+from helpers import grid_frontier
 from test_chain import _oracle_informations
 
 
@@ -156,6 +157,16 @@ class TestCliRegion:
         code = main(["region", "--ds", "--py", str(chan), "--pz", str(chan),
                      "--grid-step", "0.01", "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+    def test_v_eq_x_guard_exit_code(self, tmp_path, capsys):
+        # binary V = X frontiers are held to the guard as well: k = 5,000,000
+        # gives 5,000,001 input laws
+        out = tmp_path / "x.csv"
+        code = main(["region", "--ds", "--v-eq-x", "--py", "bsc:0.1", "--pz", "bsc:0.2",
+                     "--grid-step", "2e-7", "--rd-step", "0.1", "--out", str(out)])
+        assert code == 3
+        assert "envelope lattice needs 5000001 input laws" in capsys.readouterr().err
+        assert not out.exists()
 
 
 GRID_COMMANDS = {
@@ -580,7 +591,7 @@ def test_csv_and_sidecar_bytes_golden(name, argv, digest, tmp_path, monkeypatch)
     if name == "front":
         monkeypatch.setattr(cli, "secrecy_frontier",
                             lambda w_y, w_z, grid, v_equals_x, hull:
-                            frontier._sweep_frontier(w_y, w_z, grid, "ds", v_equals_x, hull))
+                            grid_frontier(w_y, w_z, grid, "ds", v_equals_x, hull))
     assert main(argv + ["--out", f"{name}.csv"]) == 0
     data = (tmp_path / f"{name}.csv").read_bytes() \
         + (tmp_path / f"{name}.csv.meta.json").read_bytes()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from bccrates import (
     supporting_line_value,
     upper_concave_hull,
 )
-from bccrates import _sweep_py, frontier
-from bccrates._sweep_py import BIN_FUZZ, fold_max
+from bccrates import frontier
 from bccrates.channels import bec, bsc
+from bccrates.frontier import BIN_FUZZ, fold_max
 from bccrates.probability import _xlogx
 
-from helpers import grid_supporting_line_value, hull_chain, simplex_grid
+import helpers
+from helpers import (binary_cells, grid_frontier, grid_supporting_line_value, hull_chain,
+                     simplex_grid)
 
 LN2 = math.log(2.0)
 
@@ -248,7 +251,7 @@ class TestSupportingLine:
         assert values.shape == slopes.shape
         p = grid.prob_grid()
         for mu, value in zip(slopes, values):
-            cells = _sweep_py.binary_cells(w_y.matrix, w_z.matrix, p, p, p)
+            cells = binary_cells(w_y.matrix, w_z.matrix, p, p, p)
             want = float(np.max(cells["rs"] - float(mu) * (cells[f"rd_{mode}"] - r_d)))
             scalar = grid_supporting_line_value(w_y, w_z, float(mu), r_d, grid, mode=mode)
             assert isinstance(scalar, float) and scalar == want == value
@@ -272,7 +275,7 @@ class TestSupportingLine:
         others = np.array([0.01, 0.1, 1.0, 10.0])
         for w_y, w_z in ENVELOPE_PAIRS:
             rd_grid, rd_step = frontier._budget_axis(w_y, w_z, grid)
-            lattice = frontier._lattice(w_y, w_z, grid, rd_step)
+            lattice = frontier._lattice(w_y, w_z, grid.k, grid.k, rd_step)
             hulls = {"ds": frontier._hull_vertices(lattice.cost, lattice.ds_rate()),
                      "sim": np.array(frontier._sim_hull(lattice, rd_grid.tolist())[0])}
             fronts = {"ds": secrecy_frontier(w_y, w_z, grid),
@@ -299,26 +302,6 @@ class TestSupportingLine:
         value = supporting_line_value(bsc(0.1), bsc(0.2), 1.0, 0.1)
         assert isinstance(value, float)
         assert value >= secrecy_frontier(bsc(0.1), bsc(0.2)).evaluate(0.1) - 1e-9
-
-    def test_binary_package_path_evaluates_no_grid_cell(self, monkeypatch):
-        # only v_equals_x, inputs of three or more letters and the r_0 > 0
-        # pair search evaluate grid cells
-        def no_cells(*args, **kwargs):
-            raise AssertionError("a grid cell was evaluated")
-
-        w_y, w_z, grid = bsc(0.11), bec(0.45), GridSpec(prob_step=0.05)
-        monkeypatch.setattr(_sweep_py, "_planes", no_cells)
-        for fn in (secrecy_frontier, secrecy_frontier_sim):
-            for hull in (True, False):
-                fn(w_y, w_z, grid, hull=hull)
-        assert secrecy_capacity(w_y, w_z, grid) > 0.0
-        assert min_dummy_rate(w_y, w_z, 0.0, 0.001, grid) > 0.0
-        for mode in ("ds", "sim"):
-            supporting_line_value(w_y, w_z, np.array([0.0, 0.5]), 0.1, grid, mode=mode)
-        with pytest.raises(AssertionError, match="grid cell"):
-            secrecy_frontier(w_y, w_z, grid, v_equals_x=True)
-        with pytest.raises(AssertionError, match="grid cell"):
-            min_dummy_rate(w_y, w_z, 0.01, 0.001, grid)
 
 
 class TestGeneralAlphabets:
@@ -364,25 +347,24 @@ class TestSimplexLattice:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 10, 20])
     def test_matches_recursive_grid(self, m, k):
         oracle = simplex_grid(m, k)
-        for first in range(m):
-            lattice = frontier._simplex_lattice(m, k, first)
-            assert lattice.shape == (math.comb(k + m - 1, m - 1), m)
-            np.testing.assert_allclose(lattice.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-            # the same points: pair rows by their counts, then one ulp (of a
-            # probability, 1.0) per coordinate, with the zeros exact
-            counts = np.rint(lattice * k).astype(np.int64)
-            assert np.all(counts.sum(axis=1) == k)
-            got = lattice[np.lexsort(counts.T)]
-            want = oracle[np.lexsort(np.rint(oracle * k).astype(np.int64).T)]
-            assert np.all(np.abs(got - want) <= np.spacing(1.0))
-            assert np.array_equal(got == 0.0, want == 0.0)
+        lattice = frontier._simplex_lattice(m, k)
+        assert lattice.shape == (math.comb(k + m - 1, m - 1), m)
+        np.testing.assert_allclose(lattice.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        # the same points: pair rows by their counts, then one ulp (of a
+        # probability, 1.0) per coordinate, with the zeros exact
+        counts = np.rint(lattice * k).astype(np.int64)
+        assert np.all(counts.sum(axis=1) == k)
+        assert counts.tolist() == frontier._simplex_counts(m, k).tolist()
+        got = lattice[np.lexsort(counts.T)]
+        want = oracle[np.lexsort(np.rint(oracle * k).astype(np.int64).T)]
+        assert np.all(np.abs(got - want) <= np.spacing(1.0))
+        assert np.array_equal(got == 0.0, want == 0.0)
 
     @pytest.mark.parametrize("step", [0.5, 1.0 / 3.0, 0.05, 0.01])
     def test_binary_grids_are_the_linspace(self, step):
         p = GridSpec(prob_step=step).prob_grid()
         k = len(p) - 1
-        assert frontier._simplex_lattice(2, k, 0).tobytes() == np.stack([p, 1.0 - p], 1).tobytes()
-        assert frontier._simplex_lattice(2, k, 1).tobytes() == np.stack([1.0 - p, p], 1).tobytes()
+        assert frontier._simplex_lattice(2, k).tobytes() == np.stack([p, 1.0 - p], 1).tobytes()
 
     def test_one_letter(self):
         assert frontier._simplex_lattice(1, 5).tolist() == [[1.0]]
@@ -498,10 +480,10 @@ def _oracle_cell_sweep(w_y, w_z, prior, rows, rd_step, n_rd, mode):
     (_four_input_pair, 0.5, 0.0, False),
 ], ids=["ternary-1/3", "ternary-0.25", "four-input-0.5"])
 def test_general_sweep_matches_loop_oracle(monkeypatch, pair, step, tol, cell_oracle):
-    # the letter-plane sweep moves frontiers of 3 or more inputs by at most an
-    # ulp from the full-grid sweep (grid values i * (1/k) for c/k, sums left to
-    # right for matmul), and not at all at step 0.5; at step 1/3 it gives the
-    # bytes of its own per-cell loop
+    # the letter-plane sweep (the grid oracle) moves frontiers of 3 or more
+    # inputs by at most an ulp from the full-grid sweep (grid values i * (1/k)
+    # for c/k, sums left to right for matmul), and not at all at step 0.5; at
+    # step 1/3 it gives the bytes of its own per-cell loop
     w_y, w_z = pair()
     grid = GridSpec(prob_step=step, rd_step=0.01)
 
@@ -517,11 +499,12 @@ def test_general_sweep_matches_loop_oracle(monkeypatch, pair, step, tol, cell_or
     full_grid = once_per_mode(lambda w_y, w_z, prior, rows, rd_step, n_rd, mode:
                               _oracle_general_sweep(w_y, w_z, grid, rd_step, n_rd, False, mode))
     cell_loop = once_per_mode(_oracle_cell_sweep)
-    for fn in (secrecy_frontier, secrecy_frontier_sim):
+    for mode in ("ds", "sim"):
+        fn = lambda w_y, w_z, grid, hull: grid_frontier(w_y, w_z, grid, mode, False, hull)
         for hull in (True, False):
             got = fn(w_y, w_z, grid, hull=hull)
             with monkeypatch.context() as patch:
-                patch.setattr(_sweep_py, "sweep", full_grid)
+                patch.setattr(helpers, "sweep", full_grid)
                 want = fn(w_y, w_z, grid, hull=hull)
             if tol == 0.0:
                 assert got.points == want.points
@@ -530,7 +513,7 @@ def test_general_sweep_matches_loop_oracle(monkeypatch, pair, step, tol, cell_or
                 assert np.max(np.abs(got.r_s - want.r_s)) <= tol
             if cell_oracle:
                 with monkeypatch.context() as patch:
-                    patch.setattr(_sweep_py, "sweep", cell_loop)
+                    patch.setattr(helpers, "sweep", cell_loop)
                     loop = fn(w_y, w_z, grid, hull=hull)
                 assert np.asarray(got.points).tobytes() == np.asarray(loop.points).tobytes()
 
@@ -588,7 +571,7 @@ def _binary_sweep(w_y, w_z, p_grid, a_grid, b_grid, rd_step, n_rd, mode):
     """The sweep on the binary grids of (P_V(0), P_{X|V}(0|0), P_{X|V}(1|1))."""
     prior = np.stack([p_grid, 1.0 - p_grid], axis=1)
     rows = [np.stack([a_grid, 1.0 - a_grid], axis=1), np.stack([1.0 - b_grid, b_grid], axis=1)]
-    return _sweep_py.sweep(w_y, w_z, prior, rows, rd_step, n_rd, mode)
+    return helpers.sweep(w_y, w_z, prior, rows, rd_step, n_rd, mode)
 
 
 @pytest.mark.parametrize("batch_cells", [1, 4 * 21 * 21, 1 << 30])
@@ -599,16 +582,16 @@ def test_sweep_batches_fold_the_same_cells(monkeypatch, batch_cells):
     for mode in ("ds", "sim"):
         args = (bsc(0.11).matrix, bec(0.45).matrix, p, p, p, 0.05, 30, mode)
         with monkeypatch.context() as patch:
-            patch.setattr(_sweep_py, "BATCH_CELLS", batch_cells)
+            patch.setattr(helpers, "BATCH_CELLS", batch_cells)
             batched = _binary_sweep(*args)
         assert batched.tobytes() == _binary_sweep(*args).tobytes()
 
 
 def _grid_frontiers():
     """``secrecy_frontier`` and ``secrecy_frontier_sim`` as the grid sweep gives
-    them on every input alphabet: the oracle of the lattice frontiers."""
+    them on every input alphabet: the oracle of the package's frontiers."""
     def frontier_fn(mode):
-        return lambda w_y, w_z, grid, v_equals_x=False, hull=True: frontier._sweep_frontier(
+        return lambda w_y, w_z, grid, v_equals_x=False, hull=True: grid_frontier(
             w_y, w_z, grid, mode, v_equals_x, hull)
     return frontier_fn("ds"), frontier_fn("sim")
 
@@ -660,8 +643,8 @@ def test_frontier_bytes_golden(name):
     assert _frontier_digest(*DIGEST_PAIRS[name], _grid_frontiers()) == FRONTIER_DIGESTS[name]
 
 
-# the public frontiers, where binary pairs with a free prefix take the lattice
-# and the rest the grid sweep
+# the public frontiers of binary pairs with a free prefix (the lattice's), with
+# V = X from the grid sweep
 PUBLIC_DIGESTS = {
     "bsc0.1/bsc0.2":
         "c95946c8ccfde24da83b9f8a3ef2f859368dd4a72e23b601dd4afc1844823c25",
@@ -682,11 +665,19 @@ def _grid_raw_sim(w_y, w_z, grid, v_equals_x=False, hull=True):
         w_y, w_z, grid, v_equals_x=v_equals_x, hull=hull)
 
 
+def _grid_v_equals_x(public, grid_fn):
+    """``public`` with its V = X frontiers from the grid sweep ``grid_fn``."""
+    return lambda w_y, w_z, grid, v_equals_x=False, hull=True: (
+        grid_fn if v_equals_x else public)(w_y, w_z, grid, v_equals_x=v_equals_x, hull=hull)
+
+
 @pytest.mark.parametrize("name", sorted(PUBLIC_DIGESTS))
 def test_public_frontier_bytes_golden(name):
-    # recorded while raw sim was the grid sweep's, which stays its oracle: the
-    # other seven public frontiers are byte-identical to those recordings
-    fns = (secrecy_frontier, _grid_raw_sim)
+    # recorded while raw sim and V = X were the grid sweep's, which stays their
+    # oracle: the six free-prefix frontiers are byte-identical to those
+    # recordings
+    fns = [_grid_v_equals_x(fn, grid_fn)
+           for fn, grid_fn in zip((secrecy_frontier, _grid_raw_sim), _grid_frontiers())]
     assert _frontier_digest(*DIGEST_PAIRS[name], fns) == PUBLIC_DIGESTS[name]
 
 
@@ -751,7 +742,7 @@ def _oracle_sweep_binary(w_y, w_z, p_grid, a_grid, b_grid, rd_step, n_rd, mode):
     """The law-materializing sweep, kept as the oracle of the sweep on binary grids:
     every field of every batch of planes, then the sort-based fold."""
     table = np.full(n_rd, -np.inf)
-    batch = max(1, _sweep_py.BATCH_CELLS // (len(a_grid) * len(b_grid)))
+    batch = max(1, helpers.BATCH_CELLS // (len(a_grid) * len(b_grid)))
     for start in range(0, len(p_grid), batch):
         cells = _oracle_planes(w_y, w_z, p_grid[start:start + batch, None, None],
                                a_grid, b_grid)
@@ -802,7 +793,7 @@ class TestLetterPlanes:
     def test_binary_cells_match_oracle_fields(self, name):
         w_y, w_z = ORACLE_PAIRS[name]()
         p = GridSpec(prob_step=0.05).prob_grid()
-        cells = _sweep_py.binary_cells(w_y, w_z, p, p, p)
+        cells = binary_cells(w_y, w_z, p, p, p)
         want = _oracle_planes(w_y, w_z, p[:, None, None], p, p)
         assert sorted(cells) == sorted(want)
         for key, value in want.items():
@@ -811,7 +802,7 @@ class TestLetterPlanes:
             assert cells[key].tobytes() == flat.tobytes(), key
         assert cells["p_y"].shape == (p.size ** 3, w_y.shape[1])
         assert cells["p_z"].shape == (p.size ** 3, w_z.shape[1])
-        some = _sweep_py.binary_cells(w_y, w_z, p, p, p, ("rs", "rd_sim"))
+        some = binary_cells(w_y, w_z, p, p, p, ("rs", "rd_sim"))
         assert list(some) == ["rs", "rd_sim"]
         assert all(some[key].tobytes() == cells[key].tobytes() for key in some)
 
@@ -824,7 +815,7 @@ class TestLetterPlanes:
                 np.testing.assert_allclose(_binary_sweep(*args), _oracle_sweep_binary(*args),
                                            rtol=0.0, atol=1e-12)
         p = GridSpec(prob_step=0.05).prob_grid()
-        cells = _sweep_py.binary_cells(w_y, w_z, p, p, p)
+        cells = binary_cells(w_y, w_z, p, p, p)
         want = _oracle_planes(w_y, w_z, p[:, None, None], p, p)
         for key, value in want.items():
             np.testing.assert_allclose(cells[key], value.reshape(cells[key].shape),
@@ -886,7 +877,7 @@ class TestDsEnvelope:
     def test_raw_sim_is_the_grid_sweep_at_the_benchmark_step(self, pair):
         grid = GridSpec(prob_step=0.01)
         raw_sim = secrecy_frontier_sim(*pair, grid, hull=False)
-        swept = frontier._sweep_frontier(*pair, grid, "sim", False, False)
+        swept = grid_frontier(*pair, grid, "sim", False, False)
         assert raw_sim.r_d.tobytes() == swept.r_d.tobytes()
         np.testing.assert_allclose(raw_sim.r_s, swept.r_s, rtol=0.0, atol=1e-12)
         assert np.all(raw_sim.r_s <= secrecy_frontier_sim(*pair, grid).r_s + 1e-12)
@@ -928,15 +919,30 @@ class TestDsEnvelope:
         assert sim.provenance["slope_tol"] == frontier.SLOPE_TOL
 
     def test_grid_path_reports_its_method(self):
+        # no path runs the grid sweep: V = X reads the tables at its prior
+        # laws, one cell each, and larger alphabets fold the cells gathered
+        # from the lattice, each reporting what it evaluated
         grid = GridSpec(prob_step=0.05)
         assert secrecy_frontier_sim(bsc(0.1), bsc(0.2), grid,
                                     hull=False).provenance["method"] == "envelope"
         for fn in (secrecy_frontier, secrecy_frontier_sim):
             for hull in (True, False):
-                assert fn(bsc(0.1), bsc(0.2), grid, v_equals_x=True,
-                          hull=hull).provenance["method"] == "grid"
+                front = fn(bsc(0.1), bsc(0.2), grid, v_equals_x=True, hull=hull)
+                assert front.provenance["method"] == "prior_laws"
+                assert front.provenance["x_points"] == front.provenance["cells_folded"] == 21
+                assert front.provenance["split_points"] == 2
         w_y, w_z = TestGeneralAlphabets.ternary_pair()
-        assert secrecy_frontier(w_y, w_z, GridSpec(prob_step=0.5)).provenance["method"] == "grid"
+        for step, priors, rows in ((0.5, 2, 6), (0.25, 4, 15)):
+            front = secrecy_frontier(w_y, w_z, GridSpec(prob_step=step))
+            k = round(1 / step)
+            assert front.provenance["method"] == "gather"
+            assert front.provenance["x_points"] == math.comb(k * k + 2, 2)
+            assert front.provenance["split_points"] == rows
+            # priors with non-decreasing counts: (0, 0, 2), (0, 1, 1) at k = 2
+            assert front.provenance["cells_folded"] == priors * rows**3
+        front = secrecy_frontier(w_y, w_z, GridSpec(prob_step=0.5), v_equals_x=True)
+        assert front.provenance["method"] == "prior_laws"
+        assert front.provenance["x_points"] == front.provenance["cells_folded"] == 6
 
     def test_useless_eavesdropper(self):
         # I(X;Z) = 0 at every input: both costs are 0 with no prefix, so both
@@ -987,6 +993,97 @@ class TestDsEnvelope:
                     fn(bsc(0.1), bsc(0.2), GridSpec(prob_step=1 / 2048), hull=hull)
 
     def test_binary_inputs_only(self):
+        # the envelope and its supporting lines; larger alphabets gather cells
         w = Dmc.identity(3)
         with pytest.raises(ValueError, match="binary inputs"):
-            frontier._envelope_frontier(w, w, GridSpec(prob_step=0.5), "ds", True)
+            supporting_line_value(w, w, 0.5, 0.1, GridSpec(prob_step=0.5))
+        assert secrecy_frontier(w, w, GridSpec(prob_step=0.5)).provenance["method"] == "gather"
+
+
+class TestGatheredFrontiers:
+    """V = X frontiers (the tables at the input laws) and frontiers of three or
+    more inputs (cells gathered from the lattice) against the grid sweep."""
+
+    @staticmethod
+    def assert_matches_the_grid(w_y, w_z, grid, v_equals_x):
+        # at every budget, both ways, both modes, hull on and off
+        for fn, grid_fn in zip((secrecy_frontier, secrecy_frontier_sim), _grid_frontiers()):
+            for hull in (True, False):
+                got = fn(w_y, w_z, grid, v_equals_x=v_equals_x, hull=hull)
+                want = grid_fn(w_y, w_z, grid, v_equals_x=v_equals_x, hull=hull)
+                assert got.r_d.tobytes() == want.r_d.tobytes()
+                assert np.max(np.abs(got.r_s - want.r_s)) <= 1e-12
+
+    @pytest.mark.parametrize("step", [0.05, 0.01])
+    def test_binary_v_equals_x_matches_the_grid(self, step):
+        for w_y, w_z in ENVELOPE_PAIRS:
+            self.assert_matches_the_grid(w_y, w_z, GridSpec(prob_step=step), True)
+
+    @staticmethod
+    def random_ternary_pair():
+        # not degraded, so the free prefix and simulating it both count
+        rng = np.random.default_rng(3)
+        return Dmc(rng.dirichlet(np.ones(3), size=3)), Dmc(rng.dirichlet(np.ones(3), size=3))
+
+    @pytest.mark.parametrize("pair,step", [
+        (TestGeneralAlphabets.ternary_pair, 0.5), (TestGeneralAlphabets.ternary_pair, 1 / 3),
+        (TestGeneralAlphabets.ternary_pair, 0.25), (_four_input_pair, 0.5),
+        (random_ternary_pair, 1 / 3),
+    ], ids=["ternary-0.5", "ternary-1/3", "ternary-0.25", "four-input-0.5", "random-ternary-1/3"])
+    @pytest.mark.parametrize("v_equals_x", [False, True], ids=["free", "v=x"])
+    def test_larger_alphabets_match_the_grid(self, pair, step, v_equals_x):
+        w_y, w_z = pair()
+        self.assert_matches_the_grid(w_y, w_z, GridSpec(prob_step=step, rd_step=0.01), v_equals_x)
+
+    def test_v_equals_x_guard(self):
+        # V = X frontiers of every alphabet are held to the guard
+        k = frontier.CELL_GUARD  # k + 1 binary input laws
+        ternary = TestGeneralAlphabets.ternary_pair()
+        for w_y, w_z, step in ((bsc(0.1), bsc(0.2), 1 / k), (*ternary, 1 / 3000)):
+            for fn in (secrecy_frontier, secrecy_frontier_sim):
+                with pytest.raises(GuardExceeded, match="envelope lattice"):
+                    fn(w_y, w_z, GridSpec(prob_step=step, rd_step=0.1), v_equals_x=True)
+
+    def test_tripped_guards_allocate_nothing_of_their_size(self):
+        # k = 10^9: every guard is checked before an array of k entries exists
+        grid = GridSpec(prob_step=1e-9, rd_step=0.1)
+        pairs = ((bsc(0.1), bsc(0.2)), TestGeneralAlphabets.ternary_pair())
+        tracemalloc.start()
+        try:
+            for (w_y, w_z), fn, hull, v_equals_x in itertools.product(
+                    pairs, (secrecy_frontier, secrecy_frontier_sim), (True, False),
+                    (True, False)):
+                with pytest.raises(GuardExceeded):
+                    fn(w_y, w_z, grid, hull=hull, v_equals_x=v_equals_x)
+            with pytest.raises(GuardExceeded):
+                supporting_line_value(bsc(0.1), bsc(0.2), 0.5, 0.1, grid)
+            with pytest.raises(GuardExceeded):
+                min_dummy_rate(bsc(0.1), bsc(0.2), 0.0, 0.1, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+# the public frontiers as the package computes them, all eight of each pair:
+# V = X from the tables at its input laws, and the ternary pair's free-prefix
+# frontiers from the cells gathered off the lattice
+GATHERED_DIGESTS = {
+    "bsc0.1/bsc0.2":
+        "ee6936a8c29e42ef01f05201d4ea63c643c10791eb2cbdd1fb2ed8596d00a528",
+    "bsc0.1/bsc0.2@0.01":
+        "0bd9de69a223752d8872357bb303b4b8af6773a0aa419eafd731966c8de89ba5",
+    "bsc0.11/bec0.45":
+        "a318fb75f3e64808c82c24954c6fc6b5440c5d70ddb8f9b15e0f6f63be950d57",
+    "bsc0.11/bec0.45@0.01":
+        "d30cd871551b49af87eb16a27708dd82e71a65ca879cfeed246df8c1ceaaa509",
+    "identity/bsc0.2":
+        "1d045a79121dc23c99e305d4afbb00b0f1be47dddcc2b119a228ff153379c196",
+    "ternary":
+        "061a244101a115800553f310c35e366aa8e4bb0a3c91b182cc7b32a52183d985",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATHERED_DIGESTS))
+def test_gathered_frontier_bytes_golden(name):
+    assert _frontier_digest(*DIGEST_PAIRS[name]) == GATHERED_DIGESTS[name]

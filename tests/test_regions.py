@@ -23,9 +23,10 @@ from bccrates import (
     single_chain,
     split_rates,
 )
-from bccrates import _sweep_py, frontier, regions
+from bccrates import regions
 from bccrates.channels import bec, bsc
-from helpers import hull_chain, product_blocks, random_chain, simplex_grid
+from helpers import (binary_cells, grid_frontier, hull_chain, product_blocks, random_chain,
+                     simplex_grid)
 
 LN2 = math.log(2.0)
 
@@ -431,7 +432,7 @@ class TestMinDummyRate:
 def _oracle_min_dummy_grid(w_y, w_z, r_s, grid):
     """min_dummy_rate at r_0 = 0 as it was for every alphabet before the
     envelope: the least budget of the hulled grid frontier that reaches r_s."""
-    front = frontier._sweep_frontier(w_y, w_z, grid, "ds", False, True)
+    front = grid_frontier(w_y, w_z, grid, "ds", False, True)
     if r_s > front.r_s[-1] + regions.SLACK_TOL:
         return INFEASIBLE
     return float(front.r_d[int(np.argmax(front.r_s >= r_s - regions.SLACK_TOL))])
@@ -742,13 +743,15 @@ class TestPairSearch:
         assert len(regions._distinct_cells(cells)["rs"]) <= 1111
 
     def test_cloud_holds_only_the_pair_fields(self):
-        # the cloud is asked for the fields the search reads, with the floats
-        # of the full cell table
-        cells = regions._pair_search_cells(bsc(0.11), bec(0.45), budget=1500)
-        assert list(cells) == list(regions._PAIR_FIELDS)
-        p = np.linspace(0.0, 1.0, 11)
-        full = _sweep_py.binary_cells(bsc(0.11).matrix, bec(0.45).matrix, p, p, p)
-        assert all(cells[key].tobytes() == full[key].tobytes() for key in cells)
+        # the cloud gathered from the lattice holds the fields the search
+        # reads, in the grid sweep's cell order, within rounding of its floats
+        for w_y, w_z, budget in ((bsc(0.11), bec(0.45), 1500), (bec(0.2), bsc(0.1), 64)):
+            cells = regions._pair_search_cells(w_y, w_z, budget=budget)
+            assert list(cells) == list(regions._PAIR_FIELDS)
+            full = _oracle_cloud(w_y, w_z, budget)
+            for key, value in cells.items():
+                assert value.shape == full[key].shape, key
+                np.testing.assert_allclose(value, full[key], rtol=0.0, atol=1e-15, err_msg=key)
 
 
 # min_dummy_rate at r_0 > 0 on the full cloud, recorded from the unpruned loop;
@@ -769,10 +772,44 @@ MIN_DUMMY_COMMON = [
 ]
 
 
+def _oracle_cloud(w_y, w_z, budget):
+    """The cloud of ``regions._pair_search_cells`` from the grid sweep's cells,
+    (n + 1)^3 of them for the largest n that fits ``budget``."""
+    n = 1
+    while (n + 2) ** 3 <= budget:
+        n += 1
+    p = np.linspace(0.0, 1.0, n + 1)
+    return binary_cells(w_y.matrix, w_z.matrix, p, p, p, regions._PAIR_FIELDS)
+
+
 @pytest.mark.parametrize("w_y, w_z, r_0, r_s, expected", MIN_DUMMY_COMMON)
-def test_min_dummy_rate_common_golden(w_y, w_z, r_0, r_s, expected):
+def test_min_dummy_rate_common_golden(monkeypatch, w_y, w_z, r_0, r_s, expected):
+    # recorded on the grid sweep's cloud, which stays the gathered cloud's oracle
+    monkeypatch.setattr(regions, "_pair_search_cells", _oracle_cloud)
     value = min_dummy_rate(w_y, w_z, r_0, r_s)
     if expected is None:
         assert value is INFEASIBLE
     else:
         assert value == float.fromhex(expected)
+
+
+# the same queries on the cloud gathered from the lattice: 4 of the 9 feasible
+# values moved by at most 1.1e-16
+MIN_DUMMY_COMMON_GATHERED = ["0x1.651c828ab1f8bp-6", "0x1.0c24b18d772dfp-5",
+                             "0x1.aacc702804714p-5", "0x1.c972b562b9dbdp-4",
+                             "0x1.ddce3e8b0e835p-6", "0x1.c3aedf879fecbp-10",
+                             "0x1.0ce5b9ece7380p-7", None, None, "0x1.45cd658b6cc3fp-6",
+                             "0x1.0e81a611b6745p-4"]
+
+
+@pytest.mark.parametrize("case", range(len(MIN_DUMMY_COMMON)))
+def test_min_dummy_rate_common_gathered_golden(case):
+    w_y, w_z, r_0, r_s, oracle = MIN_DUMMY_COMMON[case]
+    expected = MIN_DUMMY_COMMON_GATHERED[case]
+    value = min_dummy_rate(w_y, w_z, r_0, r_s)
+    assert (expected is None) == (oracle is None)
+    if expected is None:
+        assert value is INFEASIBLE
+    else:
+        assert value == float.fromhex(expected)
+        assert abs(value - float.fromhex(oracle)) <= 1e-15

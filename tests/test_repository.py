@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import inspect
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bccrates
-from bccrates import _sweep_py, chain, frontier, probability, simulate
+from bccrates import chain, frontier, probability, simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,12 +40,15 @@ def test_retired_names_stay_gone():
     assert [name for name in ("cell_guard", "mu_max", "mu_step") if name in fields] == []
     for check in (bccrates.is_more_capable, bccrates.is_degraded):
         assert "guard" not in inspect.signature(check).parameters
-    # one letter-plane sweep serves every input alphabet; the full-grid sweep
-    # and its grid helpers live on as test oracles only
+    # every cell is gathered from the input-law lattice: the letter-plane and
+    # full-grid sweeps and their grid helpers live on as test oracles only
+    assert importlib.util.find_spec("bccrates._sweep_py") is None
     for module, name in ((frontier, "_general_sweep"), (frontier, "_product_blocks"),
-                         (frontier, "_simplex_grid"), (_sweep_py, "sweep_binary"),
+                         (frontier, "_simplex_grid"), (frontier, "_sweep_frontier"),
+                         (frontier, "_fold_sim_cells"),
                          # one block object evaluates three-layer codebooks
                          (simulate, "_BccTables"), (simulate._Block, "x"),
-                         # the sweep batches its own cells; no slope grid
-                         (_sweep_py, "cell_batches"), (bccrates.GridSpec, "mu_values")):
+                         # no slope grid
+                         (bccrates.GridSpec, "mu_values")):
         assert not hasattr(module, name), name
+    assert list(inspect.signature(frontier._simplex_lattice).parameters) == ["m", "k"]
