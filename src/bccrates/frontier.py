@@ -31,6 +31,7 @@ FEASIBILITY_TOL = 1e-9
 CELL_GUARD = 2**22  # most cells a gather, input laws a lattice or entries a budget axis may hold
 HULL_PASSES = 16    # vectorised chord passes of a hull before its survivors are chained
 SLOPE_TOL = 1e-13   # how far a slope query's point must beat its chord to be a vertex
+SCAN_MARGIN = 1e-12  # rounding allowance of the boxes that pick a slope query's laws
 BIN_FUZZ = 1e-9     # in units of rd_step; absorbs float noise at exact bin edges
 BATCH_CELLS = 1 << 13  # cells gathered per batch of priors: 64 KiB temporaries
 
@@ -323,14 +324,16 @@ def _lattice(w_y: Dmc, w_z: Dmc, k: int, r: int, rd_step: float,
     """
     m, total = w_y.input_size, k * r
     side = total + 1
-    stride = side ** np.arange(m - 2, -1, -1)
     if m == 2:  # letter shares c / (k r); a binary law's index is its count of letter 0
         x = np.arange(side) / total
-        laws, at = [x, 1.0 - x], None
+        laws, at, steps = [x, 1.0 - x], None, np.arange(r + 1)
+        rows = slice(None, None, k)  # row c is law k c: every k-th law
     else:  # the last share is 1 minus the others' total
+        stride = side ** np.arange(m - 2, -1, -1)
         counts = _simplex_counts(m, total)
         laws = [*(counts[:, :-1].T / total), 1.0 - (total - counts[:, -1]) / total]
-        at = counts[:, :-1] @ stride
+        at, steps = counts[:, :-1] @ stride, _simplex_counts(m, r)[:, :-1] @ stride
+        rows = k * steps
 
     def place(table):  # each law at its index; the indices no law takes hold NaN
         if at is None:
@@ -342,9 +345,8 @@ def _lattice(w_y: Dmc, w_z: Dmc, k: int, r: int, rd_step: float,
     hy, hz, cost, p_y, p_z = _per_law(w_y, w_z, laws, outputs)
     cost[cost < BIN_FUZZ * rd_step] = 0.0
     x, psi, cost = place(laws[0]), place(hy - hz), place(cost)
-    steps = _simplex_counts(m, r)[:, :-1] @ stride
-    split = [place(law)[k * steps] for law in laws]  # the rows' laws
-    g = -sum(map(_xlogx, split[1:]), _xlogx(split[0])) - cost[k * steps]
+    split = [place(law)[rows] for law in laws]  # the rows' laws
+    g = -sum(map(_xlogx, split[1:]), _xlogx(split[0])) - cost[rows]
     return _Lattice(x, psi, cost, g, steps, k, outputs and tuple(map(place, (hy, hz, p_y, p_z))))
 
 
@@ -391,27 +393,39 @@ def _gather(lattice: _Lattice, priors: np.ndarray, picks: list[np.ndarray],
         yield cells
 
 
-def _sim_point(lattice: _Lattice, mu: float) -> tuple[float, float]:
+def _sim_point(lattice: _Lattice, mu: float,
+               at: np.ndarray | None = None) -> tuple[tuple[float, float], np.ndarray]:
     """The ``sim`` slope query: the (cost, rate) of a lattice point that
-    maximises rate - mu * cost.
+    maximises rate - mu * cost, and the values it scanned.
 
     That maximum is max_x [psi - mu I(X;Z) - env(psi + mu g)](x), with env
     the lower convex envelope over the split points x[::k] (``g`` there),
     whose vertices around the maximiser give its split and so its point.
+    Only the laws at the increasing indices ``at`` (every law by default)
+    are scanned, and the first maximiser among them is taken.  ``np.interp``
+    works point by point, so each scanned value is the float a full scan
+    gives, and where the full scan's first maximiser is among ``at`` so is
+    the answer.  At mu = 0 the full scan is :meth:`_Lattice.ds_rate`, bit
+    for bit.
     """
     x, psi, cost, g, k = lattice.x, lattice.psi, lattice.cost, lattice.g, lattice.k
     s, psi_s = x[::k], psi[::k]
     f = psi_s + mu * g
     keep = _upper_hull(s, -f)
-    j = int(np.argmax(psi - mu * cost - np.interp(x, s[keep], f[keep])))
+    if at is None:
+        scan = psi - mu * cost - np.interp(x, s[keep], f[keep])
+        j = int(np.argmax(scan))
+    else:
+        scan = psi[at] - mu * cost[at] - np.interp(x[at], s[keep], f[keep])
+        j = int(at[np.argmax(scan)])
     b = int(np.searchsorted(s[keep], x[j]))
     hi = keep[b]
     if s[hi] == x[j]:  # no split: the prefix is constant
-        return float(cost[j] + g[hi]), float(psi[j] - psi_s[hi])
+        return (float(cost[j] + g[hi]), float(psi[j] - psi_s[hi])), scan
     lo = keep[b - 1]
     lam = (s[hi] - x[j]) / (s[hi] - s[lo])  # the weight of the lower split point
-    return (float(cost[j] + lam * g[lo] + (1.0 - lam) * g[hi]),
-            float(psi[j] - lam * psi_s[lo] - (1.0 - lam) * psi_s[hi]))
+    return ((float(cost[j] + lam * g[lo] + (1.0 - lam) * g[hi]),
+             float(psi[j] - lam * psi_s[lo] - (1.0 - lam) * psi_s[hi])), scan)
 
 
 def _sim_hull(lattice: _Lattice, budgets: list[float]) -> tuple[list[tuple[float, float]], int]:
@@ -425,24 +439,40 @@ def _sim_hull(lattice: _Lattice, budgets: list[float]) -> tuple[list[tuple[float
     vertex between its ends and splits it in two; otherwise no point lies
     above the chord's line, so it is a hull edge.  Chords with no budget are
     never queried.
+
+    A query scans only the laws whose points could be such a vertex.  Every
+    point at law x costs at least I(X;Z)(x), since g = H(X|Z) >= 0, and has
+    rate at most the ``ds`` rate psi - env psi at x (the top query's scan),
+    since env psi lies below every split of x.  A vertex of the chord (left,
+    right), whose slope is >= 0, costs less than right and has more rate
+    than left, so only the laws with I(X;Z) < right cost + ``SCAN_MARGIN``
+    and ``ds`` rate > left rate - ``SCAN_MARGIN`` can hold it; the margin
+    covers the rounding of both bounds.  A chord's box lies inside its
+    parent's, so each chord filters its parent's laws.  The full scan's
+    first maximiser, where it is a vertex, is among them, so each answer is
+    the full scan's; a chord with no law left is an edge, answered without a
+    scan and still counted as a query.
     """
-    top = _sim_point(lattice, 0.0)
+    top, ds_rate = _sim_point(lattice, 0.0)
     queries = 1
     if top[0] <= 0.0:
         return [top], queries
     vertices = [(0.0, 0.0), top]
-    chords = [(vertices[0], top)]
+    chords = [(vertices[0], top, np.arange(ds_rate.size))]
     while chords:
-        left, right = chords.pop()
+        left, right, at = chords.pop()
         i = bisect.bisect_left(budgets, left[0])
         if i == len(budgets) or budgets[i] >= right[0]:
             continue
-        mu = (right[1] - left[1]) / (right[0] - left[0])
-        new = _sim_point(lattice, mu)
         queries += 1
+        at = at[(lattice.cost[at] < right[0] + SCAN_MARGIN) & (ds_rate[at] > left[1] - SCAN_MARGIN)]
+        if not at.size:
+            continue
+        mu = (right[1] - left[1]) / (right[0] - left[0])
+        new = _sim_point(lattice, mu, at)[0]
         if left[0] < new[0] < right[0] and new[1] - left[1] - mu * (new[0] - left[0]) > SLOPE_TOL:
             vertices.append(new)
-            chords += [(left, new), (new, right)]
+            chords += [(left, new, at), (new, right, at)]
     return sorted(vertices), queries
 
 
@@ -567,7 +597,7 @@ def secrecy_capacity(w_y: Dmc, w_z: Dmc, grid: GridSpec | None = None) -> float:
     return max(0.0, float(secrecy_frontier(w_y, w_z, grid).r_s[-1]))
 
 
-def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float,
+def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float | np.ndarray,
                           grid: GridSpec | None = None,
                           mode: str = "ds") -> float | np.ndarray:
     """Max over the lattice's points of rs - mu * (cost - r_d): supporting lines
@@ -580,16 +610,18 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float
     psi - env psi - mu (I(X;Z) - r_d), for ``sim`` the hull search's slope
     query (:func:`_sim_point`).  Every slope mu >= 0 gives an upper bound on
     the hulled frontier at ``r_d``, and the slopes of its hull's edges (with 0)
-    give the frontier itself, so their minimum certifies it.  A scalar ``mu``
-    gives a float; an array of slopes gives one value per slope.  Binary
-    inputs only.
+    give the frontier itself, so their minimum certifies it.  Slopes and
+    budgets broadcast against each other, and the lattice is built once for
+    them all: scalars give a float, arrays one value per broadcast entry,
+    each the float of a scalar call.  Binary inputs only.
     """
-    slopes = np.asarray(mu, dtype=float)
+    slopes, budgets = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                          np.asarray(r_d, dtype=float))
     if not np.all(np.isfinite(slopes)):
         raise ValueError("supporting-line slope must be finite")
     if np.any(slopes < 0.0):
         raise ValueError("supporting-line slope must be nonnegative")
-    if not math.isfinite(r_d):
+    if not np.all(np.isfinite(budgets)):
         raise ValueError(f"r_d must be finite, got {r_d!r}")
     if mode not in ("ds", "sim"):
         raise ValueError(f"mode must be 'ds' or 'sim', got {mode!r}")
@@ -598,12 +630,12 @@ def supporting_line_value(w_y: Dmc, w_z: Dmc, mu: float | np.ndarray, r_d: float
     grid = grid or GridSpec()
     _envelope_points(grid)
     lattice = _lattice(w_y, w_z, grid.k, grid.k, _budget_axis(w_y, w_z, grid)[1])
-    mus = slopes.ravel().tolist()
+    pairs = list(zip(slopes.ravel().tolist(), budgets.ravel().tolist()))
     if mode == "ds":
-        rate, excess = lattice.ds_rate(), lattice.cost - r_d
-        values = [np.max(rate - m * excess) for m in mus]
+        rate = lattice.ds_rate()
+        values = [np.max(rate - m * (lattice.cost - r)) for m, r in pairs]
     else:
-        points = [_sim_point(lattice, m) for m in mus]
-        values = [rate - m * (cost - r_d) for m, (cost, rate) in zip(mus, points)]
+        points = {m: _sim_point(lattice, m)[0] for m in set(slopes.ravel().tolist())}
+        values = [points[m][1] - m * (points[m][0] - r) for m, r in pairs]
     values = np.array(values, dtype=float)
     return float(values[0]) if slopes.ndim == 0 else values.reshape(slopes.shape)

@@ -1,8 +1,10 @@
-"""Shared random fixtures for the test suite (seeded, reproducible), and the
-letter-plane grid sweep kept as the oracle of the package's frontiers."""
+"""Shared random fixtures for the test suite (seeded, reproducible), the
+letter-plane grid sweep kept as the oracle of the package's frontiers, and
+the full-scan ``sim`` slope search kept as the oracle of the pruned one."""
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -281,3 +283,49 @@ def grid_supporting_line_value(w_y: Dmc, w_z: Dmc, mu, r_d: float, grid: GridSpe
         rs, excess = cells["rs"], cells[cost] - r_d
         np.maximum(values, [np.max(rs - m * excess) for m in slopes.ravel()], out=values)
     return float(values[0]) if slopes.ndim == 0 else values.reshape(slopes.shape)
+
+
+def full_scan_sim_point(lattice: frontier._Lattice, mu: float) -> tuple[float, float]:
+    """The ``sim`` slope query scanning every input law of the lattice: the
+    (cost, rate) of the first law's point that maximises rate - mu * cost,
+    split at the vertices of env(psi + mu g) around it."""
+    x, psi, cost, g, k = lattice.x, lattice.psi, lattice.cost, lattice.g, lattice.k
+    s, psi_s = x[::k], psi[::k]
+    f = psi_s + mu * g
+    keep = frontier._upper_hull(s, -f)
+    j = int(np.argmax(psi - mu * cost - np.interp(x, s[keep], f[keep])))
+    b = int(np.searchsorted(s[keep], x[j]))
+    hi = keep[b]
+    if s[hi] == x[j]:
+        return float(cost[j] + g[hi]), float(psi[j] - psi_s[hi])
+    lo = keep[b - 1]
+    lam = (s[hi] - x[j]) / (s[hi] - s[lo])
+    return (float(cost[j] + lam * g[lo] + (1.0 - lam) * g[hi]),
+            float(psi[j] - lam * psi_s[lo] - (1.0 - lam) * psi_s[hi]))
+
+
+def full_scan_sim_hull(lattice: frontier._Lattice,
+                       budgets: list[float]) -> tuple[list[tuple[float, float]], int]:
+    """The hulled ``sim`` slope search with every query scanning every law:
+    the oracle of ``frontier._sim_hull``, whose queries scan only the laws
+    that can beat their chord.  Returns the hull's vertices and the number
+    of slope queries, a chord bracketing a budget being one query."""
+    top = full_scan_sim_point(lattice, 0.0)
+    queries = 1
+    if top[0] <= 0.0:
+        return [top], queries
+    vertices = [(0.0, 0.0), top]
+    chords = [(vertices[0], top)]
+    while chords:
+        left, right = chords.pop()
+        i = bisect.bisect_left(budgets, left[0])
+        if i == len(budgets) or budgets[i] >= right[0]:
+            continue
+        mu = (right[1] - left[1]) / (right[0] - left[0])
+        new = full_scan_sim_point(lattice, mu)
+        queries += 1
+        if (left[0] < new[0] < right[0]
+                and new[1] - left[1] - mu * (new[0] - left[0]) > frontier.SLOPE_TOL):
+            vertices.append(new)
+            chords += [(left, new), (new, right)]
+    return sorted(vertices), queries

@@ -24,8 +24,8 @@ from bccrates.frontier import BIN_FUZZ, fold_max
 from bccrates.probability import _xlogx
 
 import helpers
-from helpers import (binary_cells, grid_frontier, grid_supporting_line_value, hull_chain,
-                     simplex_grid)
+from helpers import (binary_cells, full_scan_sim_hull, grid_frontier, grid_supporting_line_value,
+                     hull_chain, simplex_grid)
 
 LN2 = math.log(2.0)
 
@@ -266,11 +266,30 @@ class TestSupportingLine:
             scalar = supporting_line_value(w_y, w_z, float(mu), r_d, grid, mode=mode)
             assert isinstance(scalar, float) and scalar == value
 
+    @pytest.mark.parametrize("mode", ["ds", "sim"])
+    def test_budgets_broadcast_against_slopes(self, mode):
+        # one lattice for every (slope, budget) entry, each the scalar call's float
+        w_y, w_z, grid = bsc(0.11), bec(0.45), GridSpec(prob_step=0.05)
+        slopes = np.array([0.0, 0.05, 0.3, 7.5])
+        budgets = np.array([[0.0], [0.2], [0.7]])
+        values = supporting_line_value(w_y, w_z, slopes, budgets, grid, mode=mode)
+        assert values.shape == (3, 4)
+        for (i, j), value in np.ndenumerate(values):
+            scalar = supporting_line_value(w_y, w_z, float(slopes[j]), float(budgets[i, 0]),
+                                           grid, mode=mode)
+            assert scalar == value
+        along = supporting_line_value(w_y, w_z, 0.3, budgets.ravel(), grid, mode=mode)
+        assert along.tolist() == values[:, 2].tolist()
+        with pytest.raises(ValueError, match="r_d must be finite"):
+            supporting_line_value(w_y, w_z, slopes, np.array([0.1, math.inf, 0.2, 0.3]), grid,
+                                  mode=mode)
+
     @pytest.mark.parametrize("step", [0.05, 0.02])
     def test_lattice_dual_certifies_the_frontier(self, step):
         # the slopes of the lattice hull's own edges (and 0) give the hulled
         # frontier at every budget; any slope gives at least the frontier
-        # and at least the grid's supporting line
+        # and at least the grid's supporting line.  One call per pair and
+        # mode: each budget's row holds its own slopes, then the shared ones
         grid = GridSpec(prob_step=step)
         others = np.array([0.01, 0.1, 1.0, 10.0])
         for w_y, w_z in ENVELOPE_PAIRS:
@@ -284,18 +303,20 @@ class TestSupportingLine:
                 vx, vy = hull.T
                 edges = np.diff(vy) / np.diff(vx)
                 front = fronts[mode]
-                for r_d, value in zip(front.r_d.tolist(), front.r_s.tolist()):
-                    i = int(np.searchsorted(vx, r_d))  # the edges on either side of r_d
-                    own = np.append(edges[max(0, i - 1):i + 1], 0.0)
-                    dual = supporting_line_value(w_y, w_z, own, r_d, grid, mode=mode)
-                    assert abs(dual.min() - value) <= 1e-9
-                    assert np.all(dual >= value - 1e-12)
+                # the edges on either side of each budget, 0 where there is none
+                i = np.searchsorted(vx, front.r_d)
+                own = np.zeros((front.r_d.size, 3))
+                for side, at in enumerate((i - 1, i)):
+                    inside = (at >= 0) & (at < edges.size)
+                    own[inside, side] = edges[at[inside]]
                 slopes = np.append(edges[:3], others)
-                for r_d in front.r_d[[1, front.r_d.size // 3, -1]].tolist():
-                    dual = supporting_line_value(w_y, w_z, slopes, r_d, grid, mode=mode)
-                    assert np.all(dual >= front.evaluate(r_d) - 1e-12)
+                rows = np.hstack([own, np.broadcast_to(slopes, (front.r_d.size, slopes.size))])
+                dual = supporting_line_value(w_y, w_z, rows, front.r_d[:, None], grid, mode=mode)
+                assert np.all(np.abs(dual[:, :3].min(axis=1) - front.r_s) <= 1e-9)
+                assert np.all(dual >= front.r_s[:, None] - 1e-12)
+                r_d = float(front.r_d[-1])
                 grid_dual = grid_supporting_line_value(w_y, w_z, slopes, r_d, grid, mode)
-                assert np.all(dual >= grid_dual - 1e-12)  # at the last budget
+                assert np.all(dual[-1, 3:] >= grid_dual - 1e-12)  # at the last budget
 
     def test_default_grid_returns_an_upper_bound(self):
         # the default grid's 40,001 input laws
@@ -908,8 +929,9 @@ class TestDsEnvelope:
 
     @pytest.mark.parametrize("pair, step, queries, vertices", [
         ((bsc(0.1), bsc(0.2)), 0.01, 192, 173), ((bsc(0.11), bec(0.45)), 0.01, 6, 4),
-        ((bsc(0.1), bsc(0.2)), 0.05, 28, 25), ((bsc(0.11), bec(0.45)), 0.05, 2, 2)],
-        ids=["bsc-0.01", "bec-0.01", "bsc-0.05", "bec-0.05"])
+        ((bsc(0.1), bsc(0.2)), 0.05, 28, 25), ((bsc(0.11), bec(0.45)), 0.05, 2, 2),
+        ((bsc(0.1), bsc(0.2)), 0.005, 416, 378), ((bsc(0.1), bsc(0.2)), 0.002, 1163, 1067)],
+        ids=["bsc-0.01", "bec-0.01", "bsc-0.05", "bec-0.05", "bsc-0.005", "bsc-0.002"])
     def test_sim_slope_queries_are_pinned(self, pair, step, queries, vertices):
         # the degraded pair's hull bends at every input law, so its budgets
         # each take a few queries; the BEC pair's is a few straight edges
@@ -917,6 +939,42 @@ class TestDsEnvelope:
         assert sim.provenance["slope_queries"] == queries
         assert sim.provenance["hull_vertices"] == vertices
         assert sim.provenance["slope_tol"] == frontier.SLOPE_TOL
+
+    @pytest.mark.parametrize("pairs, step", [
+        (ENVELOPE_PAIRS, 0.05), (ENVELOPE_PAIRS, 0.02), (ENVELOPE_PAIRS, 0.01),
+        (ENVELOPE_PAIRS[:2], 0.005), (ENVELOPE_PAIRS[:2], 0.002)],
+        ids=["52-pairs-0.05", "52-pairs-0.02", "52-pairs-0.01", "paper-0.005", "paper-0.002"])
+    def test_pruned_slope_search_is_the_full_scan(self, pairs, step):
+        # each query scans only the laws that can beat its chord, and finds
+        # the vertices, the query count and every frontier byte of the search
+        # that scans every law
+        grid = GridSpec(prob_step=step)
+        for w_y, w_z in pairs:
+            rd_grid, rd_step = frontier._budget_axis(w_y, w_z, grid)
+            lattice = frontier._lattice(w_y, w_z, grid.k, grid.k, rd_step)
+            vertices, queries = full_scan_sim_hull(lattice, rd_grid.tolist())
+            assert frontier._sim_hull(lattice, rd_grid.tolist()) == (vertices, queries)
+            sim = secrecy_frontier_sim(w_y, w_z, grid)
+            assert sim.r_s.tobytes() == np.interp(rd_grid, *np.array(vertices).T).tobytes()
+            assert sim.provenance["slope_queries"] == queries
+            assert sim.provenance["hull_vertices"] == len(vertices)
+
+    def test_scan_boxes_allow_for_rounding(self):
+        # g = H(X|Z) rounds to a few ulps below 0 on nearly noiseless rows
+        # (-2.2e-16 is seen), so a point can cost a hair less than I(X;Z) at
+        # its law.  Here the top point (law 1, split at the pure rows) costs
+        # exactly I(X;Z) there, and the vertex under its chord is law 1 split
+        # at the middle row, 4e-16 cheaper: only the box's margin keeps law 1
+        # in the scan of that chord, whose slope is 5,000
+        delta = 1e-13
+        lattice = frontier._Lattice(
+            x=np.arange(5) / 4, psi=np.array([0.0, 0.5, delta, 0.0, 0.0]),
+            cost=np.array([0.0, 1e-4, 0.2, 0.2, 0.0]), g=np.array([0.0, -8e-16, 0.0]),
+            steps=np.arange(3), k=2)
+        budgets = [0.0, 5e-5]
+        found = frontier._sim_hull(lattice, budgets)
+        assert found == full_scan_sim_hull(lattice, budgets)
+        assert len(found[0]) == 3 and found[0][1][0] < lattice.cost[1]
 
     def test_grid_path_reports_its_method(self):
         # no path runs the grid sweep: V = X reads the tables at its prior
