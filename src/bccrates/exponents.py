@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import BccChain, informations
-from .probability import Dmc, GuardExceeded, Pmf
+from .probability import NORMALIZATION_TOL, Dmc, GuardExceeded, Pmf
 
 TAIL_ENUMERATION_GUARD = 2**22
 SLOPE_STEP = 1e-4
@@ -471,15 +471,24 @@ def iid_sum_tail(probs: np.ndarray, values: np.ndarray, n: int, threshold: float
     seeded Monte Carlo estimate.
 
     Returns ``(tail, method, ci)`` where ``ci`` is a 95% Wilson interval for
-    the Monte Carlo path and ``None`` for the exact path.
+    the Monte Carlo path and ``None`` for the exact path.  Both paths first
+    check the law: one probability per value, finite and non-negative,
+    summing to 1 within ``NORMALIZATION_TOL``.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
+    probs, values = np.asarray(probs, dtype=float), np.asarray(values, dtype=float)
+    if probs.ndim != 1 or probs.shape != values.shape:
+        raise ValueError(f"need one probability per atom value, got {probs.shape} "
+                         f"probabilities and {values.shape} values")
+    # the least entry fails on a nan or a negative entry, the sum on an infinite one
+    if not (probs.size and probs.min() >= 0.0
+            and abs(probs.sum() - 1.0) <= NORMALIZATION_TOL):
+        raise ValueError("atom probabilities must be finite, non-negative and sum to 1 "
+                         f"within {NORMALIZATION_TOL}")
     base = len(probs) if alphabet_size is None else alphabet_size
     if base**n <= TAIL_ENUMERATION_GUARD:
-        tail = _type_class_tail(np.asarray(probs, dtype=float),
-                                np.asarray(values, dtype=float), n, float(threshold))
-        return tail, "exact", None
+        return _type_class_tail(probs, values, n, float(threshold)), "exact", None
     if not allow_mc:
         raise GuardExceeded(
             f"tail enumeration {base}^{n} exceeds guard {TAIL_ENUMERATION_GUARD}; "
@@ -489,11 +498,10 @@ def iid_sum_tail(probs: np.ndarray, values: np.ndarray, n: int, threshold: float
     hits = 0
     chunk = max(1, 2**20 // n)
     done = 0
-    vals = np.asarray(values)
     while done < mc_trials:
         block = min(chunk, mc_trials - done)
-        draws = rng.choice(len(probs), size=(block, n), p=np.asarray(probs))
-        sums = vals[draws].sum(axis=1)
+        draws = rng.choice(len(probs), size=(block, n), p=probs)
+        sums = values[draws].sum(axis=1)
         hits += int(np.count_nonzero(sums < threshold))
         done += block
     return hits / mc_trials, "monte_carlo", _wilson_interval(hits, mc_trials)

@@ -12,11 +12,11 @@ chain's laws (composed once per chain); ``decode_bob``/``decode_eve`` are
 the one-sequence case, and the Monte Carlo error estimates score a block of
 samples at a time, drawn in the per-sample order.
 
-A batch of trials is evaluated in blocks: each block draws its codebooks,
-one stream per trial, and every channel's rows are folded once per distinct
-word of the block, then gathered back.  Codebook tables of a block fill at
-most ``_TRIAL_BLOCK`` entries (or one trial), and nothing is kept between
-calls.
+A batch of trials is evaluated in blocks: each block draws its codebooks
+with one set of checks and CDFs, one stream per trial, and every channel's
+rows are folded once per distinct word of the block, then gathered back.
+Codebook tables of a block fill at most ``_TRIAL_BLOCK`` entries (or one
+trial), and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -60,6 +60,34 @@ def _cdf(matrix: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(matrix, axis=-1)
     cdf[..., -1] = 1.0
     return cdf
+
+
+def _prior_cdf(p: Pmf) -> np.ndarray:
+    """The CDF ``Generator.choice`` draws ``p`` from: the cumulative sums
+    divided by the last one."""
+    cdf = p.probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _prior_draw(rng: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
+    """``rng.choice(cdf.size, shape, p=p.probs)`` for the law whose ``_prior_cdf``
+    is ``cdf``, bit for bit: the same uniforms, each letter the count of CDF
+    entries at most its uniform.  ``choice`` also re-checks ``p``, which a
+    ``Pmf`` has already passed."""
+    return cdf.searchsorted(rng.random(shape), side="right")
+
+
+def _check_letters(words: np.ndarray, size: int, what: str) -> None:
+    """Words hold integer letters below ``size``; ``what`` names them in the error.
+
+    Read unsigned, a negative letter wraps past every alphabet size, so one
+    ``max`` checks both ends.  Bool and float words are refused: NumPy reads a
+    bool index array as a mask."""
+    if words.dtype.kind not in "iu":
+        raise ValueError(f"{what}s must be integers, not {words.dtype}")
+    if words.view(words.dtype.str.replace("i", "u")).max() >= size:
+        raise ValueError(f"{what} outside its alphabet")
 
 
 def _letter_fold(words: np.ndarray, letter_rows: np.ndarray, combine, start: float):
@@ -178,10 +206,8 @@ class SuperCodebook:
         if self.x_words.shape[0] != self.v_words.shape[0] \
                 or self.x_words.shape[2] != self.v_words.shape[1]:
             raise ValueError("codeword array shapes are inconsistent")
-        if self.v_words.min() < 0 or self.v_words.max() >= self.p_v.size:
-            raise ValueError("cloud symbol outside its alphabet")
-        if self.x_words.min() < 0 or self.x_words.max() >= self.p_x_given_v.output_size:
-            raise ValueError("satellite symbol outside its alphabet")
+        _check_letters(self.v_words, self.p_v.size, "cloud symbol")
+        _check_letters(self.x_words, self.p_x_given_v.output_size, "satellite symbol")
 
     @property
     def n(self) -> int:
@@ -201,22 +227,34 @@ def generate_super_codebook(p_v: Pmf, p_x_given_v: Dmc, n: int, m1: int, m2: int
     """Draw cloud centers i.i.d. from ``p_v`` and satellites from ``p_x_given_v``.
 
     Deterministic for a fixed seed; the draw order is cloud layer first, then
-    one uniform block for all satellites.
+    one uniform block for all satellites.  The cloud letters are those of
+    ``Generator.choice`` with ``p``.  A block of trials draws through
+    ``_super_codebooks``, which forms the checks and CDFs once for every
+    trial; each trial keeps its own stream, so its words are these.
     """
+    return _super_codebooks(p_v, p_x_given_v, n, m1, m2, [seed])[0]
+
+
+def _super_codebooks(p_v: Pmf, p_x_given_v: Dmc, n: int, m1: int, m2: int,
+                     seeds) -> list[SuperCodebook]:
+    """``generate_super_codebook`` at each seed, with one set of checks and CDFs."""
     if n < 1 or m1 < 1 or m2 < 1:
         raise ValueError("blocklength and layer sizes must be at least 1")
     if m2 * m1 * n > CODEBOOK_GUARD:
         raise GuardExceeded(f"codebook size {m2}x{m1}x{n} exceeds guard {CODEBOOK_GUARD}")
     if p_v.size != p_x_given_v.input_size:
         raise ValueError("cloud prior does not match conditional layer input")
-    rng = np.random.default_rng(seed)
-    v_words = rng.choice(p_v.size, size=(m2, n), p=p_v.probs)
-    uniforms = rng.random((m2, m1, n))
-    x_words = _inverse_cdf_sample(uniforms, _cdf(p_x_given_v.matrix), v_words[:, None, :])
-    v_words.setflags(write=False)
-    x_words.setflags(write=False)
-    return SuperCodebook(v_words=v_words, x_words=x_words, p_v=p_v,
-                         p_x_given_v=p_x_given_v, seed=seed)
+    prior, layer = _prior_cdf(p_v), _cdf(p_x_given_v.matrix)
+    books = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        v_words = _prior_draw(rng, prior, (m2, n))
+        x_words = _inverse_cdf_sample(rng.random((m2, m1, n)), layer, v_words[:, None, :])
+        v_words.setflags(write=False)
+        x_words.setflags(write=False)
+        books.append(SuperCodebook(v_words=v_words, x_words=x_words, p_v=p_v,
+                                   p_x_given_v=p_x_given_v, seed=seed))
+    return books
 
 
 def _output_mixtures(books: list[SuperCodebook], w_z: Dmc) -> np.ndarray:
@@ -428,8 +466,9 @@ def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
 
 def _trial_blocks(trials: int, entries: int) -> list[range]:
     """Consecutive trials whose codeword tables, ``entries`` each, fill at most
-    ``_TRIAL_BLOCK`` entries together (at least one trial a block)."""
-    step = max(1, _TRIAL_BLOCK // entries)
+    ``_TRIAL_BLOCK`` entries together (at least one trial a block).  An empty
+    layer gives no entries; the block's codebook draw then refuses its size."""
+    step = max(1, _TRIAL_BLOCK // max(1, entries))
     return [range(start, min(start + step, trials)) for start in range(0, trials, step)]
 
 
@@ -451,8 +490,8 @@ def mc_resolvability(p_v: Pmf, p_x_given_v: Dmc, w_z: Dmc, n: int, m1: int, m2: 
     stderr = np.zeros(trials)
     ref = None
     for block in _trial_blocks(trials, m1 * m2 * w_z.output_size**n if exact else _TRIAL_BLOCK):
-        books = [generate_super_codebook(p_v, p_x_given_v, n, m1, m2,
-                                         seed=trial_seed(master_seed, t)) for t in block]
+        books = _super_codebooks(p_v, p_x_given_v, n, m1, m2,
+                                 [trial_seed(master_seed, t) for t in block])
         if exact:
             mixes = _output_mixtures(books, w_z)
             if ref is None:
@@ -494,9 +533,7 @@ class BccCodebook:
         if self.x_words.shape[:3] != self.v_words.shape[:3] or self.x_words.shape[4] != n:
             raise ValueError("x_words shape inconsistent with v_words")
         for name, size in zip(("u_words", "v_words", "x_words"), self.chain.sizes):
-            words = getattr(self, name)
-            if words.min() < 0 or words.max() >= size:
-                raise ValueError(f"{name} letter outside its alphabet")
+            _check_letters(getattr(self, name), size, f"{name} letter")
 
     @property
     def n(self) -> int:
@@ -515,25 +552,39 @@ class BccCodebook:
 def generate_bcc_codebook(chain: BccChain, sizes: tuple[int, int, int, int], n: int,
                           seed) -> BccCodebook:
     """Draw the three layers: common words from P_U, then cloud words from the
-    V|U layer per common word, then satellites from the X|V layer."""
+    V|U layer per common word, then satellites from the X|V layer.
+
+    The common letters are those of ``Generator.choice`` with ``p``.  A block
+    of trials draws through ``_bcc_codebooks``, which forms the checks and
+    CDFs once for every trial; each trial keeps its own stream, so its words
+    are these.
+    """
+    return _bcc_codebooks(chain, sizes, n, [seed])[0]
+
+
+def _bcc_codebooks(chain: BccChain, sizes: tuple[int, int, int, int], n: int,
+                   seeds) -> list[BccCodebook]:
+    """``generate_bcc_codebook`` at each seed, with one set of checks and CDFs."""
     size_k, size_l, size_s, size_a = sizes
     if min(sizes) < 1 or n < 1:
         raise ValueError("sizes and blocklength must be at least 1")
     if size_k * size_l * size_s * size_a * n > CODEBOOK_GUARD:
         raise GuardExceeded("codebook size exceeds guard")
-    rng = np.random.default_rng(seed)
-    mu = chain.p_u.size
-    u_words = rng.choice(mu, size=(size_k, n), p=chain.p_u.probs)
-    uniforms_v = rng.random((size_k, size_l, size_s, n))
-    v_words = _inverse_cdf_sample(uniforms_v, _cdf(chain.p_v_given_u.matrix),
-                                  u_words[:, None, None, :])
-    uniforms_x = rng.random((size_k, size_l, size_s, size_a, n))
-    x_words = _inverse_cdf_sample(uniforms_x, _cdf(chain.p_x_given_v.matrix),
-                                  v_words[:, :, :, None, :])
-    for arr in (u_words, v_words, x_words):
-        arr.setflags(write=False)
-    return BccCodebook(u_words=u_words, v_words=v_words, x_words=x_words,
-                       chain=chain, seed=seed)
+    prior = _prior_cdf(chain.p_u)
+    layer_v, layer_x = _cdf(chain.p_v_given_u.matrix), _cdf(chain.p_x_given_v.matrix)
+    books = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        u_words = _prior_draw(rng, prior, (size_k, n))
+        v_words = _inverse_cdf_sample(rng.random((size_k, size_l, size_s, n)), layer_v,
+                                      u_words[:, None, None, :])
+        x_words = _inverse_cdf_sample(rng.random((size_k, size_l, size_s, size_a, n)),
+                                      layer_x, v_words[:, :, :, None, :])
+        for arr in (u_words, v_words, x_words):
+            arr.setflags(write=False)
+        books.append(BccCodebook(u_words=u_words, v_words=v_words, x_words=x_words,
+                                 chain=chain, seed=seed))
+    return books
 
 
 def _passes(log_p: np.ndarray, alpha: float, log_q) -> np.ndarray:
@@ -783,8 +834,7 @@ def simulate_bcc(chain: BccChain, sizes: tuple[int, int, int, int], n: int, *,
     eve = np.empty(trials)
     leak = np.empty(trials)
     for block in _trial_blocks(trials, entries):
-        books = [generate_bcc_codebook(chain, sizes, n, seed=trial_seed(master_seed, t))
-                 for t in block]
+        books = _bcc_codebooks(chain, sizes, n, [trial_seed(master_seed, t) for t in block])
         bob_exact, eve_exact, leak[block] = _Block(books).evaluate(
             bob=alphas if exact_bob else None, eve=alphas[0] if exact_eve else None, leak=True)
         bob[block] = bob_exact if exact_bob else [

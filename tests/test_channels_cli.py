@@ -338,6 +338,20 @@ class TestCliSimulate:
         assert "need at least one trial" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["resolvability", "--pz", "bsc:0.2", "--n", "4", "--m1", "0", "--m2", "2"],
+        ["resolvability", "--pz", "bsc:0.2", "--n", "4", "--m1", "2", "--m2", "-1"],
+        ["bcc", "--py", "bsc:0.1", "--pz", "bsc:0.2", "--sizes", "2,0,2,2", "--n", "4"]],
+        ids=["m1", "m2", "bcc"])
+    def test_empty_layer_is_invalid(self, argv, tmp_path, capsys):
+        # an empty layer gives a block no table entries; the codebook draw
+        # refuses it, and it is not a numerical failure
+        out = tmp_path / "x.csv"
+        code = main(["simulate", *argv, "--trials", "2", "--out", str(out)])
+        assert code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resolvability_sidecars_share_their_keys(self, tmp_path):
         base = ["simulate", "resolvability", "--pz", "bsc:0.2", "--m1", "2", "--m2", "2",
                 "--trials", "2", "--seed", "5"]

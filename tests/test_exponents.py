@@ -621,6 +621,32 @@ class TestIidSumTail:
             iid_sum_tail(probs, vals, 30, 12.0, alphabet_size=4)
 
 
+    @pytest.mark.parametrize("probs, values", [
+        ([0.3, 0.3], [0.0, 1.0]),                  # sums to 0.6
+        ([0.5, 0.5 + 1e-9], [0.0, 1.0]),           # past NORMALIZATION_TOL
+        ([1.5, -0.5], [0.0, 1.0]),                 # a negative entry
+        ([math.nan, 1.0], [0.0, 1.0]),
+        ([math.inf, 0.5], [0.0, 1.0]),
+        ([math.inf, -math.inf, 1.0], [0.0, 1.0, 2.0]),
+        ([], []),
+        ([0.5, 0.5], [0.0, 1.0, 2.0]),             # one value too many
+        ([[0.5, 0.5]], [[0.0, 1.0]]),
+    ])
+    @pytest.mark.parametrize("n, alphabet_size", [(4, None), (40, None), (4, 2**22)],
+                             ids=["exact", "monte_carlo", "forced_monte_carlo"])
+    def test_bad_law_is_refused_on_both_paths(self, probs, values, n, alphabet_size):
+        with pytest.raises(ValueError, match="probabilit"):
+            iid_sum_tail(probs, values, n, 0.5, alphabet_size=alphabet_size, allow_mc=True,
+                         mc_trials=100)
+
+    def test_law_within_tolerance_is_taken_as_given(self):
+        probs = np.array([0.25, 0.75 - 5e-13])
+        values = np.array([0.0, 1.0])
+        assert iid_sum_tail(probs, values, 3, 0.5)[0] == pytest.approx(0.25**3, rel=1e-14)
+        tail, method, ci = iid_sum_tail([0.25, 0.75], [0, 1], 3, 0.5)
+        assert (tail, method, ci) == (pytest.approx(0.25**3, rel=1e-14), "exact", None)
+
+
 class TestDecoderBounds:
     @staticmethod
     def fixture_chain():

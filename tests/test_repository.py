@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import inspect
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -21,6 +22,19 @@ def test_no_tracked_file_is_ignored():
                             capture_output=True, text=True, check=True)
     assert listed.stdout.split() == []
 
+
+
+# a speed claim counts only through a run record with these keys
+RUN_RECORD_KEYS = ("topic", "what", "machine", "commits", "config", "end_to_end")
+
+
+def test_run_records_are_machine_readable():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(record, dict), path.name
+        assert [key for key in RUN_RECORD_KEYS if key not in record] == [], path.name
 
 # the dense-joint toolkit and test-only helpers that left the package; the
 # oracle that replaces them lives in tests/helpers.py

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -1110,3 +1111,235 @@ class TestDistinctWords:
         assert stacks.count((3, BLOCK_SIZES[0], 5)) == 1
         assert len(stacks) == 3         # the u, v and x layers
         assert bob.tobytes() == apart[0].tobytes() and eve.tobytes() == apart[1].tobytes()
+
+
+def _sparse_prior(rng, letters):
+    """A Dirichlet law on ``letters`` letters, about a third of them zero (never all)."""
+    probs = rng.dirichlet(np.ones(letters))
+    probs[rng.random(letters) < 1 / 3] = 0.0
+    if not probs.any():
+        probs[rng.integers(letters)] = 1.0
+    return Pmf(probs / probs.sum())
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, shape):
+        return self.uniforms.reshape(shape)
+
+
+def _oracle_super_codebook(p_v, layer, n, m1, m2, seed):
+    """The cloud layer through ``Generator.choice``, then the satellites."""
+    rng = np.random.default_rng(seed)
+    v_words = rng.choice(p_v.size, size=(m2, n), p=p_v.probs)
+    x_words = simulate._inverse_cdf_sample(rng.random((m2, m1, n)),
+                                           simulate._cdf(layer.matrix), v_words[:, None, :])
+    return v_words, x_words
+
+
+def _oracle_bcc_codebook(chain, sizes, n, seed):
+    """The common layer through ``Generator.choice``, then the V and X layers."""
+    size_k, size_l, size_s, size_a = sizes
+    rng = np.random.default_rng(seed)
+    u_words = rng.choice(chain.p_u.size, size=(size_k, n), p=chain.p_u.probs)
+    v_words = simulate._inverse_cdf_sample(rng.random((size_k, size_l, size_s, n)),
+                                           simulate._cdf(chain.p_v_given_u.matrix),
+                                           u_words[:, None, None, :])
+    x_words = simulate._inverse_cdf_sample(rng.random((size_k, size_l, size_s, size_a, n)),
+                                           simulate._cdf(chain.p_x_given_v.matrix),
+                                           v_words[:, :, :, None, :])
+    return u_words, v_words, x_words
+
+
+class TestBlockDraws:
+    """Codebooks of a block of trials share their checks and CDFs: every word
+    is the one its trial's stream gives alone, and the prior is drawn as
+    ``Generator.choice`` draws it."""
+
+    def test_prior_draw_is_generator_choice(self):
+        rng = np.random.default_rng(30)
+        for seed in range(2000):
+            p = _sparse_prior(rng, int(rng.integers(1, 9)))
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+            ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = simulate._prior_draw(ours, simulate._prior_cdf(p), shape)
+            want = numpy_rng.choice(p.size, shape, p=p.probs)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, p)
+            # the same number of uniforms was taken: the streams go on alike
+            assert ours.random() == numpy_rng.random()
+
+    def test_a_uniform_on_a_cdf_step_takes_the_next_letter(self):
+        # a letter is the count of CDF entries at most the uniform, so a
+        # zero-probability letter is never drawn, not even at u = 0
+        p = Pmf([0.0, 0.25, 0.0, 0.25, 0.5])
+        cdf = simulate._prior_cdf(p)
+        uniforms = np.concatenate([[0.0], cdf[:-1], [np.nextafter(1.0, 0.0)]])
+        got = simulate._prior_draw(_FixedUniforms(uniforms), cdf, uniforms.shape)
+        assert got.tolist() == [1, 1, 3, 3, 4, 4]
+        assert np.all(p.probs[got] > 0.0)
+
+    def test_prior_cdf_ends_at_one(self):
+        # some validated laws add up to just below 1: the scaled CDF still
+        # ends at 1, so the largest uniform below 1 draws a letter of the law
+        rng = np.random.default_rng(31)
+        short = 0
+        top = np.nextafter(1.0, 0.0)
+        for _ in range(2000):
+            p = _sparse_prior(rng, int(rng.integers(1, 9)))
+            short += p.probs.cumsum()[-1] < top
+            cdf = simulate._prior_cdf(p)
+            assert cdf[-1] == 1.0
+            letter = simulate._prior_draw(_FixedUniforms([top]), cdf, (1,))[0]
+            assert letter < p.size and p.probs[letter] > 0.0
+        assert short > 0
+
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    def test_super_block_matches_public_generator(self, letters):
+        rng = np.random.default_rng(letters)
+        p_v, layer = _sparse_prior(rng, letters), random_dmc(rng, letters, 3)
+        seeds = [trial_seed(letters, t) for t in range(12)]
+        books = simulate._super_codebooks(p_v, layer, 5, 3, 4, seeds)
+        for seed, book in zip(seeds, books):
+            alone = generate_super_codebook(p_v, layer, 5, 3, 4, seed=seed)
+            v_words, x_words = _oracle_super_codebook(p_v, layer, 5, 3, 4, seed)
+            for got in (book, alone):
+                assert np.array_equal(got.v_words, v_words)
+                assert np.array_equal(got.x_words, x_words)
+                assert got.v_words.dtype == x_words.dtype == np.int64
+                assert got.seed is seed
+
+    @pytest.mark.parametrize("kind", ["bsc", "bec", "ternary", "sparse"])
+    def test_bcc_block_matches_public_generator(self, kind):
+        rng = np.random.default_rng(len(kind))
+        chain = _block_chain(kind) if kind != "sparse" else BccChain(
+            _sparse_prior(rng, 4), random_dmc(rng, 4, 3), random_dmc(rng, 3, 2),
+            random_dmc(rng, 2, 2), random_dmc(rng, 2, 3))
+        seeds = [trial_seed(7, t) for t in range(9)]
+        books = simulate._bcc_codebooks(chain, BLOCK_SIZES, 4, seeds)
+        for seed, book in zip(seeds, books):
+            alone = generate_bcc_codebook(chain, BLOCK_SIZES, 4, seed=seed)
+            want = _oracle_bcc_codebook(chain, BLOCK_SIZES, 4, seed)
+            for got in (book, alone):
+                for name, words in zip(("u_words", "v_words", "x_words"), want):
+                    assert np.array_equal(getattr(got, name), words), name
+                assert got.seed is seed
+
+    def test_block_checks_keep_their_messages(self):
+        chain = fixture_chain()
+        for seeds in ([], [0, 1]):
+            with pytest.raises(ValueError, match="at least 1"):
+                simulate._super_codebooks(Pmf.uniform(2), bsc(0.1), 0, 2, 2, seeds)
+            with pytest.raises(GuardExceeded, match="exceeds guard"):
+                simulate._super_codebooks(Pmf.uniform(2), bsc(0.1), 2**12, 2**11, 2, seeds)
+            with pytest.raises(ValueError, match="does not match"):
+                simulate._super_codebooks(Pmf.uniform(3), bsc(0.1), 2, 2, 2, seeds)
+            with pytest.raises(ValueError, match="at least 1"):
+                simulate._bcc_codebooks(chain, (2, 0, 2, 2), 3, seeds)
+            with pytest.raises(GuardExceeded, match="exceeds guard"):
+                simulate._bcc_codebooks(chain, (2**10, 2**10, 2, 2), 3, seeds)
+        assert simulate._super_codebooks(Pmf.uniform(2), bsc(0.1), 2, 2, 2, []) == []
+
+
+# sha256 of the float64 values (little-endian), computed before trial blocks
+# drew their codebooks through shared CDFs; the configurations are the
+# benchmark's, 30 trials each
+RESOLVABILITY_DIGESTS = {
+    (4, 4): "ef4d8e6cd380c5c3cc530812783df40b3aa4b613eb0feadd980290df3b50581a",
+    (6, 4): "b47f5ab93fd31eb67091b5f1a82263535c8f8386d3d4394be4d2060c8b41d1cf",
+    (2, 2): "9697ba45f4c473fd4bdacd523a615fe4cc8e33e5deb7f211c483adf77823e391",
+    (6, 8): "2f6ce4db588cec425a3a796e7613a600c616d2258b1fb00ca5ae6e51fb180500",
+}
+
+
+def _digest(*arrays):
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.asarray(arr, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenTrials:
+    @pytest.mark.parametrize("n, m", list(RESOLVABILITY_DIGESTS))
+    def test_resolvability_values(self, n, m):
+        res = mc_resolvability(Pmf.uniform(2), bsc(0.1), bsc(0.2), n, m, m, 30, 5)
+        assert _digest(res.values) == RESOLVABILITY_DIGESTS[(n, m)]
+
+    def test_simulate_bcc_values(self):
+        rep = simulate_bcc(fixture_chain(), (2, 4, 2, 4), 6, trials=30, master_seed=11)
+        assert _digest(rep.bob_errors, rep.eve_errors, rep.leakages) == \
+            "56a96e652d859937b50ab959870637dfeb3a66563a31e159dc1cf3408eb205bf"
+
+    def test_sparse_ternary_values(self):
+        # a prior with a zero letter and a cumulative sum that is not 1 at its end
+        p_v = Pmf([0.15, 0.0, 0.35, 0.5])
+        layer = Dmc([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4], [0.05, 0.05, 0.9]])
+        w_z = Dmc([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])
+        assert _digest(mc_resolvability(p_v, layer, w_z, 5, 3, 4, 30, 21).values) == \
+            "c067ee1de958c41306500598d405c1a6b305ceef41c64599a5a821f66d3ef501"
+        chain = BccChain(Pmf([0.3, 0.0, 0.7]), Dmc([[0.6, 0.4], [0.0, 1.0], [0.25, 0.75]]),
+                         Dmc([[0.8, 0.1, 0.1], [0.2, 0.5, 0.3]]),
+                         Dmc([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]),
+                         Dmc([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]]))
+        rep = simulate_bcc(chain, (3, 2, 2, 3), 4, trials=30, master_seed=23)
+        assert _digest(rep.bob_errors, rep.eve_errors, rep.leakages) == \
+            "6b72d7cf5cf2c13c3fe7758bca9c2de0568ee4bd71055eed346fc548869bc1fd"
+
+
+def _layers(book):
+    names = ("v_words", "x_words") if isinstance(book, SuperCodebook) \
+        else ("u_words", "v_words", "x_words")
+    return {name: getattr(book, name) for name in names}
+
+
+def _rebuild(book, **words):
+    if isinstance(book, SuperCodebook):
+        return SuperCodebook(**{**_layers(book), **words}, p_v=book.p_v,
+                             p_x_given_v=book.p_x_given_v)
+    return BccCodebook(**{**_layers(book), **words}, chain=book.chain)
+
+
+CODEBOOKS = {
+    "super": lambda: generate_super_codebook(Pmf.uniform(2), bsc(0.1), 3, 2, 2, seed=4),
+    "bcc": lambda: generate_bcc_codebook(fixture_chain(), (2, 2, 2, 2), 3, seed=4),
+}
+
+
+class TestIntegerLetters:
+    """Every layer of both codebook kinds holds integer letters in its alphabet."""
+
+    @pytest.mark.parametrize("kind", list(CODEBOOKS))
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64, np.int8])
+    def test_any_integer_width_is_accepted(self, kind, dtype):
+        book = CODEBOOKS[kind]()
+        for name, words in _layers(book).items():
+            assert _rebuild(book, **{name: words.astype(dtype)}).n == 3
+
+    @pytest.mark.parametrize("kind", list(CODEBOOKS))
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, object])
+    def test_other_kinds_are_rejected(self, kind, dtype):
+        # a bool index array is read as a mask, so the divergence comes out
+        # wrong; float letters would fail later, at the first fold
+        book = CODEBOOKS[kind]()
+        for name, words in _layers(book).items():
+            with pytest.raises(ValueError, match="must be integers"):
+                _rebuild(book, **{name: words.astype(dtype)})
+
+    @pytest.mark.parametrize("kind", list(CODEBOOKS))
+    @pytest.mark.parametrize("dtype, letter", [
+        *((dtype, letter) for dtype in (np.int64, np.int32, np.int8, ">i4")
+          for letter in (-1, -128, 2, 3, 127)),
+        *((np.uint8, letter) for letter in (2, 3, 255))])
+    def test_letters_outside_the_alphabet_are_rejected(self, kind, dtype, letter):
+        book = CODEBOOKS[kind]()
+        for name, words in _layers(book).items():
+            bad = words.astype(dtype)
+            bad.flat[0] = letter
+            with pytest.raises(ValueError, match="outside its alphabet"):
+                _rebuild(book, **{name: bad})
+            # one letter in range at the same place is fine
+            bad.flat[0] = 1
+            _rebuild(book, **{name: bad})
